@@ -46,6 +46,7 @@ from .model import (
     InputSequence,
     SimulationResult,
     convolution_output,
+    dual,
     simulate,
     validate,
 )

@@ -12,7 +12,8 @@ word-indexed observability and reachability factors,
 
     H_{L,M} = observability_factor(sys, L) @ reachability_factor(sys, M),
 
-whose inner dimension is the state dimension n.  That factorization is also
+whose inner dimension is the state dimension n; the observability factor
+is the dual family's reachability factor.  That factorization is also
 how `hankel_singular_values` gets the spectrum of large sub-matrices
 without assembling them.
 """
@@ -33,9 +34,9 @@ from .markov import (
     markov_block,
     probe_markov_block,
     stacked_input_matrix,
-    stacked_output_matrix,
+    word_products,
 )
-from .model import validate
+from .model import dual, validate
 
 
 @dataclass(frozen=True, eq=False)
@@ -54,30 +55,23 @@ class HankelBlockMatrix:
         return self.data.shape
 
 
-def _chain_blocks(sys: ALPVSystem, depth: int):
-    """A-chain products chain(v) = A_{v_k} ... A_{v_1} for all |v| <= depth."""
-    n, D = sys.n, sys.D
-    chains = {(): np.eye(n)}
-    for v in _w.words_up_to(depth, D):
-        if v:
-            chains[v] = sys.A[v[-1] - 1] @ chains[v[:-1]]
-    return chains
-
-
 def reachability_factor(sys: ALPVSystem, depth: int) -> np.ndarray:
-    """n x N(depth)*mD matrix whose block column for word v is chain(v) @ Btilde."""
+    """n x N(depth)*mD matrix whose block column for word v is A_{v_k} ... A_{v_1} Btilde."""
     validate(sys)
-    Bt = stacked_input_matrix(sys)
-    chains = _chain_blocks(sys, depth)
-    return np.hstack([chains[v] @ Bt for v in _w.words_up_to(depth, sys.D)])
+    A3, _, _ = sys.stacked()
+    P = np.concatenate(word_products(A3, stacked_input_matrix(sys)[None], depth))
+    return P.transpose(1, 0, 2).reshape(sys.n, P.shape[0] * P.shape[2])
 
 
 def observability_factor(sys: ALPVSystem, depth: int) -> np.ndarray:
-    """N(depth)*pD x n matrix whose block row for word v is Ctilde @ chain(v)."""
+    """N(depth)*pD x n matrix whose block row for word v is Ctilde A_{v_k} ... A_{v_1}.
+
+    That block is the dual's reachability block for the reversed word, transposed.
+    """
     validate(sys)
-    Ct = stacked_output_matrix(sys)
-    chains = _chain_blocks(sys, depth)
-    return np.vstack([Ct @ chains[v] for v in _w.words_up_to(depth, sys.D)])
+    n, N, pD = sys.n, _w.word_count(depth, sys.D), sys.p * sys.D
+    Rd = reachability_factor(dual(sys), depth).reshape(n, N, pD)
+    return Rd[:, _w.reversal_positions(depth, sys.D)].transpose(1, 2, 0).reshape(N * pD, n)
 
 
 def build_hankel(source, L: int, M: int) -> HankelBlockMatrix:
@@ -91,24 +85,21 @@ def build_hankel(source, L: int, M: int) -> HankelBlockMatrix:
     if isinstance(source, ALPVSystem):
         validate(source)
         data = observability_factor(source, L) @ reachability_factor(source, M)
-        D, m, p = source.D, source.m, source.p
-        return HankelBlockMatrix(L=L, M=M, D=D, m=m, p=p, data=data)
+        return HankelBlockMatrix(L=L, M=M, D=source.D, m=source.m, p=source.p, data=data)
     if isinstance(source, MarkovTable):
         if L + M + 2 > source.horizon:
             raise HorizonExceeded(
                 f"H_(L={L},M={M}) needs horizon >= {L + M + 2}, table has {source.horizon}"
             )
         block = lambda vj, vi: markov_block(source, vj + vi)
-        D, m, p = source.D, source.m, source.p
     elif isinstance(source, IOOracle):
         block = lambda vj, vi: probe_markov_block(source, vj + vi)
-        D, m, p = source.D, source.m, source.p
     else:
         raise TypeError(f"unsupported Hankel source: {type(source).__name__}")
-    row_words = _w.words_up_to(L, D)
-    col_words = _w.words_up_to(M, D)
+    row_words = _w.words_up_to(L, source.D)
+    col_words = _w.words_up_to(M, source.D)
     data = np.block([[block(vj, vi) for vj in col_words] for vi in row_words])
-    return HankelBlockMatrix(L=L, M=M, D=D, m=m, p=p, data=data)
+    return HankelBlockMatrix(L=L, M=M, D=source.D, m=source.m, p=source.p, data=data)
 
 
 def hankel_rank(source, L: int, M: int, tol: ToleranceConfig = DEFAULT_TOL) -> int:
@@ -129,8 +120,6 @@ def hankel_singular_values(sys: ALPVSystem, L: int, M: int) -> np.ndarray:
     of H are exactly zero and are not returned.
     """
     validate(sys)
-    if sys.n == 0:
-        return np.zeros(0)
     Of = observability_factor(sys, L)
     Rf = reachability_factor(sys, M)
     r1 = np.linalg.qr(Of, mode="r")

@@ -3,6 +3,8 @@
 Every rank decision in the package (Hankel ranks, reachability and
 observability tests, factorizations, pseudoinverses) goes through the same
 singular-value cutoff so that the modules agree on what counts as zero.
+Wide matrices, such as the n x mD(D+1)^(n-1) extended reachability
+matrices, are factored through their transpose, where the SVD is faster.
 """
 
 from __future__ import annotations
@@ -49,26 +51,27 @@ def as_matrix(M) -> np.ndarray:
     return A
 
 
+def _svd(M, tol: ToleranceConfig):
+    """Thin SVD ``(U, s, Vt)`` of M and its rank ``r`` under the shared cutoff."""
+    A = as_matrix(M)
+    wide = A.shape[0] < A.shape[1]
+    U, s, Vt = np.linalg.svd(A.T if wide else A, full_matrices=False)
+    if wide:
+        U, Vt = Vt.T, U.T
+    return U, s, Vt, int(np.sum(s > tol.cutoff(s, A.shape)))
+
+
 def numerical_rank(M, tol: ToleranceConfig = DEFAULT_TOL) -> int:
     """Number of singular values above the shared cutoff."""
     A = as_matrix(M)
-    if min(A.shape) == 0:
-        return 0
-    s = np.linalg.svd(A, compute_uv=False)
+    s = np.linalg.svd(A.T if A.shape[0] < A.shape[1] else A, compute_uv=False)
     return int(np.sum(s > tol.cutoff(s, A.shape)))
 
 
 def pseudoinverse(M, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     """Moore-Penrose pseudoinverse via SVD with thresholded inversion."""
-    A = as_matrix(M)
-    if min(A.shape) == 0:
-        return np.zeros((A.shape[1], A.shape[0]))
-    U, s, Vt = np.linalg.svd(A, full_matrices=False)
-    cut = tol.cutoff(s, A.shape)
-    keep = s > cut
-    inv = np.zeros_like(s)
-    inv[keep] = 1.0 / s[keep]
-    return (Vt.T * inv) @ U.T
+    U, s, Vt, r = _svd(M, tol)
+    return (Vt[:r].T / s[:r]) @ U[:, :r].T
 
 
 def rank_factorize(M, tol: ToleranceConfig = DEFAULT_TOL):
@@ -78,30 +81,18 @@ def rank_factorize(M, tol: ToleranceConfig = DEFAULT_TOL):
     rows x r and ``R`` is r x cols, both of full rank r, built as
     ``O = U sqrt(S)`` and ``R = sqrt(S) V^T`` from the truncated SVD.
     """
-    A = as_matrix(M)
-    if min(A.shape) == 0:
-        return np.zeros((A.shape[0], 0)), np.zeros((0, A.shape[1])), 0
-    U, s, Vt = np.linalg.svd(A, full_matrices=False)
-    r = int(np.sum(s > tol.cutoff(s, A.shape)))
+    U, s, Vt, r = _svd(M, tol)
     root = np.sqrt(s[:r])
     return U[:, :r] * root, root[:, None] * Vt[:r, :], r
 
 
 def range_basis(M, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     """Orthonormal columns spanning the column space of M."""
-    A = as_matrix(M)
-    if min(A.shape) == 0:
-        return np.zeros((A.shape[0], 0))
-    U, s, _ = np.linalg.svd(A, full_matrices=False)
-    r = int(np.sum(s > tol.cutoff(s, A.shape)))
+    U, _, _, r = _svd(M, tol)
     return U[:, :r]
 
 
 def row_basis(M, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     """Orthonormal rows spanning the row space of M."""
-    A = as_matrix(M)
-    if min(A.shape) == 0:
-        return np.zeros((0, A.shape[1]))
-    _, s, Vt = np.linalg.svd(A, full_matrices=False)
-    r = int(np.sum(s > tol.cutoff(s, A.shape)))
+    _, _, Vt, r = _svd(M, tol)
     return Vt[:r, :]

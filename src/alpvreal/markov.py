@@ -10,6 +10,9 @@ parameter M(v) collects S(j v i) over all i, j in 1..D into a pD x mD matrix
 and equals Ctilde * A_{v_k} ... A_{v_1} * Btilde for the stacked matrices
 Ctilde = [C_1; ...; C_D], Btilde = [B_1, ..., B_D].
 
+All word-indexed products come from one level-batched kernel,
+`word_products`, which `markov_table` and the Hankel factors share.
+
 Both quantities are also recoverable from a black-box input-output map by
 probing it with unit scheduling vectors: column l of S(v) is the response to
 the run (e_{q_0}, e_l)(e_{q_1}, 0)...(e_{q_t}, 0).  This probing route never
@@ -19,13 +22,14 @@ genuine two-sided consistency check.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from . import words as _w
-from .errors import DimensionMismatch, HorizonExceeded, WordTooShort
+from .errors import HorizonExceeded, WordTooShort
 from .model import ALPVSystem, InputSequence, simulate, validate
 
 
@@ -45,15 +49,12 @@ class IOOracle:
     """A black-box input-output map with declared dimensions.
 
     `fn` maps an InputSequence over R^D x R^m to a length-p output vector.
-    `reentrant` declares whether independent probes may be issued
-    concurrently; probing here is serial either way.
     """
 
     fn: Callable
     D: int
     m: int
     p: int
-    reentrant: bool = False
 
     def __call__(self, w: InputSequence) -> np.ndarray:
         return np.asarray(self.fn(w), dtype=float).reshape(-1)
@@ -67,7 +68,7 @@ def system_oracle(sys: ALPVSystem) -> IOOracle:
     def fn(w: InputSequence) -> np.ndarray:
         return simulate(sys, x0, w).final_output
 
-    return IOOracle(fn=fn, D=sys.D, m=sys.m, p=sys.p, reentrant=True)
+    return IOOracle(fn=fn, D=sys.D, m=sys.m, p=sys.p)
 
 
 def kernel_coeff(sys: ALPVSystem, v) -> np.ndarray:
@@ -82,28 +83,35 @@ def kernel_coeff(sys: ALPVSystem, v) -> np.ndarray:
     return sys.C[v[-1] - 1] @ P
 
 
+def word_products(A3: np.ndarray, P0: np.ndarray, depth: int) -> list:
+    """Level-batched products A_{v_k} ... A_{v_1} P0[i] for all words with |v| <= depth.
+
+    A3 stacks the A_q.  Level k+1 is A3 @ level k with q varying fastest, and
+    since appending q multiplies by A_q on the left, the products already
+    come out in the enumeration order of the pairs (i, v).
+    """
+    levels = [P0]
+    for _ in range(depth):
+        P = levels[-1]
+        levels.append((A3[None] @ P[:, None]).reshape(len(P) * len(A3), *P0.shape[1:]))
+    return levels
+
+
 def markov_table(sys: ALPVSystem, horizon: int) -> MarkovTable:
     """All kernel coefficients of a system up to the given word length.
 
-    Built by a depth-first sweep that extends each A-chain by one factor per
-    word, so the cost is one small matrix product per table entry.
+    `word_products` runs from the stacked B_q; each level is closed with the C_q.
     """
     validate(sys)
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
     D = sys.D
+    A3, B3, C3 = sys.stacked()
     entries = {}
-
-    def fill(word, P):
-        for q in range(1, D + 1):
-            grown = word + (q,)
-            entries[grown] = sys.C[q - 1] @ P
-            if len(grown) < horizon:
-                fill(grown, sys.A[q - 1] @ P)
-
     if horizon >= 2:
-        for q0 in range(1, D + 1):
-            fill((q0,), sys.B[q0 - 1])
+        for k, P in enumerate(word_products(A3, B3, horizon - 2), start=2):
+            S = (C3[None] @ P[:, None]).reshape(len(P) * D, sys.p, sys.m)
+            entries.update(zip(itertools.product(range(1, D + 1), repeat=k), S))
     return MarkovTable(D=D, m=sys.m, p=sys.p, horizon=horizon, entries=entries)
 
 
@@ -138,11 +146,12 @@ def markov_block(source, v) -> np.ndarray:
         raise HorizonExceeded(
             f"word of length {len(v)} needs horizon >= {len(v) + 2}, table has {table.horizon}"
         )
-    D = table.D
-    rows = []
-    for i in range(1, D + 1):
-        rows.append([table.entries[(j,) + v + (i,)] for j in range(1, D + 1)])
-    return np.block(rows)
+    return _assemble_block(table.D, v, table.entries.__getitem__)
+
+
+def _assemble_block(D: int, v, coeff) -> np.ndarray:
+    """M(v) from a kernel-coefficient lookup: block (i, j) is coeff(j v i)."""
+    return np.block([[coeff((j,) + v + (i,)) for j in range(1, D + 1)] for i in range(1, D + 1)])
 
 
 def probe_kernel_coeff(oracle: IOOracle, v) -> np.ndarray:
@@ -170,8 +179,4 @@ def probe_kernel_coeff(oracle: IOOracle, v) -> np.ndarray:
 def probe_markov_block(oracle: IOOracle, v) -> np.ndarray:
     """Recover M(v) from a black-box map, one probe batch per block."""
     v = _w.check_word(v, oracle.D)
-    D = oracle.D
-    rows = []
-    for i in range(1, D + 1):
-        rows.append([probe_kernel_coeff(oracle, (j,) + v + (i,)) for j in range(1, D + 1)])
-    return np.block(rows)
+    return _assemble_block(oracle.D, v, lambda w: probe_kernel_coeff(oracle, w))

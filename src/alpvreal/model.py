@@ -120,6 +120,12 @@ def validate(sys: ALPVSystem) -> ALPVSystem:
     return sys
 
 
+def dual(sys: ALPVSystem) -> ALPVSystem:
+    """The transposed family (A_q^T, C_q^T, B_q^T); its reachability is observability of sys."""
+    validate(sys)
+    return ALPVSystem(A=[a.T for a in sys.A], B=[c.T for c in sys.C], C=[b.T for b in sys.B])
+
+
 @dataclass(frozen=True, eq=False)
 class InputSequence:
     """A finite run of (scheduling vector, input vector) pairs, t = 0..T."""
@@ -186,7 +192,8 @@ def simulate(sys: ALPVSystem, x0, w: InputSequence) -> SimulationResult:
         outputs[t]   = (sum_q p_q(t) C_q) states[t]
         states[t+1]  = (sum_q p_q(t) A_q) states[t] + (sum_q p_q(t) B_q) u(t)
 
-    so the input at the final time never affects the outputs.
+    so the input at the final time never affects the outputs.  A non-finite
+    state or output, from x0 or from overflow, raises NonFiniteEntry.
     """
     validate(sys)
     D, n, m, p = sys.dims
@@ -207,6 +214,8 @@ def simulate(sys: ALPVSystem, x0, w: InputSequence) -> SimulationResult:
         outputs[t] = np.tensordot(pt, C3, axes=1) @ x
         x = np.tensordot(pt, A3, axes=1) @ x + np.tensordot(pt, B3, axes=1) @ w.inputs[t]
         states[t + 1] = x
+    if not (np.isfinite(states).all() and np.isfinite(outputs).all()):
+        raise NonFiniteEntry("trajectory is not finite (non-finite x0 or overflow)")
     return SimulationResult(states=states, outputs=outputs)
 
 

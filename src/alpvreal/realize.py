@@ -7,13 +7,15 @@ extended reachability/observability matrices
     R_0 = [B_1, ..., B_D]          R_{i+1} = [R_i, A_1 R_i, ..., A_D R_i]
     O_0 = [C_1; ...; C_D]          O_{i+1} = [O_i; O_i A_1; ...; O_i A_D]
 
-at depth n-1.  `kalman_ho` recovers a state-space family from a finite
-Hankel sub-matrix H_{L,L+1}: rank-factorize H = O R by SVD, read
-[B_1..B_D] off the first mD columns of R and [C_1;..;C_D] off the first pD
-rows of O, and solve for each A_q from the column shift v |-> v q of the
-word enumeration.  When rank H_{L,L} already equals the rank of the full
-Hankel matrix (guaranteed as soon as some realization of dimension <= L+1
-exists), the result is a minimal realization of the underlying map.
+at depth n-1; O_i and the observability reduction are those of reachability
+for the dual family (A_q^T, C_q^T, B_q^T).  `kalman_ho` recovers a
+state-space family from a finite Hankel sub-matrix H_{L,L+1}: rank-factorize
+H = O R by SVD, read [B_1..B_D] off the first mD columns of R and
+[C_1;..;C_D] off the first pD rows of O, and solve for each A_q from the
+column shift v |-> v q of the word enumeration.  When rank H_{L,L} already
+equals the rank of the full Hankel matrix (guaranteed as soon as some
+realization of dimension <= L+1 exists), the result is a minimal
+realization of the underlying map.
 
 Minimal realizations of the same map are unique up to a constant
 (scheduling-independent) state isomorphism, which `find_isomorphism`
@@ -37,9 +39,9 @@ from .linalg import (
     pseudoinverse,
     range_basis,
     rank_factorize,
-    row_basis,
+    row_basis,  # not called here; perfbench/tracing.py rebinds realize.row_basis by name
 )
-from .model import ALPVSystem, validate
+from .model import ALPVSystem, dual, validate
 
 
 @dataclass(frozen=True)
@@ -66,14 +68,8 @@ def extended_reachability(sys: ALPVSystem, depth: int) -> np.ndarray:
 
 
 def extended_observability(sys: ALPVSystem, depth: int) -> np.ndarray:
-    """O_depth per the branching recursion; shape pD*(D+1)^depth x n."""
-    validate(sys)
-    if depth < 0:
-        raise ValueError(f"depth must be >= 0, got {depth}")
-    O = np.vstack(sys.C)
-    for _ in range(depth):
-        O = np.vstack([O] + [O @ Aq for Aq in sys.A])
-    return O
+    """O_depth = R_depth of the dual family, transposed; shape pD*(D+1)^depth x n."""
+    return extended_reachability(dual(sys), depth).T
 
 
 def analyze(sys: ALPVSystem, tol: ToleranceConfig = DEFAULT_TOL) -> AnalysisReport:
@@ -111,17 +107,11 @@ def kalman_ho(H: HankelBlockMatrix, tol: ToleranceConfig = DEFAULT_TOL) -> ALPVS
         )
     D, m, p, L = H.D, H.m, H.p, H.L
     O, R, n = rank_factorize(H.data, tol)
-    n_rows = _w.word_count(L, D)
-    mD = m * D
+    n_rows, mD = _w.word_count(L, D), m * D
     Rbar_pinv = pseudoinverse(R[:, : n_rows * mD], tol)
-    A = []
-    for q in range(1, D + 1):
-        cols = []
-        for j in range(1, n_rows + 1):
-            k = _w.word_to_index(_w.index_to_word(j, D) + (q,), D)
-            cols.append(R[:, (k - 1) * mD : k * mD])
-        Rq = np.hstack(cols)
-        A.append(Rq @ Rbar_pinv)
+    R3 = R.reshape(n, _w.word_count(L + 1, D), mD)
+    shifted = R3[:, _w.shift_positions(L, D)]  # n x D x N(L) x mD: block (q, j) is v_j q
+    A = [shifted[:, q].reshape(n, n_rows * mD) @ Rbar_pinv for q in range(D)]
     B = [R[:, (q - 1) * m : q * m] for q in range(1, D + 1)]
     C = [O[(q - 1) * p : q * p, :] for q in range(1, D + 1)]
     return ALPVSystem(A=A, B=B, C=C)
@@ -148,18 +138,12 @@ def reach_reduce(sys: ALPVSystem, tol: ToleranceConfig = DEFAULT_TOL):
 def obs_reduce(sys: ALPVSystem, tol: ToleranceConfig = DEFAULT_TOL):
     """Quotient by the unobservable subspace; returns (reduced system, basis W).
 
-    W has orthonormal rows spanning the row space of O_{n-1}; the reduced
+    The reachability reduction of the dual family, dualized back: W = V^T
+    has orthonormal rows spanning the row space of O_{n-1}, and the reduced
     family is (W A_q W^T, W B_q, C_q W^T).
     """
-    validate(sys)
-    n = sys.n
-    if n == 0:
-        return sys, np.zeros((0, 0))
-    W = row_basis(extended_observability(sys, n - 1), tol)
-    A = [W @ Aq @ W.T for Aq in sys.A]
-    B = [W @ Bq for Bq in sys.B]
-    C = [Cq @ W.T for Cq in sys.C]
-    return ALPVSystem(A=A, B=B, C=C), W
+    reduced, V = reach_reduce(dual(sys), tol)
+    return dual(reduced), V.T
 
 
 def minimize(sys: ALPVSystem, tol: ToleranceConfig = DEFAULT_TOL) -> ALPVSystem:

@@ -7,14 +7,16 @@ the leftmost differing symbol.  For D = 2 the sequence starts
 
     eps, 1, 2, 11, 12, 21, 22, 111, ...
 
-This is the ordering that indexes Hankel block rows and columns, and the
-closed-form index below is what makes the shifted-column lookup in the
-realization algorithm O(1).
+This is the ordering that indexes Hankel block rows and columns; the
+closed-form index below also yields the index arrays for the column shift
+v |-> v q of the realization algorithm and for word reversal.
 """
 
 from __future__ import annotations
 
 import itertools
+
+import numpy as np
 
 from .errors import InvalidAlphabet, InvalidWord
 
@@ -78,6 +80,18 @@ def word_to_index(w, D: int) -> int:
     for q in w:
         offset = offset * D + (q - 1)
     return word_count(k - 1, D) + offset + 1
+
+
+def shift_positions(L: int, D: int) -> np.ndarray:
+    """(D, N(L)) array of 0-based positions N(|v|) + D offset(v) + q - 1 of v q, |v| <= L."""
+    base = np.concatenate([word_count(k, D) + D * np.arange(D**k) for k in range(L + 1)])
+    return base[None, :] + np.arange(D)[:, None]
+
+
+def reversal_positions(L: int, D: int) -> np.ndarray:
+    """0-based position of the reversed word, for each word with |v| <= L in order."""
+    levels = [np.arange(D**k).reshape((D,) * k).T.reshape(-1) for k in range(L + 1)]
+    return np.concatenate([word_count(k - 1, D) + r for k, r in enumerate(levels)])
 
 
 def words_up_to(L: int, D: int) -> list:

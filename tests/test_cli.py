@@ -122,6 +122,15 @@ def test_ioeq_check_subcommand(tmp_path, sigma1, capsys):
     assert report["satisfied"] is False
 
 
+def test_ioeq_check_zero_trials_is_usage_error(tmp_path, sigma1, capsys):
+    sys_path = tmp_path / "sigma1.json"
+    fileio.save_system(sys_path, sigma1)
+    eq_path = tmp_path / "eq.json"
+    fileio.save_equation(eq_path, make_eq1(-0.6))
+    assert run(["ioeq-check", str(eq_path), str(sys_path), "--trials", "0"]) == 2
+    assert capsys.readouterr().out == ""
+
+
 def test_switched_sim_subcommand(tmp_path, sigma_star, sigma_star_path):
     sw = SwitchedInput(D=2, modes=(1, 2), inputs=[[1.0], [0.0]])
     sw_path = tmp_path / "switched.csv"

@@ -95,6 +95,12 @@ def test_check_equation_fixture(sigma1, eq1, eq1_perturbed):
     assert not report_bad.satisfied
 
 
+def test_check_equation_needs_a_trial(sigma1, eq1_perturbed):
+    for trials in (0, -3):
+        with pytest.raises(ValueError, match="trials"):
+            check_equation(eq1_perturbed, sigma1, trials=trials)
+
+
 def test_check_equation_scale_invariant_verdict(sigma1, eq1, eq1_perturbed):
     for factor in (1e-6, 1.0, 1e6):
         scaled = AffineIOEquation(

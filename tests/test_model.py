@@ -73,6 +73,20 @@ def test_simulate_final_input_never_matters(sigma_star):
     assert np.array_equal(r1.outputs, r2.outputs)
 
 
+def test_simulate_overflow_raises():
+    sys = ALPVSystem(A=[[[1e200]]], B=[[[1.0]]], C=[[[1.0]]])
+    w = InputSequence(scheduling=np.ones((5, 1)), inputs=np.array([[1.0]] + [[0.0]] * 4))
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NonFiniteEntry):
+        simulate(sys, [0.0], w)
+
+
+def test_simulate_nonfinite_initial_state_raises(sigma_star):
+    w = InputSequence(scheduling=[[1.0, 0.0], [0.0, 1.0]], inputs=[[0.0], [0.0]])
+    for x0 in ([np.nan], [np.inf]):
+        with np.errstate(invalid="ignore"), pytest.raises(NonFiniteEntry):
+            simulate(sigma_star, x0, w)
+
+
 def test_simulate_dimension_mismatch(sigma_star):
     w = InputSequence.from_pairs([((1, 0, 0), (0,))])
     with pytest.raises(DimensionMismatch):

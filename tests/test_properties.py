@@ -1,0 +1,99 @@
+"""Seeded property tests over random systems and matrices of every small shape.
+
+Systems range over D in {1, 2, 3}, n in {0, ..., 4} and m, p in {1, 2}; D = 1
+exercises the single-symbol word order and n = 0 the empty state space.
+"""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from alpvreal import (
+    build_hankel,
+    extended_observability,
+    kernel_coeff,
+    markov_block,
+    markov_table,
+    numerical_rank,
+    pseudoinverse,
+    range_basis,
+    rank_factorize,
+    row_basis,
+    words_up_to,
+)
+
+from helpers import random_system
+
+SEEDED = settings(derandomize=True, database=None, deadline=None, max_examples=30)
+
+
+@st.composite
+def systems(draw):
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return random_system(
+        rng,
+        D=draw(st.integers(1, 3)),
+        n=draw(st.integers(0, 4)),
+        m=draw(st.integers(1, 2)),
+        p=draw(st.integers(1, 2)),
+    )
+
+
+@SEEDED
+@given(systems(), st.integers(1, 5))
+def test_markov_table_matches_kernel_coeff(sys, horizon):
+    table = markov_table(sys, horizon)
+    words = [v for v in words_up_to(horizon, sys.D) if len(v) >= 2]
+    assert sorted(table.entries) == sorted(words)
+    for v in words:
+        assert np.allclose(table.entries[v], kernel_coeff(sys, v), rtol=1e-12, atol=1e-12)
+
+
+@SEEDED
+@given(systems(), st.integers(0, 2), st.integers(0, 3))
+def test_hankel_routes_agree_on_random_systems(sys, L, M):
+    from_system = build_hankel(sys, L, M).data
+    from_table = build_hankel(markov_table(sys, L + M + 2), L, M).data
+    per_cell = np.block(
+        [
+            [markov_block(sys, vj + vi) for vj in words_up_to(M, sys.D)]
+            for vi in words_up_to(L, sys.D)
+        ]
+    )
+    assert from_system.shape == per_cell.shape
+    assert np.allclose(from_system, per_cell, rtol=1e-12, atol=1e-12)
+    assert np.allclose(from_table, per_cell, rtol=1e-12, atol=1e-12)
+
+
+@SEEDED
+@given(systems(), st.integers(0, 3))
+def test_extended_observability_matches_recursion(sys, depth):
+    O = np.vstack(sys.C)
+    for _ in range(depth):
+        O = np.vstack([O] + [O @ Aq for Aq in sys.A])
+    assert np.allclose(extended_observability(sys, depth), O, rtol=1e-12, atol=1e-12)
+
+
+@SEEDED
+@given(st.integers(0, 2**32 - 1), st.integers(0, 6), st.integers(0, 6), st.integers(0, 6))
+def test_linalg_shapes_and_products(seed, rows, cols, inner):
+    rng = np.random.default_rng(seed)
+    M = rng.normal(size=(rows, inner)) @ rng.normal(size=(inner, cols))
+    r = min(rows, cols, inner)
+    assert numerical_rank(M) == r
+
+    P = pseudoinverse(M)
+    assert P.shape == (cols, rows)
+    assert np.allclose(M @ P @ M, M) and np.allclose(P @ M @ P, P)
+
+    O, R, rank = rank_factorize(M)
+    assert rank == r and O.shape == (rows, r) and R.shape == (r, cols)
+    assert np.allclose(O @ R, M)
+
+    V = range_basis(M)
+    assert V.shape == (rows, r)
+    assert np.allclose(V.T @ V, np.eye(r)) and np.allclose(V @ V.T @ M, M)
+
+    W = row_basis(M)
+    assert W.shape == (r, cols)
+    assert np.allclose(W @ W.T, np.eye(r)) and np.allclose(M @ W.T @ W, M)
