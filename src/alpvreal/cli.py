@@ -8,7 +8,6 @@ are deterministic: identical inputs and flags give byte-identical files.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 import numpy as np
@@ -23,24 +22,11 @@ from .model import simulate
 from .realize import analyze, find_isomorphism, kalman_ho, minimize
 from .switched import embed_switched_input
 
-SYSTEM_SCHEMA = 'system JSON: {"schema","D","n","m","p","A":[D][n][n],"B":[D][n][m],"C":[D][p][n]}'
-SIGNAL_SCHEMA = "signal CSV: header p_1..p_D,u_1..u_m, one row per time step"
-TABLE_SCHEMA = 'markov JSON: {"schema","D","m","p","horizon","entries":[{"word","S":[p][m]},...]}'
-HANKEL_SCHEMA = "hankel CSV: dense matrix; sidecar <path>.meta.json holds {L,M,D,m,p}"
-EQUATION_SCHEMA = (
-    'equation JSON: {"schema","n","m","D","Q":[poly],"L":[[poly]]}, '
-    'poly = [{"coeff": real, "exps": {"P_<i>_<j>": exponent}}]'
-)
-SWITCHED_SCHEMA = "switched CSV: header mode,u_1..u_m, one row per time step"
-OUTPUT_SCHEMA = "outputs CSV: header y_1..y_p, one row per time step"
-
 
 def _load(loader, path, kind):
     try:
         return loader(path)
-    except OSError:
-        raise
-    except (ValueError, json.JSONDecodeError) as exc:
+    except ValueError as exc:
         raise ValueError(f"{kind} file {path}: {exc}") from exc
 
 
@@ -48,37 +34,36 @@ def _tol(args) -> ToleranceConfig:
     return ToleranceConfig(rel_eps=args.tol)
 
 
-def _emit_json(args, payload: dict) -> None:
-    text = fileio.dumps_json(payload) + "\n"
+def _emit(args, text: str) -> None:
+    """Print `text` and, with `-o`, also write it to that file."""
     sys.stdout.write(text)
-    if getattr(args, "output", None):
+    if args.output:
         fileio.write_text(args.output, text)
 
 
-def cmd_sim(args) -> int:
+def _save_outputs(args, system, w) -> None:
+    fileio.save_outputs(args.output, simulate(system, np.zeros(system.n), w).outputs)
+
+
+def cmd_sim(args) -> None:
     system = _load(fileio.load_system, args.system, "system")
-    signal = _load(fileio.load_signal, args.signal, "signal")
-    result = simulate(system, np.zeros(system.n), signal)
-    fileio.save_outputs(args.output, result.outputs)
-    return 0
+    _save_outputs(args, system, _load(fileio.load_signal, args.signal, "signal"))
 
 
-def cmd_markov(args) -> int:
+def cmd_markov(args) -> None:
     system = _load(fileio.load_system, args.system, "system")
     fileio.save_table(args.output, markov_table(system, args.horizon))
-    return 0
 
 
-def cmd_hankel(args) -> int:
+def cmd_hankel(args) -> None:
     if args.from_system:
         source = _load(fileio.load_system, args.from_system, "system")
     else:
         source = _load(fileio.load_table, args.from_table, "markov table")
     fileio.save_hankel(args.output, build_hankel(source, args.L, args.M))
-    return 0
 
 
-def cmd_realize(args) -> int:
+def cmd_realize(args) -> None:
     if args.from_hankel:
         H = _load(fileio.load_hankel, args.from_hankel, "hankel")
     else:
@@ -87,53 +72,42 @@ def cmd_realize(args) -> int:
         system = _load(fileio.load_system, args.from_system, "system")
         H = build_hankel(system, args.L, args.L + 1)
     fileio.save_system(args.output, kalman_ho(H, _tol(args)))
-    return 0
 
 
-def cmd_minimize(args) -> int:
+def cmd_minimize(args) -> None:
     system = _load(fileio.load_system, args.system, "system")
     fileio.save_system(args.output, minimize(system, _tol(args)))
-    return 0
 
 
-def cmd_analyze(args) -> int:
+def cmd_analyze(args) -> None:
     system = _load(fileio.load_system, args.system, "system")
     report = analyze(system, _tol(args))
-    _emit_json(args, fileio.report_to_dict(report))
-    return 0
+    _emit(args, fileio.dumps_json(fileio.report_to_dict(report)) + "\n")
 
 
-def cmd_iso(args) -> int:
+def cmd_iso(args) -> None:
     sys1 = _load(fileio.load_system, args.system1, "system")
     sys2 = _load(fileio.load_system, args.system2, "system")
     T = find_isomorphism(sys1, sys2, _tol(args), residual_tol=args.residual_tol)
-    text = "".join(
-        ",".join(fileio.format_float(x) for x in row) + "\n" for row in np.atleast_2d(T)
-    )
-    sys.stdout.write(text)
-    if args.output:
-        fileio.write_text(args.output, text)
-    return 0
+    _emit(args, fileio.matrix_csv(T))
 
 
-def cmd_ioeq_check(args) -> int:
+def cmd_ioeq_check(args) -> None:
     equation = _load(fileio.load_equation, args.equation, "equation")
     system = _load(fileio.load_system, args.system, "system")
     report = check_equation(equation, system, trials=args.trials, seed=args.seed, tol=args.tol)
-    _emit_json(args, fileio.check_report_to_dict(report, args.trials, args.seed, args.tol))
-    return 0
+    payload = fileio.check_report_to_dict(report, args.trials, args.seed, args.tol)
+    _emit(args, fileio.dumps_json(payload) + "\n")
 
 
-def cmd_switched_sim(args) -> int:
+def cmd_switched_sim(args) -> None:
     system = _load(fileio.load_system, args.system, "system")
     sw = _load(lambda path: fileio.load_switched(path, system.D), args.switched, "switched input")
-    result = simulate(system, np.zeros(system.n), embed_switched_input(sw))
-    fileio.save_outputs(args.output, result.outputs)
-    return 0
+    _save_outputs(args, system, embed_switched_input(sw))
 
 
-def _add_tol(parser, help_text="relative singular-value tolerance for rank decisions"):
-    parser.add_argument("--tol", type=float, default=1e-10, help=help_text)
+def _tol_option(help_text="relative singular-value tolerance for rank decisions"):
+    return "--tol", dict(type=float, default=1e-10, help=help_text)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -143,121 +117,67 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="cmd", required=True)
 
-    p = sub.add_parser(
-        "sim",
-        help="simulate a system on a signal file",
-        epilog=f"{SYSTEM_SCHEMA}\n{SIGNAL_SCHEMA}\n{OUTPUT_SCHEMA}",
-        formatter_class=argparse.RawDescriptionHelpFormatter,
-    )
-    p.add_argument("system")
-    p.add_argument("signal")
-    p.add_argument("-o", "--output", required=True, help="outputs CSV path")
-    p.set_defaults(handler=cmd_sim)
+    def command(name, handler, help_text, formats, *arguments, output, required=True):
+        """A subcommand whose epilog is the `fileio.FORMATS` line of each of `formats`.
 
-    p = sub.add_parser(
-        "markov",
-        help="kernel coefficient table of a system",
-        epilog=f"{SYSTEM_SCHEMA}\n{TABLE_SCHEMA}",
-        formatter_class=argparse.RawDescriptionHelpFormatter,
-    )
-    p.add_argument("system")
-    p.add_argument("--horizon", type=int, required=True, help="max word length (>= 1)")
-    p.add_argument("-o", "--output", required=True, help="table JSON path")
-    p.set_defaults(handler=cmd_markov)
+        Each argument is a positional name, a list of `PATH` options exactly
+        one of which must be given, or a ``(flag, add_argument keywords)`` pair.
+        `-o` comes last, with help text `output`, and is optional only when
+        `required` is false.
+        """
+        p = sub.add_parser(
+            name,
+            help=help_text,
+            epilog="\n".join(fileio.FORMATS[f] for f in formats),
+            formatter_class=argparse.RawDescriptionHelpFormatter,
+        )
+        for arg in arguments:
+            if isinstance(arg, str):
+                p.add_argument(arg)
+            elif isinstance(arg, list):
+                group = p.add_mutually_exclusive_group(required=True)
+                for flag in arg:
+                    group.add_argument(flag, metavar="PATH")
+            else:
+                p.add_argument(arg[0], **arg[1])
+        p.add_argument("-o", "--output", required=required, help=output)
+        p.set_defaults(handler=handler)
 
-    p = sub.add_parser(
-        "hankel",
-        help="assemble a finite Hankel sub-matrix",
-        epilog=f"{SYSTEM_SCHEMA}\n{TABLE_SCHEMA}\n{HANKEL_SCHEMA}",
-        formatter_class=argparse.RawDescriptionHelpFormatter,
-    )
-    group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--from-system", metavar="PATH")
-    group.add_argument("--from-table", metavar="PATH")
-    p.add_argument("--L", type=int, required=True, help="block-row word-length bound")
-    p.add_argument("--M", type=int, required=True, help="block-column word-length bound")
-    p.add_argument("-o", "--output", required=True, help="hankel CSV path (sidecar is added)")
-    p.set_defaults(handler=cmd_hankel)
-
-    p = sub.add_parser(
-        "realize",
-        help="Kalman-Ho realization from a Hankel sub-matrix",
-        epilog=f"{HANKEL_SCHEMA}\n{SYSTEM_SCHEMA}",
-        formatter_class=argparse.RawDescriptionHelpFormatter,
-    )
-    group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--from-hankel", metavar="PATH")
-    group.add_argument("--from-system", metavar="PATH")
-    p.add_argument("--L", type=int, help="row bound when building from a system (M = L+1)")
-    _add_tol(p)
-    p.add_argument("-o", "--output", required=True, help="system JSON path")
-    p.set_defaults(handler=cmd_realize)
-
-    p = sub.add_parser(
-        "minimize",
-        help="reachability + observability reduction to a minimal system",
-        epilog=SYSTEM_SCHEMA,
-        formatter_class=argparse.RawDescriptionHelpFormatter,
-    )
-    p.add_argument("system")
-    _add_tol(p)
-    p.add_argument("-o", "--output", required=True, help="system JSON path")
-    p.set_defaults(handler=cmd_minimize)
-
-    p = sub.add_parser(
-        "analyze",
-        help="reachability/observability ranks and minimality flags",
-        epilog=SYSTEM_SCHEMA,
-        formatter_class=argparse.RawDescriptionHelpFormatter,
-    )
-    p.add_argument("system")
-    _add_tol(p)
-    p.add_argument("-o", "--output", help="also write the report JSON here")
-    p.set_defaults(handler=cmd_analyze)
-
-    p = sub.add_parser(
-        "iso",
-        help="state isomorphism between two minimal systems",
-        epilog=f"{SYSTEM_SCHEMA}\noutput: the transformation as CSV on stdout",
-        formatter_class=argparse.RawDescriptionHelpFormatter,
-    )
-    p.add_argument("system1")
-    p.add_argument("system2")
-    _add_tol(p)
-    p.add_argument(
-        "--residual-tol",
-        type=float,
-        default=1e-7,
-        help="max allowed relative defect of the isomorphism relations",
-    )
-    p.add_argument("-o", "--output", help="also write the CSV here")
-    p.set_defaults(handler=cmd_iso)
-
-    p = sub.add_parser(
-        "ioeq-check",
-        help="randomized check of an affine polynomial input-output equation",
-        epilog=f"{EQUATION_SCHEMA}\n{SYSTEM_SCHEMA}",
-        formatter_class=argparse.RawDescriptionHelpFormatter,
-    )
-    p.add_argument("equation")
-    p.add_argument("system")
-    p.add_argument("--trials", type=int, default=100)
-    p.add_argument("--seed", type=int, default=42)
-    _add_tol(p, help_text="residual tolerance relative to 1 + max |y|")
-    p.add_argument("-o", "--output", help="also write the report JSON here")
-    p.set_defaults(handler=cmd_ioeq_check)
-
-    p = sub.add_parser(
-        "switched-sim",
-        help="simulate a system on a switched (one mode per step) input",
-        epilog=f"{SYSTEM_SCHEMA}\n{SWITCHED_SCHEMA}\n{OUTPUT_SCHEMA}",
-        formatter_class=argparse.RawDescriptionHelpFormatter,
-    )
-    p.add_argument("system")
-    p.add_argument("switched")
-    p.add_argument("-o", "--output", required=True, help="outputs CSV path")
-    p.set_defaults(handler=cmd_switched_sim)
-
+    command("sim", cmd_sim, "simulate a system on a signal file",
+            ("system", "signal", "outputs"), "system", "signal", output="outputs CSV path")
+    command("markov", cmd_markov, "kernel coefficient table of a system",
+            ("system", "table"), "system",
+            ("--horizon", dict(type=int, required=True, help="max word length (>= 1)")),
+            output="table JSON path")
+    command("hankel", cmd_hankel, "assemble a finite Hankel sub-matrix",
+            ("system", "table", "hankel"), ["--from-system", "--from-table"],
+            ("--L", dict(type=int, required=True, help="block-row word-length bound")),
+            ("--M", dict(type=int, required=True, help="block-column word-length bound")),
+            output="hankel CSV path (sidecar is added)")
+    command("realize", cmd_realize, "Kalman-Ho realization from a Hankel sub-matrix",
+            ("hankel", "system"), ["--from-hankel", "--from-system"],
+            ("--L", dict(type=int, help="row bound when building from a system (M = L+1)")),
+            _tol_option(), output="system JSON path")
+    command("minimize", cmd_minimize, "reachability + observability reduction to a minimal system",
+            ("system",), "system", _tol_option(), output="system JSON path")
+    command("analyze", cmd_analyze, "reachability/observability ranks and minimality flags",
+            ("system",), "system", _tol_option(),
+            output="also write the report JSON here", required=False)
+    command("iso", cmd_iso, "state isomorphism between two minimal systems",
+            ("system", "iso"), "system1", "system2", _tol_option(),
+            ("--residual-tol", dict(
+                type=float, default=1e-7,
+                help="max allowed relative defect of the isomorphism relations")),
+            output="also write the CSV here", required=False)
+    command("ioeq-check", cmd_ioeq_check,
+            "randomized check of an affine polynomial input-output equation",
+            ("equation", "system"), "equation", "system",
+            ("--trials", dict(type=int, default=100)), ("--seed", dict(type=int, default=42)),
+            _tol_option("residual tolerance relative to 1 + max |y|"),
+            output="also write the report JSON here", required=False)
+    command("switched-sim", cmd_switched_sim,
+            "simulate a system on a switched (one mode per step) input",
+            ("system", "switched", "outputs"), "system", "switched", output="outputs CSV path")
     return parser
 
 
@@ -268,13 +188,14 @@ def run(argv) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.handler(args)
+        args.handler(args)
     except ALPVError as exc:
         print(f"error: {args.cmd}: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
-    except (OSError, ValueError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {args.cmd}: {exc}", file=sys.stderr)
         return 2
+    return 0
 
 
 def main() -> None:

@@ -5,22 +5,15 @@ value is printed with 17 significant digits, so identical objects always
 serialize to identical bytes.  Writers go through a temp-file rename, so a
 crashed run never leaves a half-written file behind.
 
-Formats
--------
-system JSON     {"schema","D","n","m","p","A":[D][n][n],"B":[D][n][m],"C":[D][p][n]}
-markov JSON     {"schema","D","m","p","horizon","entries":[{"word","S":[p][m]},...]}
-hankel CSV      dense matrix; sidecar JSON {"schema","L","M","D","m","p"} at <path>.meta.json
-signal CSV      header p_1..p_D,u_1..u_m, one row per time step
-switched CSV    header mode,u_1..u_m
-outputs CSV     header y_1..y_p
-equation JSON   {"schema","n","m","D","Q":[poly],"L":[[poly]]}
-                poly = [{"coeff": real, "exps": {"P_<i>_<j>": exponent}}]
-report JSON     the six analysis fields / the equation check fields
+`FORMATS` describes each file format in one line; `alpv <subcommand> --help`
+prints the lines of the files it reads and writes.  A report JSON is the
+schema tag followed by the fields of the report dataclass.
 """
 
 from __future__ import annotations
 
 import csv
+import dataclasses
 import io
 import json
 import os
@@ -37,6 +30,20 @@ from .realize import AnalysisReport
 from .switched import SwitchedInput
 
 SCHEMA = "alpv-1"
+
+FORMATS = {
+    "system": 'system JSON: {"schema","D","n","m","p","A":[D][n][n],"B":[D][n][m],"C":[D][p][n]}',
+    "signal": "signal CSV: header p_1..p_D,u_1..u_m, one row per time step",
+    "table": 'markov JSON: {"schema","D","m","p","horizon","entries":[{"word","S":[p][m]},...]}',
+    "hankel": "hankel CSV: dense matrix; sidecar <path>.meta.json holds {L,M,D,m,p}",
+    "equation": (
+        'equation JSON: {"schema","n","m","D","Q":[poly],"L":[[poly]]}, '
+        'poly = [{"coeff": real, "exps": {"P_<i>_<j>": exponent}}]'
+    ),
+    "switched": "switched CSV: header mode,u_1..u_m, one row per time step",
+    "outputs": "outputs CSV: header y_1..y_p, one row per time step",
+    "iso": "output: the transformation as CSV on stdout",
+}
 
 
 def format_float(x) -> str:
@@ -93,7 +100,22 @@ def _nested(matrix) -> list:
     return [[float(x) for x in row] for row in np.atleast_2d(matrix)]
 
 
-def _matrix_csv(matrix) -> str:
+def _floats(rows) -> np.ndarray:
+    return np.array([[float(x) for x in row] for row in rows])
+
+
+def _sizes(data: dict, *names) -> list:
+    """The integer sizes `names` declared in a JSON object; only n, L and M may be 0."""
+    sizes = [int(data[k]) for k in names]
+    for k, size in zip(names, sizes):
+        least = 0 if k in ("n", "L", "M") else 1
+        if size < least:
+            raise ValueError(f"{k} must be >= {least}, got {size}")
+    return sizes
+
+
+def matrix_csv(matrix) -> str:
+    """A matrix as CSV text: one line per row, 17-significant-digit entries."""
     out = io.StringIO()
     for row in np.atleast_2d(matrix):
         out.write(",".join(format_float(x) for x in row))
@@ -103,14 +125,43 @@ def _matrix_csv(matrix) -> str:
 
 def load_matrix_csv(path) -> np.ndarray:
     with open(path, newline="") as handle:
-        rows = [[float(x) for x in row] for row in csv.reader(handle) if row]
-    if not rows:
+        data = _floats(row for row in csv.reader(handle) if row)
+    if not len(data):
         raise ValueError(f"{path}: empty matrix file")
-    return np.array(rows)
+    return data
 
 
-def save_matrix_csv(path, matrix) -> None:
-    write_text(path, _matrix_csv(matrix))
+def _labels(prefix: str, count: int) -> list:
+    return [f"{prefix}_{i}" for i in range(1, count + 1)]
+
+
+def _save_labelled(path, header, data) -> None:
+    """Labelled CSV: a header line, then one line per row of `data`."""
+    write_text(path, ",".join(header) + "\n" + matrix_csv(data))
+
+
+def _load_labelled(path, kind: str, prefixes, lead=()):
+    """Header-checked rows of a labelled CSV in format `kind`.
+
+    The header must be the labels `lead` followed by ``<prefix>_1..<prefix>_k``
+    for each prefix, every k at least 1, and every row must have one cell per
+    label.  Returns the k of each prefix and the rows as text.
+    """
+    with open(path, newline="") as handle:
+        reader = csv.reader(handle)
+        header = [h.strip() for h in next(reader, [])]
+        counts = [sum(h.startswith(prefix + "_") for h in header) for prefix in prefixes]
+        expected = list(lead)
+        for prefix, k in zip(prefixes, counts):
+            expected += _labels(prefix, k)
+        if min(counts) < 1 or header != expected:
+            raise ValueError(f"{path}: expected {FORMATS[kind]}")
+        rows = [row for row in reader if row]
+    if not rows:
+        raise ValueError(f"{path}: {kind} file has no data rows")
+    if any(len(row) != len(header) for row in rows):
+        raise ValueError(f"{path}: rows must have {len(header)} columns")
+    return counts, rows
 
 
 # -- systems -----------------------------------------------------------------
@@ -131,7 +182,7 @@ def system_to_dict(sys: ALPVSystem) -> dict:
 
 def system_from_dict(data: dict) -> ALPVSystem:
     try:
-        D, n, m, p = (int(data[k]) for k in ("D", "n", "m", "p"))
+        D, n, m, p = _sizes(data, "D", "n", "m", "p")
         A = [np.array(M, dtype=float).reshape(n, n) for M in data["A"]]
         B = [np.array(M, dtype=float).reshape(n, m) for M in data["B"]]
         C = [np.array(M, dtype=float).reshape(p, n) for M in data["C"]]
@@ -170,10 +221,7 @@ def table_to_dict(table: MarkovTable) -> dict:
 
 def table_from_dict(data: dict) -> MarkovTable:
     try:
-        D = int(data["D"])
-        m = int(data["m"])
-        p = int(data["p"])
-        horizon = int(data["horizon"])
+        D, m, p, horizon = _sizes(data, "D", "m", "p", "horizon")
         entries = {}
         for item in data["entries"]:
             v = _w.word_from_str(item["word"], D)
@@ -205,7 +253,7 @@ def hankel_sidecar_path(path) -> str:
 
 
 def save_hankel(path, H: HankelBlockMatrix) -> None:
-    write_text(path, _matrix_csv(H.data))
+    write_text(path, matrix_csv(H.data))
     meta = {"schema": SCHEMA, "L": H.L, "M": H.M, "D": H.D, "m": H.m, "p": H.p}
     write_text(hankel_sidecar_path(path), dumps_json(meta) + "\n")
 
@@ -215,7 +263,7 @@ def load_hankel(path) -> HankelBlockMatrix:
     with open(hankel_sidecar_path(path)) as handle:
         meta = json.load(handle)
     try:
-        L, M, D, m, p = (int(meta[k]) for k in ("L", "M", "D", "m", "p"))
+        L, M, D, m, p = _sizes(meta, "L", "M", "D", "m", "p")
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed Hankel sidecar: {exc}") from exc
     expected = (_w.word_count(L, D) * p * D, _w.word_count(M, D) * m * D)
@@ -229,72 +277,30 @@ def load_hankel(path) -> HankelBlockMatrix:
 # -- signals and outputs -----------------------------------------------------
 
 def save_signal(path, w: InputSequence) -> None:
-    header = [f"p_{j}" for j in range(1, w.D + 1)] + [f"u_{l}" for l in range(1, w.m + 1)]
-    lines = [",".join(header)]
-    for t in range(w.length):
-        row = list(w.scheduling[t]) + list(w.inputs[t])
-        lines.append(",".join(format_float(x) for x in row))
-    write_text(path, "\n".join(lines) + "\n")
+    header = _labels("p", w.D) + _labels("u", w.m)
+    _save_labelled(path, header, np.hstack([w.scheduling, w.inputs]))
 
 
 def load_signal(path) -> InputSequence:
-    with open(path, newline="") as handle:
-        reader = csv.reader(handle)
-        header = next(reader, None)
-        if header is None:
-            raise ValueError(f"{path}: empty signal file")
-        header = [h.strip() for h in header]
-        D = sum(1 for h in header if h.startswith("p_"))
-        m = sum(1 for h in header if h.startswith("u_"))
-        if D < 1 or m < 1 or header != [f"p_{j}" for j in range(1, D + 1)] + [
-            f"u_{l}" for l in range(1, m + 1)
-        ]:
-            raise ValueError(f"{path}: header must be p_1..p_D,u_1..u_m")
-        rows = [[float(x) for x in row] for row in reader if row]
-    if not rows:
-        raise ValueError(f"{path}: signal file has no data rows")
-    data = np.array(rows)
-    if data.shape[1] != D + m:
-        raise ValueError(f"{path}: rows must have {D + m} columns")
+    (D, _), rows = _load_labelled(path, "signal", ("p", "u"))
+    data = _floats(rows)
     return InputSequence(scheduling=data[:, :D], inputs=data[:, D:])
 
 
 def save_outputs(path, outputs) -> None:
     out = np.atleast_2d(np.asarray(outputs, dtype=float))
-    header = ",".join(f"y_{k}" for k in range(1, out.shape[1] + 1))
-    write_text(path, header + "\n" + _matrix_csv(out))
+    _save_labelled(path, _labels("y", out.shape[1]), out)
 
 
 def load_switched(path, D: int) -> SwitchedInput:
-    with open(path, newline="") as handle:
-        reader = csv.reader(handle)
-        header = next(reader, None)
-        if header is None:
-            raise ValueError(f"{path}: empty switched-input file")
-        header = [h.strip() for h in header]
-        m = len(header) - 1
-        if m < 1 or header != ["mode"] + [f"u_{l}" for l in range(1, m + 1)]:
-            raise ValueError(f"{path}: header must be mode,u_1..u_m")
-        modes = []
-        inputs = []
-        for row in reader:
-            if not row:
-                continue
-            modes.append(int(row[0]))
-            inputs.append([float(x) for x in row[1:]])
-    if not modes:
-        raise ValueError(f"{path}: switched-input file has no data rows")
-    return SwitchedInput(D=D, modes=tuple(modes), inputs=np.array(inputs))
+    _, rows = _load_labelled(path, "switched", ("u",), lead=("mode",))
+    modes = tuple(int(row[0]) for row in rows)
+    return SwitchedInput(D=D, modes=modes, inputs=_floats(row[1:] for row in rows))
 
 
 def save_switched(path, sw: SwitchedInput) -> None:
-    header = ["mode"] + [f"u_{l}" for l in range(1, sw.m + 1)]
-    lines = [",".join(header)]
-    for t in range(sw.length):
-        lines.append(
-            ",".join([str(sw.modes[t])] + [format_float(x) for x in sw.inputs[t]])
-        )
-    write_text(path, "\n".join(lines) + "\n")
+    header = ["mode"] + _labels("u", sw.m)
+    _save_labelled(path, header, np.column_stack([sw.modes, sw.inputs]))
 
 
 # -- equations ---------------------------------------------------------------
@@ -333,9 +339,7 @@ def equation_to_dict(eq: AffineIOEquation) -> dict:
 
 def equation_from_dict(data: dict) -> AffineIOEquation:
     try:
-        n = int(data["n"])
-        m = int(data["m"])
-        D = int(data["D"])
+        n, m, D = _sizes(data, "n", "m", "D")
         Q = [_poly_from_list(terms, n, D) for terms in data["Q"]]
         L = [[_poly_from_list(terms, n, D) for terms in row] for row in data["L"]]
     except (KeyError, TypeError, ValueError) as exc:
@@ -355,23 +359,9 @@ def load_equation(path) -> AffineIOEquation:
 # -- reports -----------------------------------------------------------------
 
 def report_to_dict(report: AnalysisReport) -> dict:
-    return {
-        "schema": SCHEMA,
-        "reach_rank": report.reach_rank,
-        "obs_rank": report.obs_rank,
-        "n": report.n,
-        "reachable": report.reachable,
-        "observable": report.observable,
-        "minimal": report.minimal,
-    }
+    return {"schema": SCHEMA, **dataclasses.asdict(report)}
 
 
 def check_report_to_dict(report: EquationCheckReport, trials: int, seed: int, tol: float) -> dict:
-    return {
-        "schema": SCHEMA,
-        "satisfied": report.satisfied,
-        "max_residual": report.max_residual,
-        "trials": trials,
-        "seed": seed,
-        "tol": tol,
-    }
+    fields = dataclasses.asdict(report)
+    return {"schema": SCHEMA, **fields, "trials": trials, "seed": seed, "tol": tol}

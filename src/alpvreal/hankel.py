@@ -137,4 +137,4 @@ def factored_hankel_rank(sys: ALPVSystem, L: int, M: int, tol: ToleranceConfig =
     s = hankel_singular_values(sys, L, M)
     rows = _w.word_count(L, sys.D) * sys.p * sys.D
     cols = _w.word_count(M, sys.D) * sys.m * sys.D
-    return int(np.sum(s > tol.cutoff(s, (rows, cols))))
+    return tol.rank(s, (rows, cols))

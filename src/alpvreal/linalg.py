@@ -37,6 +37,10 @@ class ToleranceConfig:
         smax = float(singular_values[0]) if len(singular_values) else 0.0
         return max(self.abs_floor, self.rel_eps * max(shape) * smax)
 
+    def rank(self, singular_values, shape) -> int:
+        """Number of the descending `singular_values` of a `shape` matrix above the cutoff."""
+        return int(np.sum(singular_values > self.cutoff(singular_values, shape)))
+
 
 DEFAULT_TOL = ToleranceConfig()
 
@@ -58,14 +62,14 @@ def _svd(M, tol: ToleranceConfig):
     U, s, Vt = np.linalg.svd(A.T if wide else A, full_matrices=False)
     if wide:
         U, Vt = Vt.T, U.T
-    return U, s, Vt, int(np.sum(s > tol.cutoff(s, A.shape)))
+    return U, s, Vt, tol.rank(s, A.shape)
 
 
 def numerical_rank(M, tol: ToleranceConfig = DEFAULT_TOL) -> int:
     """Number of singular values above the shared cutoff."""
     A = as_matrix(M)
     s = np.linalg.svd(A.T if A.shape[0] < A.shape[1] else A, compute_uv=False)
-    return int(np.sum(s > tol.cutoff(s, A.shape)))
+    return tol.rank(s, A.shape)
 
 
 def pseudoinverse(M, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:

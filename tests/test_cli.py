@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from alpvreal import InputSequence, SwitchedInput, simulate
+from alpvreal import ALPVSystem, InputSequence, SwitchedInput, build_hankel, simulate
 from alpvreal import fileio
 from alpvreal.cli import run
 
@@ -172,3 +172,76 @@ def test_console_entry_point(sigma_star_path):
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["minimal"] is True
+
+
+# The files each subcommand reads or writes, by their `fileio.FORMATS` key.
+COMMAND_FORMATS = {
+    "sim": ("system", "signal", "outputs"),
+    "markov": ("system", "table"),
+    "hankel": ("system", "table", "hankel"),
+    "realize": ("hankel", "system"),
+    "minimize": ("system",),
+    "analyze": ("system",),
+    "iso": ("system", "iso"),
+    "ioeq-check": ("equation", "system"),
+    "switched-sim": ("system", "switched", "outputs"),
+}
+
+
+@pytest.mark.parametrize("cmd", sorted(COMMAND_FORMATS))
+def test_help_lists_formats(cmd, capsys):
+    assert run([cmd, "--help"]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith(f"usage: alpv {cmd} ")
+    for name in COMMAND_FORMATS[cmd]:
+        assert fileio.FORMATS[name] in out.splitlines()
+
+
+def _write_json(path, obj):
+    path.write_text(json.dumps(obj))
+    return str(path)
+
+
+def _table_d0(tmp_path):
+    table = {"schema": "alpv-1", "D": 0, "m": 1, "p": 1, "horizon": 2, "entries": []}
+    return ["hankel", "--from-table", _write_json(tmp_path / "t.json", table),
+            "--L", "0", "--M", "0", "-o", str(tmp_path / "H.csv")]
+
+
+def _table_p_negative(tmp_path):
+    table = {"schema": "alpv-1", "D": 1, "m": 1, "p": -1, "horizon": 2,
+             "entries": [{"word": "11", "S": [[0.5]]}]}
+    return ["hankel", "--from-table", _write_json(tmp_path / "t.json", table),
+            "--L", "0", "--M", "0", "-o", str(tmp_path / "H.csv")]
+
+
+def _system_m_negative(tmp_path):
+    system = {"schema": "alpv-1", "D": 1, "n": 2, "m": -1, "p": 1,
+              "A": [[[0.5, 0.0], [0.0, 0.25]]], "B": [[[1.0], [1.0]]], "C": [[[1.0, 0.0]]]}
+    return ["analyze", _write_json(tmp_path / "s.json", system)]
+
+
+def _sidecar_d0(tmp_path):
+    system = ALPVSystem(A=[[[0.5]]], B=[[[1.0]]], C=[[[1.0]]])
+    fileio.save_hankel(tmp_path / "H.csv", build_hankel(system, 0, 1))
+    meta = json.loads((tmp_path / "H.csv.meta.json").read_text())
+    _write_json(tmp_path / "H.csv.meta.json", dict(meta, D=0))
+    return ["realize", "--from-hankel", str(tmp_path / "H.csv"), "-o", str(tmp_path / "r.json")]
+
+
+@pytest.mark.parametrize(
+    "make_argv", [_table_d0, _table_p_negative, _system_m_negative, _sidecar_d0],
+    ids=["table-D-0", "table-p-negative", "system-m-negative", "sidecar-D-0"],
+)
+def test_declared_size_out_of_range_is_usage_error(tmp_path, make_argv, capsys):
+    assert run(make_argv(tmp_path)) == 2
+    assert " must be >= " in capsys.readouterr().err
+
+
+def test_switched_rows_must_match_header(tmp_path, sigma_star_path, capsys):
+    sw_path = tmp_path / "switched.csv"
+    sw_path.write_text("mode,u_1,u_2\n1,1.0\n2,0.0\n")
+    out = tmp_path / "y.csv"
+    assert run(["switched-sim", sigma_star_path, str(sw_path), "-o", str(out)]) == 2
+    assert "rows must have 3 columns" in capsys.readouterr().err
+    assert not out.exists()
