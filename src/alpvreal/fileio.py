@@ -106,8 +106,10 @@ def _floats(rows) -> np.ndarray:
 
 def _sizes(data: dict, *names) -> list:
     """The integer sizes `names` declared in a JSON object; only n, L and M may be 0."""
-    sizes = [int(data[k]) for k in names]
+    sizes = [data[k] for k in names]
     for k, size in zip(names, sizes):
+        if isinstance(size, bool) or not isinstance(size, int):
+            raise ValueError(f"{k} must be an integer, got {size!r}")
         least = 0 if k in ("n", "L", "M") else 1
         if size < least:
             raise ValueError(f"{k} must be >= {least}, got {size}")

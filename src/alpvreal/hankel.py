@@ -25,17 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import words as _w
-from .errors import HorizonExceeded
 from .linalg import DEFAULT_TOL, ToleranceConfig, numerical_rank
-from .markov import (
-    ALPVSystem,
-    IOOracle,
-    MarkovTable,
-    markov_block,
-    probe_markov_block,
-    stacked_input_matrix,
-    word_products,
-)
+from .markov import ALPVSystem, stacked_input_matrix, word_blocks, word_products
 from .model import dual, validate
 
 
@@ -78,27 +69,15 @@ def build_hankel(source, L: int, M: int) -> HankelBlockMatrix:
     """Assemble H_{L,M} from a system, a MarkovTable, or an IOOracle.
 
     A table source must cover words up to length L + M + 2.  An oracle
-    source is probed block by block and is only sensible at small bounds.
+    source is probed once per coefficient and is only sensible at small bounds.
     """
     if L < 0 or M < 0:
         raise ValueError(f"word-length bounds must be >= 0, got L={L}, M={M}")
     if isinstance(source, ALPVSystem):
-        validate(source)
         data = observability_factor(source, L) @ reachability_factor(source, M)
-        return HankelBlockMatrix(L=L, M=M, D=source.D, m=source.m, p=source.p, data=data)
-    if isinstance(source, MarkovTable):
-        if L + M + 2 > source.horizon:
-            raise HorizonExceeded(
-                f"H_(L={L},M={M}) needs horizon >= {L + M + 2}, table has {source.horizon}"
-            )
-        block = lambda vj, vi: markov_block(source, vj + vi)
-    elif isinstance(source, IOOracle):
-        block = lambda vj, vi: probe_markov_block(source, vj + vi)
     else:
-        raise TypeError(f"unsupported Hankel source: {type(source).__name__}")
-    row_words = _w.words_up_to(L, source.D)
-    col_words = _w.words_up_to(M, source.D)
-    data = np.block([[block(vj, vi) for vj in col_words] for vi in row_words])
+        D = getattr(source, "D", 1)  # word_blocks refuses any other source with TypeError
+        data = word_blocks(source, _w.words_up_to(L, D), _w.words_up_to(M, D), L + M + 2)
     return HankelBlockMatrix(L=L, M=M, D=source.D, m=source.m, p=source.p, data=data)
 
 

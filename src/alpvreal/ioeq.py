@@ -230,11 +230,14 @@ def check_equation(
     seed, and evaluates the residual at the final time of each.  The
     equation counts as satisfied when max |residual| <= tol * (1 + max |y|);
     coefficients are normalized by their largest magnitude first so the
-    verdict is scale-invariant.  At least one trial is required.
+    verdict is scale-invariant.  At least one trial and a finite tol >= 0
+    are required.
     """
     validate(sys)
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
+    if not 0 <= tol < np.inf:
+        raise ValueError(f"tol must be finite and >= 0, got {tol}")
     if sys.p != 1:
         raise OutputDimNotScalar(f"equation checking needs p=1, got p={sys.p}")
     if sys.D != eq.D or sys.m != eq.m:

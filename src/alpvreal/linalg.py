@@ -28,10 +28,10 @@ class ToleranceConfig:
     abs_floor: float = 1e-300
 
     def __post_init__(self):
-        if not self.rel_eps > 0:
-            raise ValueError("rel_eps must be positive")
-        if self.abs_floor < 0:
-            raise ValueError("abs_floor must be nonnegative")
+        if not 0 < self.rel_eps < 1:
+            raise ValueError(f"rel_eps must lie in (0, 1), got {self.rel_eps}")
+        if not 0 <= self.abs_floor < np.inf:
+            raise ValueError(f"abs_floor must be finite and >= 0, got {self.abs_floor}")
 
     def cutoff(self, singular_values, shape) -> float:
         smax = float(singular_values[0]) if len(singular_values) else 0.0

@@ -10,8 +10,8 @@ parameter M(v) collects S(j v i) over all i, j in 1..D into a pD x mD matrix
 and equals Ctilde * A_{v_k} ... A_{v_1} * Btilde for the stacked matrices
 Ctilde = [C_1; ...; C_D], Btilde = [B_1, ..., B_D].
 
-All word-indexed products come from one level-batched kernel,
-`word_products`, which `markov_table` and the Hankel factors share.
+One kernel, `word_products`, gives every word-indexed product; one
+assembly, `word_blocks`, lays out M(v) and Hankel windows from tables and oracles.
 
 Both quantities are also recoverable from a black-box input-output map by
 probing it with unit scheduling vectors: column l of S(v) is the response to
@@ -31,6 +31,7 @@ import numpy as np
 from . import words as _w
 from .errors import HorizonExceeded, WordTooShort
 from .model import ALPVSystem, InputSequence, simulate, validate
+from .switched import unit_schedule
 
 
 @dataclass(frozen=True, eq=False)
@@ -140,18 +141,28 @@ def markov_block(source, v) -> np.ndarray:
         for q in v:
             P = source.A[q - 1] @ P
         return stacked_output_matrix(source) @ P
-    table = source
-    v = _w.check_word(v, table.D)
-    if len(v) + 2 > table.horizon:
-        raise HorizonExceeded(
-            f"word of length {len(v)} needs horizon >= {len(v) + 2}, table has {table.horizon}"
-        )
-    return _assemble_block(table.D, v, table.entries.__getitem__)
+    v = _w.check_word(v, source.D)
+    return word_blocks(source, [()], [v], len(v) + 2)
 
 
-def _assemble_block(D: int, v, coeff) -> np.ndarray:
-    """M(v) from a kernel-coefficient lookup: block (i, j) is coeff(j v i)."""
-    return np.block([[coeff((j,) + v + (i,)) for j in range(1, D + 1)] for i in range(1, D + 1)])
+def word_blocks(source, row_words, col_words, longest: int) -> np.ndarray:
+    """The matrix with block (r, c) = M(col_words[c] + row_words[r]) from a table or an oracle.
+
+    A table must cover words of length `longest`.  The S(j v_c v_r i) fill one
+    (rows*D, cols*D, p, m) array, i and j fastest, which one transpose lays out.
+    """
+    if isinstance(source, MarkovTable):
+        if longest > source.horizon:
+            raise HorizonExceeded(f"needs words of length {longest}, table has {source.horizon}")
+        coeff = source.entries.__getitem__
+    elif isinstance(source, IOOracle):
+        coeff = lambda w: probe_kernel_coeff(source, w)
+    else:
+        raise TypeError(f"unsupported Markov source: {type(source).__name__}")
+    letters = range(1, source.D + 1)
+    S = np.array([[coeff((j,) + vc + vr + (i,)) for vc in col_words for j in letters]
+                  for vr in row_words for i in letters])
+    return S.transpose(0, 2, 1, 3).reshape(len(S) * source.p, -1)
 
 
 def probe_kernel_coeff(oracle: IOOracle, v) -> np.ndarray:
@@ -162,15 +173,12 @@ def probe_kernel_coeff(oracle: IOOracle, v) -> np.ndarray:
     input is e_l at time 0.  Exact for any map with a convolution
     representation; no step sizes or differencing involved.
     """
-    v = _w.check_word(v, oracle.D)
-    if len(v) < 2:
-        raise WordTooShort(f"kernel coefficients need |v| >= 2, got {len(v)}")
-    sched = np.zeros((len(v), oracle.D))
-    for t, q in enumerate(v):
-        sched[t, q - 1] = 1.0
+    sched = unit_schedule(v, oracle.D)
+    if len(sched) < 2:
+        raise WordTooShort(f"kernel coefficients need |v| >= 2, got {len(sched)}")
     S = np.empty((oracle.p, oracle.m))
     for l in range(oracle.m):
-        u = np.zeros((len(v), oracle.m))
+        u = np.zeros((len(sched), oracle.m))
         u[0, l] = 1.0
         S[:, l] = oracle(InputSequence(scheduling=sched, inputs=u))
     return S
@@ -179,4 +187,4 @@ def probe_kernel_coeff(oracle: IOOracle, v) -> np.ndarray:
 def probe_markov_block(oracle: IOOracle, v) -> np.ndarray:
     """Recover M(v) from a black-box map, one probe batch per block."""
     v = _w.check_word(v, oracle.D)
-    return _assemble_block(oracle.D, v, lambda w: probe_kernel_coeff(oracle, w))
+    return word_blocks(oracle, [()], [v], len(v) + 2)

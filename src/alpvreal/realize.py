@@ -189,7 +189,10 @@ def find_isomorphism(
     then verified on every relation; if any residual exceeds residual_tol,
     or T is singular, the systems are not related by a constant isomorphism
     (not equivalent, or not minimal) and NotIsomorphic is raised.
+    residual_tol must be finite and >= 0.
     """
+    if not 0 <= residual_tol < np.inf:
+        raise ValueError(f"residual_tol must be finite and >= 0, got {residual_tol}")
     validate(sys1)
     validate(sys2)
     if sys1.dims != sys2.dims:

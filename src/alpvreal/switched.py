@@ -49,13 +49,18 @@ class SwitchedInput:
         return self.inputs.shape[1]
 
 
-def embed_switched_input(sw: SwitchedInput) -> InputSequence:
-    """Replace each mode q by the unit scheduling vector e_q."""
-    modes = _w.check_word(sw.modes, sw.D)
-    sched = np.zeros((len(modes), sw.D))
+def unit_schedule(modes, D: int) -> np.ndarray:
+    """The scheduling rows e_{q_0}, ..., e_{q_t} of a mode word over 1..D."""
+    modes = _w.check_word(modes, D)
+    sched = np.zeros((len(modes), D))
     for t, q in enumerate(modes):
         sched[t, q - 1] = 1.0
-    return InputSequence(scheduling=sched, inputs=sw.inputs)
+    return sched
+
+
+def embed_switched_input(sw: SwitchedInput) -> InputSequence:
+    """Replace each mode q by the unit scheduling vector e_q."""
+    return InputSequence(scheduling=unit_schedule(sw.modes, sw.D), inputs=sw.inputs)
 
 
 def switched_output(sys: ALPVSystem, sw: SwitchedInput) -> np.ndarray:

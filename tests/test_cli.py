@@ -245,3 +245,63 @@ def test_switched_rows_must_match_header(tmp_path, sigma_star_path, capsys):
     assert run(["switched-sim", sigma_star_path, str(sw_path), "-o", str(out)]) == 2
     assert "rows must have 3 columns" in capsys.readouterr().err
     assert not out.exists()
+
+
+def _system_with(tmp_path, **sizes):
+    system = {"schema": "alpv-1", "D": 1, "n": 1, "m": 1, "p": 1,
+              "A": [[[0.5]]], "B": [[[1.0]]], "C": [[[1.0]]], **sizes}
+    return ["analyze", _write_json(tmp_path / "s.json", system)]
+
+
+def _table_horizon_fraction(tmp_path):
+    table = {"schema": "alpv-1", "D": 1, "m": 1, "p": 1, "horizon": 2.9,
+             "entries": [{"word": "11", "S": [[0.5]]}]}
+    return ["hankel", "--from-table", _write_json(tmp_path / "t.json", table),
+            "--L", "0", "--M", "0", "-o", str(tmp_path / "H.csv")]
+
+
+@pytest.mark.parametrize(
+    "make_argv",
+    [
+        lambda tmp_path: _system_with(tmp_path, n=1.5),
+        lambda tmp_path: _system_with(tmp_path, D=True),
+        lambda tmp_path: _system_with(tmp_path, m="1"),
+        _table_horizon_fraction,
+    ],
+    ids=["system-n-fraction", "system-D-true", "system-m-string", "table-horizon-fraction"],
+)
+def test_declared_size_must_be_an_integer(tmp_path, make_argv, capsys):
+    assert run(make_argv(tmp_path)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and " must be an integer, got " in captured.err
+
+
+@pytest.mark.parametrize("tol", ["inf", "1"])
+def test_rank_tolerance_must_allow_some_rank(sigma_star_path, tol, capsys):
+    assert run(["analyze", sigma_star_path, "--tol", tol]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "rel_eps must lie in (0, 1)" in captured.err
+
+
+@pytest.mark.parametrize("tol", ["inf", "nan"])
+def test_ioeq_check_tolerance_must_be_finite(tmp_path, sigma1, tol, capsys):
+    sys_path = tmp_path / "sigma1.json"
+    fileio.save_system(sys_path, sigma1)
+    eq_path = tmp_path / "eq.json"
+    fileio.save_equation(eq_path, make_eq1(-0.6))
+    assert run(["ioeq-check", str(eq_path), str(sys_path), "--tol", tol]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "tol must be finite and >= 0" in captured.err
+
+
+@pytest.mark.parametrize("residual_tol", ["inf", "nan"])
+def test_iso_residual_tolerance_must_be_finite(tmp_path, sigma_star_path, residual_tol, capsys):
+    other = ALPVSystem(A=[[[0.25]], [[0.0]]], B=[[[1.0]], [[3.0]]], C=[[[1.0]], [[2.0]]])
+    other_path = tmp_path / "other.json"
+    fileio.save_system(other_path, other)
+    assert run(["iso", sigma_star_path, str(other_path)]) == 1  # not equivalent
+    capsys.readouterr()
+    argv = ["iso", sigma_star_path, str(other_path), "--residual-tol", residual_tol]
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "residual_tol must be finite and >= 0" in captured.err

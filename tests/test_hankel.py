@@ -59,6 +59,11 @@ def test_hankel_table_horizon_guard(sigma_star):
         build_hankel(table, 1, 2)
 
 
+def test_hankel_unsupported_source_is_type_error():
+    with pytest.raises(TypeError):
+        build_hankel({"D": 2, "m": 1, "p": 1}, 0, 0)
+
+
 def test_factorization_consistency(random_population):
     for sys in random_population[:10]:
         H = build_hankel(sys, 2, 2).data

@@ -19,6 +19,7 @@ from alpvreal import (
     range_basis,
     rank_factorize,
     row_basis,
+    system_oracle,
     words_up_to,
 )
 
@@ -63,6 +64,17 @@ def test_hankel_routes_agree_on_random_systems(sys, L, M):
     assert from_system.shape == per_cell.shape
     assert np.allclose(from_system, per_cell, rtol=1e-12, atol=1e-12)
     assert np.allclose(from_table, per_cell, rtol=1e-12, atol=1e-12)
+    table = markov_table(sys, L + M + 2)
+    table_cells = np.block(
+        [
+            [markov_block(table, vj + vi) for vj in words_up_to(M, sys.D)]
+            for vi in words_up_to(L, sys.D)
+        ]
+    )
+    assert np.array_equal(from_table, table_cells)
+    if L + M <= 3:
+        from_oracle = build_hankel(system_oracle(sys), L, M).data
+        assert np.allclose(from_oracle, per_cell, rtol=1e-10, atol=1e-10)
 
 
 @SEEDED
