@@ -1,10 +1,10 @@
 """Detecting and removing redundant states.
 
 We inflate a 1-dimensional system with one state no input reaches and one
-state no output sees.  The extended-matrix rank tests localize both defects
-exactly, and the two-step reduction (reachable subspace, then observable
-quotient) returns a 1-dimensional system with the same input-output
-behavior on every run we throw at it.
+state no output sees.  The rank tests on the Hankel factors localize both
+defects exactly, and the two-step reduction (reachable subspace, then
+observable quotient) returns a 1-dimensional system with the same
+input-output behavior on every run we throw at it.
 """
 
 import numpy as np

@@ -13,9 +13,9 @@ word-indexed observability and reachability factors,
     H_{L,M} = observability_factor(sys, L) @ reachability_factor(sys, M),
 
 whose inner dimension is the state dimension n; the observability factor
-is the dual family's reachability factor.  That factorization is also
-how `hankel_singular_values` gets the spectrum of large sub-matrices
-without assembling them.
+is the dual family's reachability factor.  The same factors at depth n-1
+decide reachability and observability in `realize`, and give
+`hankel_singular_values` the spectrum without assembling the matrix.
 """
 
 from __future__ import annotations

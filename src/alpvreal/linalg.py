@@ -3,8 +3,8 @@
 Every rank decision in the package (Hankel ranks, reachability and
 observability tests, factorizations, pseudoinverses) goes through the same
 singular-value cutoff so that the modules agree on what counts as zero.
-Wide matrices, such as the n x mD(D+1)^(n-1) extended reachability
-matrices, are factored through their transpose, where the SVD is faster.
+Wide matrices, such as the n x N(n-1)mD reachability factors of the rank
+tests, are factored through their transpose, where the SVD is faster.
 """
 
 from __future__ import annotations
@@ -21,7 +21,9 @@ class ToleranceConfig:
     """Cutoff rule for treating singular values as zero.
 
     A singular value counts toward the rank iff it exceeds
-    ``max(abs_floor, rel_eps * max(rows, cols) * sigma_max)``.
+    ``max(abs_floor, rel_eps * max(rows, cols) * sigma_max)``; a shape with
+    ``rel_eps * max(rows, cols) >= 1`` would discard every singular value
+    and raises ValueError.
     """
 
     rel_eps: float = 1e-10
@@ -34,6 +36,9 @@ class ToleranceConfig:
             raise ValueError(f"abs_floor must be finite and >= 0, got {self.abs_floor}")
 
     def cutoff(self, singular_values, shape) -> float:
+        if self.rel_eps * max(shape) >= 1:
+            raise ValueError(f"rel_eps {self.rel_eps} times the largest dimension of a {shape[0]}"
+                             f" x {shape[1]} matrix is >= 1: no singular value can count")
         smax = float(singular_values[0]) if len(singular_values) else 0.0
         return max(self.abs_floor, self.rel_eps * max(shape) * smax)
 

@@ -29,7 +29,7 @@ from typing import Callable
 import numpy as np
 
 from . import words as _w
-from .errors import HorizonExceeded, WordTooShort
+from .errors import DimensionMismatch, HorizonExceeded, WordTooShort
 from .model import ALPVSystem, InputSequence, simulate, validate
 from .switched import unit_schedule
 
@@ -49,7 +49,8 @@ class MarkovTable:
 class IOOracle:
     """A black-box input-output map with declared dimensions.
 
-    `fn` maps an InputSequence over R^D x R^m to a length-p output vector.
+    `fn` maps an InputSequence over R^D x R^m to a length-p output vector;
+    a call that returns any other number of values raises DimensionMismatch.
     """
 
     fn: Callable
@@ -58,7 +59,10 @@ class IOOracle:
     p: int
 
     def __call__(self, w: InputSequence) -> np.ndarray:
-        return np.asarray(self.fn(w), dtype=float).reshape(-1)
+        y = np.asarray(self.fn(w), dtype=float).reshape(-1)
+        if y.size != self.p:
+            raise DimensionMismatch(f"oracle returned {y.size} outputs, expected p={self.p}")
+        return y
 
 
 def system_oracle(sys: ALPVSystem) -> IOOracle:

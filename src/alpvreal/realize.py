@@ -1,21 +1,20 @@
 """Rank tests, Kalman-Ho realization, reduction to minimality, isomorphism.
 
 Minimality of an affine LPV system is equivalent to being both reachable
-and observable, and both properties are decided by rank tests on the
-extended reachability/observability matrices
+and observable, and both are decided by the rank of the Hankel factor
+`reachability_factor(sys, n-1)`, whose block column for the word v is
+A_{v_k} ... A_{v_1} [B_1, ..., B_D], and of the same factor for the dual
+family (A_q^T, C_q^T, B_q^T), which gives observability and its reduction.
+`extended_reachability` (R_{i+1} = [R_i, A_1 R_i, ..., A_D R_i]) spans the
+same space but repeats every word; it is kept only as a test reference.
 
-    R_0 = [B_1, ..., B_D]          R_{i+1} = [R_i, A_1 R_i, ..., A_D R_i]
-    O_0 = [C_1; ...; C_D]          O_{i+1} = [O_i; O_i A_1; ...; O_i A_D]
-
-at depth n-1; O_i and the observability reduction are those of reachability
-for the dual family (A_q^T, C_q^T, B_q^T).  `kalman_ho` recovers a
-state-space family from a finite Hankel sub-matrix H_{L,L+1}: rank-factorize
-H = O R by SVD, read [B_1..B_D] off the first mD columns of R and
-[C_1;..;C_D] off the first pD rows of O, and solve for each A_q from the
-column shift v |-> v q of the word enumeration.  When rank H_{L,L} already
-equals the rank of the full Hankel matrix (guaranteed as soon as some
-realization of dimension <= L+1 exists), the result is a minimal
-realization of the underlying map.
+`kalman_ho` recovers a state-space family from a finite Hankel sub-matrix
+H_{L,L+1}: rank-factorize H = O R by SVD, read [B_1..B_D] off the first mD
+columns of R and [C_1;..;C_D] off the first pD rows of O, and solve for
+each A_q from the column shift v |-> v q of the word enumeration.  When
+rank H_{L,L} already equals the rank of the full Hankel matrix (guaranteed
+as soon as some realization of dimension <= L+1 exists), the result is a
+minimal realization of the underlying map.
 
 Minimal realizations of the same map are unique up to a constant
 (scheduling-independent) state isomorphism, which `find_isomorphism`
@@ -31,7 +30,7 @@ import numpy as np
 
 from . import words as _w
 from .errors import DimensionMismatch, NotIsomorphic, ShapeMismatch
-from .hankel import HankelBlockMatrix
+from .hankel import HankelBlockMatrix, observability_factor, reachability_factor
 from .linalg import (
     DEFAULT_TOL,
     ToleranceConfig,
@@ -46,7 +45,7 @@ from .model import ALPVSystem, dual, validate
 
 @dataclass(frozen=True)
 class AnalysisReport:
-    """Reachability/observability ranks at depth n-1 and the derived flags."""
+    """Ranks of the reachability/observability factors at depth n-1 and the derived flags."""
 
     reach_rank: int
     obs_rank: int
@@ -73,17 +72,17 @@ def extended_observability(sys: ALPVSystem, depth: int) -> np.ndarray:
 
 
 def analyze(sys: ALPVSystem, tol: ToleranceConfig = DEFAULT_TOL) -> AnalysisReport:
-    """Rank R_{n-1} and O_{n-1}; reachable/observable/minimal flags.
+    """Rank the depth n-1 reachability and observability factors; the three flags.
 
-    Depth n-1 is sharp: deeper extended matrices cannot gain rank.  A
-    zero-dimensional system is trivially minimal.
+    Depth n-1 is sharp: longer words cannot gain rank.  A zero-dimensional
+    system is trivially minimal.
     """
     validate(sys)
     n = sys.n
     if n == 0:
         return AnalysisReport(0, 0, 0, True, True, True)
-    reach = numerical_rank(extended_reachability(sys, n - 1), tol)
-    obs = numerical_rank(extended_observability(sys, n - 1), tol)
+    reach = numerical_rank(reachability_factor(sys, n - 1), tol)
+    obs = numerical_rank(observability_factor(sys, n - 1), tol)
     return AnalysisReport(
         reach_rank=reach,
         obs_rank=obs,
@@ -120,15 +119,15 @@ def kalman_ho(H: HankelBlockMatrix, tol: ToleranceConfig = DEFAULT_TOL) -> ALPVS
 def reach_reduce(sys: ALPVSystem, tol: ToleranceConfig = DEFAULT_TOL):
     """Restrict to the reachable subspace; returns (reduced system, basis V).
 
-    V has orthonormal columns spanning the column space of R_{n-1}.  That
-    space is invariant under every A_q and contains every column of every
-    B_q, so (V^T A_q V, V^T B_q, C_q V) reproduces the input-output map.
+    V has orthonormal columns spanning the depth n-1 reachability factor.
+    That space is invariant under every A_q and contains every column of
+    every B_q, so (V^T A_q V, V^T B_q, C_q V) reproduces the input-output map.
     """
     validate(sys)
     n = sys.n
     if n == 0:
         return sys, np.zeros((0, 0))
-    V = range_basis(extended_reachability(sys, n - 1), tol)
+    V = range_basis(reachability_factor(sys, n - 1), tol)
     A = [V.T @ Aq @ V for Aq in sys.A]
     B = [V.T @ Bq for Bq in sys.B]
     C = [Cq @ V for Cq in sys.C]
@@ -139,8 +138,8 @@ def obs_reduce(sys: ALPVSystem, tol: ToleranceConfig = DEFAULT_TOL):
     """Quotient by the unobservable subspace; returns (reduced system, basis W).
 
     The reachability reduction of the dual family, dualized back: W = V^T
-    has orthonormal rows spanning the row space of O_{n-1}, and the reduced
-    family is (W A_q W^T, W B_q, C_q W^T).
+    has orthonormal rows spanning the row space of the observability factor,
+    and the reduced family is (W A_q W^T, W B_q, C_q W^T).
     """
     reduced, V = reach_reduce(dual(sys), tol)
     return dual(reduced), V.T
@@ -185,7 +184,7 @@ def find_isomorphism(
     """State transformation T with A2_q T = T A1_q, B2_q = T B1_q, C2_q T = C1_q.
 
     Both systems must be minimal with equal (D, n, m, p).  T is computed as
-    pinv(O2) @ O1 from the depth n-1 extended observability matrices and
+    pinv(O2) @ O1 from the depth n-1 observability factors and
     then verified on every relation; if any residual exceeds residual_tol,
     or T is singular, the systems are not related by a constant isomorphism
     (not equivalent, or not minimal) and NotIsomorphic is raised.
@@ -202,8 +201,8 @@ def find_isomorphism(
     n = sys1.n
     if n == 0:
         return np.zeros((0, 0))
-    O1 = extended_observability(sys1, n - 1)
-    O2 = extended_observability(sys2, n - 1)
+    O1 = observability_factor(sys1, n - 1)
+    O2 = observability_factor(sys2, n - 1)
     T = pseudoinverse(O2, tol) @ O1
     res = isomorphism_residual(sys1, sys2, T)
     if res > residual_tol:

@@ -305,3 +305,13 @@ def test_iso_residual_tolerance_must_be_finite(tmp_path, sigma_star_path, residu
     assert run(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and "residual_tol must be finite and >= 0" in captured.err
+
+
+@pytest.mark.parametrize("cmd", ["analyze", "minimize"])
+def test_rank_tolerance_that_discards_every_singular_value(tmp_path, sigma_star_path, cmd, capsys):
+    # sigma_star's rank tests are 1 x 2 and 2 x 1: 0.5 * 2 puts the cutoff at sigma_1
+    out = tmp_path / "out.json"
+    assert run([cmd, sigma_star_path, "--tol", "0.5", "-o", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "rel_eps 0.5 times the largest dimension" in captured.err
+    assert not out.exists()

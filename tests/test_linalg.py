@@ -116,3 +116,14 @@ def test_bases_are_orthonormal():
     # spans match: projecting M onto them loses nothing
     assert np.allclose(V @ V.T @ M, M)
     assert np.allclose(M @ W.T @ W, M)
+
+
+@pytest.mark.parametrize("rel_eps, shape", [(0.5, (1, 2)), (0.1, (10, 3)), (0.25, (4, 4))])
+def test_tolerance_that_discards_every_singular_value_is_rejected(rel_eps, shape):
+    M = np.ones(shape)
+    tol = ToleranceConfig(rel_eps=rel_eps)
+    for decide in (numerical_rank, pseudoinverse, range_basis, rank_factorize):
+        with pytest.raises(ValueError, match=rf"rel_eps {rel_eps} .* {shape[0]} x {shape[1]} "):
+            decide(M, tol)
+    # just inside the bound the largest singular value still counts
+    assert numerical_rank(M, ToleranceConfig(rel_eps=0.99 / max(shape))) == 1

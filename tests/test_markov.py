@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 
 from alpvreal import (
+    DimensionMismatch,
     HorizonExceeded,
     IOOracle,
     WordTooShort,
+    build_hankel,
     convolution_output,
     kernel_coeff,
     markov_block,
@@ -106,3 +108,12 @@ def test_equal_markov_parameters_give_equal_io_maps(sigma2):
         assert np.allclose(
             convolution_output(t1, w), convolution_output(t2, w), atol=1e-9
         )
+
+
+@pytest.mark.parametrize("outputs", [[1.0], [1.0, 2.0, 3.0]])
+def test_oracle_output_length_must_equal_p(outputs):
+    oracle = IOOracle(fn=lambda w: np.array(outputs), D=2, m=1, p=2)
+    with pytest.raises(DimensionMismatch, match="oracle returned .* expected p=2"):
+        probe_kernel_coeff(oracle, (1, 2))
+    with pytest.raises(DimensionMismatch):
+        build_hankel(oracle, 0, 1)

@@ -1,7 +1,10 @@
 """Seeded property tests over random systems and matrices of every small shape.
 
 Systems range over D in {1, 2, 3}, n in {0, ..., 4} and m, p in {1, 2}; D = 1
-exercises the single-symbol word order and n = 0 the empty state space.
+exercises the single-symbol word order and n = 0 the empty state space.  The
+rank tests and reductions, which work on the Hankel factors, are checked
+against the extended matrices of the branching recursion on random systems
+with planted unreachable and unobservable states.
 """
 
 import numpy as np
@@ -9,21 +12,29 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from alpvreal import (
+    analyze,
     build_hankel,
     extended_observability,
+    extended_reachability,
+    find_isomorphism,
+    isomorphism_residual,
     kernel_coeff,
     markov_block,
     markov_table,
+    minimize,
     numerical_rank,
+    obs_reduce,
     pseudoinverse,
     range_basis,
     rank_factorize,
+    reach_reduce,
     row_basis,
     system_oracle,
     words_up_to,
 )
 
-from helpers import random_system
+from alpvreal import realize
+from helpers import pad_unobservable, pad_unreachable, random_system
 
 SEEDED = settings(derandomize=True, database=None, deadline=None, max_examples=30)
 
@@ -38,6 +49,21 @@ def systems(draw):
         m=draw(st.integers(1, 2)),
         p=draw(st.integers(1, 2)),
     )
+
+
+@st.composite
+def padded_systems(draw):
+    """A random core (n <= 4) with 0-2 unreachable, then 0-2 unobservable states planted."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    core = random_system(
+        rng,
+        D=draw(st.integers(1, 3)),
+        n=draw(st.integers(1, 4)),
+        m=draw(st.integers(1, 2)),
+        p=draw(st.integers(1, 2)),
+    )
+    unreachable = pad_unreachable(core, draw(st.integers(0, 2)), rng)
+    return pad_unobservable(unreachable, draw(st.integers(0, 2)), rng)
 
 
 @SEEDED
@@ -109,3 +135,38 @@ def test_linalg_shapes_and_products(seed, rows, cols, inner):
     W = row_basis(M)
     assert W.shape == (r, cols)
     assert np.allclose(W @ W.T, np.eye(r)) and np.allclose(M @ W.T @ W, M)
+
+
+@SEEDED
+@given(padded_systems())
+def test_analyze_ranks_match_extended_matrices(sys):
+    report = analyze(sys)
+    assert report.reach_rank == numerical_rank(extended_reachability(sys, sys.n - 1))
+    assert report.obs_rank == numerical_rank(extended_observability(sys, sys.n - 1))
+
+
+@SEEDED
+@given(padded_systems())
+def test_reductions_span_the_extended_matrices(sys):
+    _, V = reach_reduce(sys)
+    _, W = obs_reduce(sys)
+    R = range_basis(extended_reachability(sys, sys.n - 1))
+    O = range_basis(extended_observability(sys, sys.n - 1).T)
+    assert np.allclose(V @ V.T, R @ R.T, rtol=0, atol=1e-8)
+    assert np.allclose(W.T @ W, O @ O.T, rtol=0, atol=1e-8)
+
+
+def test_decisions_never_build_extended_matrices(monkeypatch, sigma2):
+    def refuse(sys, depth):
+        raise AssertionError("a rank decision built an extended matrix")
+
+    monkeypatch.setattr(realize, "extended_reachability", refuse)
+    monkeypatch.setattr(realize, "extended_observability", refuse)
+    rng = np.random.default_rng(5)
+    padded = pad_unobservable(pad_unreachable(sigma2, 2, rng), 1, rng)
+    report = analyze(padded)
+    assert (report.n, report.reach_rank, report.obs_rank) == (5, 3, 4)
+    small = minimize(padded)
+    assert small.n == 2
+    T = find_isomorphism(small, sigma2)
+    assert isomorphism_residual(small, sigma2, T) < 1e-10
