@@ -22,6 +22,7 @@ import tempfile
 import numpy as np
 
 from . import words as _w
+from .errors import InvalidWord, NonFiniteEntry
 from .ioeq import AffineIOEquation, EquationCheckReport, SchedulingPoly
 from .hankel import HankelBlockMatrix
 from .markov import MarkovTable
@@ -94,10 +95,6 @@ def write_text(path, text: str) -> None:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
-
-
-def _nested(matrix) -> list:
-    return [[float(x) for x in row] for row in np.atleast_2d(matrix)]
 
 
 def _floats(rows) -> np.ndarray:
@@ -176,9 +173,9 @@ def system_to_dict(sys: ALPVSystem) -> dict:
         "n": sys.n,
         "m": sys.m,
         "p": sys.p,
-        "A": [_nested(M) for M in sys.A],
-        "B": [_nested(M) for M in sys.B],
-        "C": [_nested(M) for M in sys.C],
+        "A": [M.tolist() for M in sys.A],
+        "B": [M.tolist() for M in sys.B],
+        "C": [M.tolist() for M in sys.C],
     }
 
 
@@ -207,36 +204,41 @@ def load_system(path) -> ALPVSystem:
 # -- Markov tables -----------------------------------------------------------
 
 def table_to_dict(table: MarkovTable) -> dict:
-    entries = [
-        {"word": _w.word_to_str(v, table.D), "S": _nested(S)}
-        for v, S in sorted(table.entries.items(), key=lambda kv: (len(kv[0]), kv[0]))
-    ]
+    words = _w.words_up_to(table.horizon, table.D)[_w.word_count(1, table.D):]
+    S = [s for k in range(2, table.horizon + 1) for s in table.level(k).tolist()]
     return {
         "schema": SCHEMA,
         "D": table.D,
         "m": table.m,
         "p": table.p,
         "horizon": table.horizon,
-        "entries": entries,
+        "entries": [{"word": _w.word_to_str(v, table.D), "S": s} for v, s in zip(words, S)],
     }
 
 
 def table_from_dict(data: dict) -> MarkovTable:
     try:
         D, m, p, horizon = _sizes(data, "D", "m", "p", "horizon")
-        entries = {}
-        for item in data["entries"]:
-            v = _w.word_from_str(item["word"], D)
-            entries[v] = np.array(item["S"], dtype=float).reshape(p, m)
-    except (KeyError, TypeError, ValueError) as exc:
+        items = data["entries"]
+        parsed = [_w.word_from_str(item["word"], D) for item in items]
+        S = [np.array(item["S"], dtype=float).reshape(p, m) for item in items]
+    except (KeyError, TypeError, ValueError, InvalidWord) as exc:
         raise ValueError(f"malformed Markov table: {exc}") from exc
-    expected = sum(D ** k for k in range(2, horizon + 1))
-    if len(entries) != expected or any(not 2 <= len(v) <= horizon for v in entries):
+    words = _w.words_up_to(horizon, D)[_w.word_count(1, D):]
+    position = dict(zip(words, range(len(words))))
+    rows = np.array([position.get(v, -1) for v in parsed], dtype=int)
+    covered = np.unique(rows[rows >= 0]).size
+    if len(items) != len(words) or covered != len(words):
         raise ValueError(
-            f"table must cover exactly the words of length 2..{horizon} "
-            f"({expected} entries), got {len(entries)}"
+            f"table must cover each word of length 2..{horizon} once "
+            f"({len(words)} entries), got {len(items)} covering {covered}"
         )
-    return MarkovTable(D=D, m=m, p=p, horizon=horizon, entries=entries)
+    coeffs = np.empty((len(words), p, m))
+    coeffs[rows] = np.reshape(S, (-1, p, m))
+    finite = np.isfinite(coeffs).all(axis=(1, 2))
+    if not finite.all():
+        raise NonFiniteEntry(f"S({_w.word_to_str(words[np.argmin(finite)], D)}) is not finite")
+    return MarkovTable(D=D, m=m, p=p, horizon=horizon, coeffs=coeffs)
 
 
 def save_table(path, table: MarkovTable) -> None:

@@ -10,8 +10,9 @@ parameter M(v) collects S(j v i) over all i, j in 1..D into a pD x mD matrix
 and equals Ctilde * A_{v_k} ... A_{v_1} * Btilde for the stacked matrices
 Ctilde = [C_1; ...; C_D], Btilde = [B_1, ..., B_D].
 
-One kernel, `word_products`, gives every word-indexed product; one
-assembly, `word_blocks`, lays out M(v) and Hankel windows from tables and oracles.
+One kernel, `word_products`, gives every word-indexed product in enumeration
+order; a `MarkovTable` keeps S(v) as one array in that order, and one assembly,
+`word_blocks`, lays out M(v) and Hankel windows from tables and oracles.
 
 Both quantities are also recoverable from a black-box input-output map by
 probing it with unit scheduling vectors: column l of S(v) is the response to
@@ -22,8 +23,9 @@ genuine two-sided consistency check.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
+from functools import cached_property
+from types import MappingProxyType
 from typing import Callable
 
 import numpy as np
@@ -36,13 +38,29 @@ from .switched import unit_schedule
 
 @dataclass(frozen=True, eq=False)
 class MarkovTable:
-    """Kernel coefficients S(v) for every word with 2 <= |v| <= horizon."""
+    """Kernel coefficients S(v) for every word with 2 <= |v| <= horizon.
+
+    `coeffs` holds them in enumeration order: row r is S(v) for the word at
+    0-based position N(1) + r.  `entries` is a derived read-only word -> S view.
+    """
 
     D: int
     m: int
     p: int
     horizon: int
-    entries: dict  # Word -> (p, m) ndarray
+    coeffs: np.ndarray  # (N(horizon) - N(1), p, m)
+
+    def level(self, k: int) -> np.ndarray:
+        """The (D^k, p, m) coefficients of the words of length k, in enumeration order."""
+        if not 2 <= k <= self.horizon:
+            raise HorizonExceeded(f"no words of length {k} in a table of lengths 2..{self.horizon}")
+        start = _w.word_count(k - 1, self.D) - _w.word_count(1, self.D)
+        return self.coeffs[start:start + self.D**k]
+
+    @cached_property
+    def entries(self) -> MappingProxyType:
+        words = _w.words_up_to(self.horizon, self.D)[_w.word_count(1, self.D):]
+        return MappingProxyType(dict(zip(words, self.coeffs)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -105,19 +123,15 @@ def word_products(A3: np.ndarray, P0: np.ndarray, depth: int) -> list:
 def markov_table(sys: ALPVSystem, horizon: int) -> MarkovTable:
     """All kernel coefficients of a system up to the given word length.
 
-    `word_products` runs from the stacked B_q; each level is closed with the C_q.
+    `word_products` runs from the stacked B_q; its concatenated levels are closed with the C_q.
     """
     validate(sys)
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
-    D = sys.D
     A3, B3, C3 = sys.stacked()
-    entries = {}
-    if horizon >= 2:
-        for k, P in enumerate(word_products(A3, B3, horizon - 2), start=2):
-            S = (C3[None] @ P[:, None]).reshape(len(P) * D, sys.p, sys.m)
-            entries.update(zip(itertools.product(range(1, D + 1), repeat=k), S))
-    return MarkovTable(D=D, m=sys.m, p=sys.p, horizon=horizon, entries=entries)
+    P = np.concatenate(word_products(A3, B3, horizon - 2)) if horizon >= 2 else B3[:0]
+    coeffs = (C3[None] @ P[:, None]).reshape(-1, sys.p, sys.m)
+    return MarkovTable(D=sys.D, m=sys.m, p=sys.p, horizon=horizon, coeffs=coeffs)
 
 
 def stacked_input_matrix(sys: ALPVSystem) -> np.ndarray:
@@ -135,17 +149,15 @@ def stacked_output_matrix(sys: ALPVSystem) -> np.ndarray:
 def markov_block(source, v) -> np.ndarray:
     """M(v): the pD x mD block matrix with block (i, j) = S(j v i).
 
-    `source` may be a system (product formula) or a MarkovTable (lookups);
-    a table must cover words of length |v| + 2.
+    `source` may be a system (product formula), a MarkovTable (one gather)
+    or an IOOracle (probes); a table must cover words of length |v| + 2.
     """
+    v = _w.check_word(v, source.D)
     if isinstance(source, ALPVSystem):
-        validate(source)
-        v = _w.check_word(v, source.D)
         P = stacked_input_matrix(source)
         for q in v:
             P = source.A[q - 1] @ P
         return stacked_output_matrix(source) @ P
-    v = _w.check_word(v, source.D)
     return word_blocks(source, [()], [v], len(v) + 2)
 
 
@@ -155,17 +167,21 @@ def word_blocks(source, row_words, col_words, longest: int) -> np.ndarray:
     A table must cover words of length `longest`.  The S(j v_c v_r i) fill one
     (rows*D, cols*D, p, m) array, i and j fastest, which one transpose lays out.
     """
+    if not isinstance(source, (MarkovTable, IOOracle)):
+        raise TypeError(f"unsupported Markov source: {type(source).__name__}")
+    letters = range(1, source.D + 1)
     if isinstance(source, MarkovTable):
         if longest > source.horizon:
             raise HorizonExceeded(f"needs words of length {longest}, table has {source.horizon}")
-        coeff = source.entries.__getitem__
-    elif isinstance(source, IOOracle):
-        coeff = lambda w: probe_kernel_coeff(source, w)
+        # 0-based enumeration positions compose: pos(u w) = pos(u) D^|w| + pos(w)
+        pos = lambda ws: np.array([_w.word_to_index(v, source.D) - 1 for v in ws])
+        tails = [vr + (i,) for vr in row_words for i in letters]
+        heads = pos([(j,) + vc for vc in col_words for j in letters])
+        scale = source.D ** np.array([len(v) for v in tails])
+        S = source.coeffs[np.outer(scale, heads) + pos(tails)[:, None] - _w.word_count(1, source.D)]
     else:
-        raise TypeError(f"unsupported Markov source: {type(source).__name__}")
-    letters = range(1, source.D + 1)
-    S = np.array([[coeff((j,) + vc + vr + (i,)) for vc in col_words for j in letters]
-                  for vr in row_words for i in letters])
+        S = np.array([[probe_kernel_coeff(source, (j,) + vc + vr + (i,))
+                       for vc in col_words for j in letters] for vr in row_words for i in letters])
     return S.transpose(0, 2, 1, 3).reshape(len(S) * source.p, -1)
 
 
@@ -190,5 +206,4 @@ def probe_kernel_coeff(oracle: IOOracle, v) -> np.ndarray:
 
 def probe_markov_block(oracle: IOOracle, v) -> np.ndarray:
     """Recover M(v) from a black-box map, one probe batch per block."""
-    v = _w.check_word(v, oracle.D)
-    return word_blocks(oracle, [()], [v], len(v) + 2)
+    return markov_block(oracle, v)

@@ -20,8 +20,6 @@ set to the whole space.
 
 from __future__ import annotations
 
-import itertools
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -227,9 +225,11 @@ def convolution_output(table, w: InputSequence) -> np.ndarray:
         f(w) = sum_{k=0}^{t-1} [ sum_{|v| = t-k+1} S(v) * pbar_{k:t}^v ] u(k)
 
     where pbar_{k:t}^v is the product p_{v_0}(k) p_{v_1}(k+1) ... p_{v_{t-k}}(t).
-    The word sum is enumerated directly; this is the brute-force route the
-    realization tests are checked against.  For a length-1 run the sum is
-    empty and the result is the zero vector.
+    Those products, over the words of one length in enumeration order, are
+    the flattened outer product p(k) x ... x p(t), so each lag is one
+    contraction with `table.level(t-k+1)`.  This brute-force word sum is the
+    route the realization tests are checked against.  For a length-1 run the
+    sum is empty and the result is the zero vector.
     """
     D, m, p = table.D, table.m, table.p
     if w.D != D:
@@ -243,11 +243,8 @@ def convolution_output(table, w: InputSequence) -> np.ndarray:
     sched = w.scheduling
     t = w.length - 1
     y = np.zeros(p)
-    for k in range(t):
-        weight = np.zeros((p, m))
-        for v in itertools.product(range(1, D + 1), repeat=t - k + 1):
-            coeff = math.prod(sched[k + i, q - 1] for i, q in enumerate(v))
-            if coeff != 0.0:
-                weight += coeff * table.entries[v]
-        y += weight @ w.inputs[k]
+    pbar = sched[t]
+    for k in range(t - 1, -1, -1):
+        pbar = np.outer(sched[k], pbar).reshape(-1)
+        y += np.tensordot(pbar, table.level(t - k + 1), axes=1) @ w.inputs[k]
     return y

@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from alpvreal import ALPVSystem, InputSequence, SwitchedInput, build_hankel, simulate
+from alpvreal import ALPVSystem, InputSequence, SwitchedInput, build_hankel, markov_table, simulate
 from alpvreal import fileio
 from alpvreal.cli import run
 
@@ -315,3 +315,44 @@ def test_rank_tolerance_that_discards_every_singular_value(tmp_path, sigma_star_
     captured = capsys.readouterr()
     assert captured.out == "" and "rel_eps 0.5 times the largest dimension" in captured.err
     assert not out.exists()
+
+
+def _sigma_star_table_argv(tmp_path, sigma_star, edit):
+    """hankel --from-table on sigma_star's horizon-2 table after `edit` changes its entries."""
+    table = fileio.table_to_dict(markov_table(sigma_star, 2))
+    edit(table["entries"])
+    path = tmp_path / "t.json"
+    path.write_text(json.dumps(table))
+    return ["hankel", "--from-table", str(path), "--L", "0", "--M", "0", "-o", str(tmp_path / "H.csv")]
+
+
+def test_table_symbol_outside_alphabet_is_usage_error(tmp_path, sigma_star, capsys):
+    def edit(entries):
+        entries[1]["word"] = "13"
+
+    assert run(_sigma_star_table_argv(tmp_path, sigma_star, edit)) == 2
+    assert "malformed Markov table: symbol 3 outside alphabet 1..2" in capsys.readouterr().err
+    assert not (tmp_path / "H.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda entries: entries.append({"word": "11", "S": [[99.0]]}),
+        lambda entries: entries[1].update(word="11"),
+    ],
+    ids=["appended", "in-place-of-another"],
+)
+def test_table_repeated_word_is_usage_error(tmp_path, sigma_star, edit, capsys):
+    assert run(_sigma_star_table_argv(tmp_path, sigma_star, edit)) == 2
+    assert "each word of length 2..2 once (4 entries)" in capsys.readouterr().err
+    assert not (tmp_path / "H.csv").exists()
+
+
+def test_table_non_finite_entry_is_domain_error(tmp_path, sigma_star, capsys):
+    def edit(entries):
+        entries[1]["S"] = [[float("nan")]]
+
+    assert run(_sigma_star_table_argv(tmp_path, sigma_star, edit)) == 1
+    assert "NonFiniteEntry: S(12) is not finite" in capsys.readouterr().err
+    assert not (tmp_path / "H.csv").exists()

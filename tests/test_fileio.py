@@ -9,11 +9,12 @@ from alpvreal import (
     analyze,
     build_hankel,
     markov_table,
+    words_up_to,
 )
 from alpvreal import fileio
 
 from conftest import make_eq1
-from helpers import random_run
+from helpers import random_run, random_system
 
 
 def test_float_formatting():
@@ -71,6 +72,34 @@ def test_table_rejects_incomplete(tmp_path, sigma_star):
     path.write_text(fileio.dumps_json(data))
     with pytest.raises(ValueError):
         fileio.load_table(path)
+
+
+def _enumerated(table):
+    """S(v) for the words of length 2..horizon, in enumeration order."""
+    words = [v for v in words_up_to(table.horizon, table.D) if len(v) >= 2]
+    return np.array([table.entries[v] for v in words]).reshape(len(words), table.p, table.m)
+
+
+@pytest.mark.parametrize("D, m, p, horizon", [(3, 2, 2, 5), (1, 2, 1, 6)])
+def test_table_save_load_save_is_byte_identical(tmp_path, D, m, p, horizon):
+    table = markov_table(random_system(np.random.default_rng(D), D=D, m=m, p=p), horizon)
+    fileio.save_table(tmp_path / "a.json", table)
+    loaded = fileio.load_table(tmp_path / "a.json")
+    fileio.save_table(tmp_path / "b.json", loaded)
+    assert (tmp_path / "b.json").read_bytes() == (tmp_path / "a.json").read_bytes()
+    assert np.array_equal(_enumerated(loaded), _enumerated(table))
+
+
+def test_table_entry_order_in_the_file_does_not_matter(tmp_path):
+    rng = np.random.default_rng(11)
+    table = markov_table(random_system(rng, D=2, m=2, p=2), 4)
+    data = fileio.table_to_dict(table)
+    data["entries"] = [data["entries"][i] for i in rng.permutation(len(data["entries"]))]
+    path = tmp_path / "shuffled.json"
+    path.write_text(fileio.dumps_json(data))
+    loaded = fileio.load_table(path)
+    assert (loaded.D, loaded.m, loaded.p, loaded.horizon) == (2, 2, 2, 4)
+    assert np.array_equal(_enumerated(loaded), _enumerated(table))
 
 
 def test_hankel_roundtrip(tmp_path, sigma2):

@@ -55,6 +55,17 @@ def test_markov_table_complete_and_consistent(sigma2):
         assert np.allclose(S, kernel_coeff(sigma2, v))
 
 
+def test_markov_table_levels_follow_the_word_enumeration(sigma2):
+    table = markov_table(sigma2, 4)
+    assert table.coeffs.shape == (len(words_up_to(4, 2)) - 3, 1, 1)
+    for k in range(2, 5):
+        words = [v for v in words_up_to(k, 2) if len(v) == k]
+        assert np.array_equal(table.level(k), [kernel_coeff(sigma2, v) for v in words])
+    for k in (1, 5):
+        with pytest.raises(HorizonExceeded):
+            table.level(k)
+
+
 def test_markov_block_from_table_matches_system(sigma_star, sigma2):
     for sys in (sigma_star, sigma2):
         table = markov_table(sys, 6)

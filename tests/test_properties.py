@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from alpvreal import (
     analyze,
     build_hankel,
+    convolution_output,
     extended_observability,
     extended_reachability,
     find_isomorphism,
@@ -29,12 +30,13 @@ from alpvreal import (
     rank_factorize,
     reach_reduce,
     row_basis,
+    simulate,
     system_oracle,
     words_up_to,
 )
 
 from alpvreal import realize
-from helpers import pad_unobservable, pad_unreachable, random_system
+from helpers import pad_unobservable, pad_unreachable, random_run, random_system
 
 SEEDED = settings(derandomize=True, database=None, deadline=None, max_examples=30)
 
@@ -74,6 +76,17 @@ def test_markov_table_matches_kernel_coeff(sys, horizon):
     assert sorted(table.entries) == sorted(words)
     for v in words:
         assert np.allclose(table.entries[v], kernel_coeff(sys, v), rtol=1e-12, atol=1e-12)
+
+
+@SEEDED
+@given(systems(), st.integers(0, 2**32 - 1))
+def test_convolution_output_matches_simulation(sys, seed):
+    rng = np.random.default_rng(seed)
+    table = markov_table(sys, 6)
+    for length in range(1, 7):
+        w = random_run(rng, sys.D, sys.m, length)
+        direct = simulate(sys, np.zeros(sys.n), w).final_output
+        assert np.allclose(convolution_output(table, w), direct, rtol=1e-9, atol=1e-9)
 
 
 @SEEDED
