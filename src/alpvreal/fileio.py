@@ -222,7 +222,7 @@ def table_from_dict(data: dict) -> MarkovTable:
         items = data["entries"]
         parsed = [_w.word_from_str(item["word"], D) for item in items]
         S = [np.array(item["S"], dtype=float).reshape(p, m) for item in items]
-    except (KeyError, TypeError, ValueError, InvalidWord) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError, InvalidWord) as exc:
         raise ValueError(f"malformed Markov table: {exc}") from exc
     words = _w.words_up_to(horizon, D)[_w.word_count(1, D):]
     position = dict(zip(words, range(len(words))))
@@ -346,7 +346,7 @@ def equation_from_dict(data: dict) -> AffineIOEquation:
         n, m, D = _sizes(data, "n", "m", "D")
         Q = [_poly_from_list(terms, n, D) for terms in data["Q"]]
         L = [[_poly_from_list(terms, n, D) for terms in row] for row in data["L"]]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed equation object: {exc}") from exc
     return AffineIOEquation(order=n, m=m, D=D, output_coeffs=Q, input_coeffs=L)
 

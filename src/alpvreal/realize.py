@@ -9,9 +9,11 @@ family (A_q^T, C_q^T, B_q^T), which gives observability and its reduction.
 same space but repeats every word; it is kept only as a test reference.
 
 `kalman_ho` recovers a state-space family from a finite Hankel sub-matrix
-H_{L,L+1}: rank-factorize H = O R by SVD, read [B_1..B_D] off the first mD
+H_{L,L+1}: rank-factorize H = O R, read [B_1..B_D] off the first mD
 columns of R and [C_1;..;C_D] off the first pD rows of O, and solve for
-each A_q from the column shift v |-> v q of the word enumeration.  When
+each A_q from the column shift v |-> v q of the word enumeration.  The
+factorization of an a x b window of rank n goes through the certified
+range sketch of `linalg` and costs O(ab n) rather than a dense SVD.  When
 rank H_{L,L} already equals the rank of the full Hankel matrix (guaranteed
 as soon as some realization of dimension <= L+1 exists), the result is a
 minimal realization of the underlying map.
@@ -98,7 +100,11 @@ def kalman_ho(H: HankelBlockMatrix, tol: ToleranceConfig = DEFAULT_TOL) -> ALPVS
 
     The column bound must be exactly L + 1: block column j of the shifted
     factor R_q is the block column of R at the position of the word v_j q,
-    which must itself lie within the column enumeration.
+    which must itself lie within the column enumeration.  `rank_factorize`
+    finds the rank n through a certified range sketch once the window's
+    shorter side reaches 64 entries, in O(ab n) for an a x b window; its
+    rank is the dense SVD's unless a singular value of H lies within 10% of
+    the cutoff.  The shift solve pseudo-inverts the n x N(L)mD block of R.
     """
     if H.M != H.L + 1:
         raise ShapeMismatch(

@@ -356,3 +356,32 @@ def test_table_non_finite_entry_is_domain_error(tmp_path, sigma_star, capsys):
     assert run(_sigma_star_table_argv(tmp_path, sigma_star, edit)) == 1
     assert "NonFiniteEntry: S(12) is not finite" in capsys.readouterr().err
     assert not (tmp_path / "H.csv").exists()
+
+
+def test_table_word_not_a_string_is_usage_error(tmp_path, sigma_star, capsys):
+    def edit(entries):
+        entries[1]["word"] = 12
+
+    assert run(_sigma_star_table_argv(tmp_path, sigma_star, edit)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "malformed Markov table" in captured.err
+    assert not (tmp_path / "H.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda eq: eq["Q"][1][0].update(exps=[1]),
+        lambda eq: eq["L"][0][0].__setitem__(0, 5),
+    ],
+    ids=["exps-list", "term-number"],
+)
+def test_equation_term_of_wrong_type_is_usage_error(tmp_path, sigma1, edit, capsys):
+    sys_path = tmp_path / "sigma1.json"
+    fileio.save_system(sys_path, sigma1)
+    eq = fileio.equation_to_dict(make_eq1(-0.6))
+    edit(eq)
+    argv = ["ioeq-check", _write_json(tmp_path / "eq.json", eq), str(sys_path)]
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "malformed equation object" in captured.err

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from alpvreal import (
+    DEFAULT_TOL,
     InvalidMatrix,
     ToleranceConfig,
     numerical_rank,
@@ -10,6 +11,7 @@ from alpvreal import (
     rank_factorize,
     row_basis,
 )
+from alpvreal import linalg
 
 
 def test_rank_identity():
@@ -127,3 +129,46 @@ def test_tolerance_that_discards_every_singular_value_is_rejected(rel_eps, shape
             decide(M, tol)
     # just inside the bound the largest singular value still counts
     assert numerical_rank(M, ToleranceConfig(rel_eps=0.99 / max(shape))) == 1
+
+
+def test_full_rank_matrix_falls_back_to_the_dense_svd():
+    M = np.random.default_rng(23).normal(size=(200, 600))
+    O, R, r = rank_factorize(M)
+    U, s, Vt = np.linalg.svd(M.T, full_matrices=False)  # the tall orientation
+    root = np.sqrt(s)
+    assert r == 200
+    assert np.array_equal(O, Vt.T * root) and np.array_equal(R, root[:, None] * U.T)
+
+
+def test_large_zero_matrix_has_rank_zero():
+    M = np.zeros((100, 300))
+    O, R, r = rank_factorize(M)
+    assert r == 0 and O.shape == (100, 0) and R.shape == (0, 300)
+    assert range_basis(M).shape == (100, 0) and row_basis(M).shape == (0, 300)
+    assert np.array_equal(pseudoinverse(M), np.zeros((300, 100)))
+
+
+def test_large_matrix_input_checks():
+    rng = np.random.default_rng(29)
+    M = rng.normal(size=(100, 3)) @ rng.normal(size=(3, 300))
+    bad = M.copy()
+    bad[7, 11] = np.nan
+    loose = ToleranceConfig(rel_eps=0.004)  # 0.004 * 300 >= 1
+    for decide in (pseudoinverse, range_basis, row_basis, rank_factorize):
+        with pytest.raises(InvalidMatrix):
+            decide(bad)
+        with pytest.raises(ValueError, match=r"rel_eps 0.004 .* 100 x 300 "):
+            decide(M, loose)
+
+
+def test_tail_under_the_cutoff_is_not_certified():
+    # 10 singular values at 1.6x the cutoff hide under 289 at 0.7x: a narrow
+    # sketch sees mostly the tail, and only its residual shows what it missed
+    rng = np.random.default_rng(31)
+    U, _ = np.linalg.qr(rng.normal(size=(400, 300)))
+    V, _ = np.linalg.qr(rng.normal(size=(300, 300)))
+    cutoff = DEFAULT_TOL.cutoff([1.0], (400, 300))
+    s = np.concatenate([[1.0], np.full(10, 1.6 * cutoff), np.full(289, 0.7 * cutoff)])
+    M = (U * s) @ V.T
+    assert linalg._sketched_svd(M, M.shape, DEFAULT_TOL) is None
+    assert rank_factorize(M)[2] == numerical_rank(M) == 11

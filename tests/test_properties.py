@@ -4,7 +4,9 @@ Systems range over D in {1, 2, 3}, n in {0, ..., 4} and m, p in {1, 2}; D = 1
 exercises the single-symbol word order and n = 0 the empty state space.  The
 rank tests and reductions, which work on the Hankel factors, are checked
 against the extended matrices of the branching recursion on random systems
-with planted unreachable and unobservable states.
+with planted unreachable and unobservable states.  Low-rank matrices whose
+shorter side reaches 64 take the range-sketch route of the SVD helper and
+are checked against the dense rank rule.
 """
 
 import numpy as np
@@ -12,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from alpvreal import (
+    DEFAULT_TOL,
     analyze,
     build_hankel,
     convolution_output,
@@ -35,7 +38,7 @@ from alpvreal import (
     words_up_to,
 )
 
-from alpvreal import realize
+from alpvreal import linalg, realize
 from helpers import pad_unobservable, pad_unreachable, random_run, random_system
 
 SEEDED = settings(derandomize=True, database=None, deadline=None, max_examples=30)
@@ -148,6 +151,61 @@ def test_linalg_shapes_and_products(seed, rows, cols, inner):
     W = row_basis(M)
     assert W.shape == (r, cols)
     assert np.allclose(W @ W.T, np.eye(r)) and np.allclose(M @ W.T @ W, M)
+
+
+@st.composite
+def low_rank_matrices(draw):
+    """Rank 0-40 products whose shorter side (64-560) admits a range sketch.
+
+    The sizes come from the drawn seed, so that they spread evenly over the
+    ranges rather than crowding at their lower ends.  The planted singular
+    values decay by up to four decades and the whole matrix is scaled by
+    1e-3 to 1e6, so every value stays far from the cutoff.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    short = int(rng.integers(64, 561))
+    long = short + int(rng.integers(0, 301))
+    rows, cols = (short, long) if rng.random() < 0.5 else (long, short)
+    r = int(rng.integers(0, 41))
+    decay = np.logspace(0, -rng.uniform(0, 4), r)
+    scale = 10.0 ** rng.uniform(-3, 6)
+    return scale * (rng.normal(size=(rows, r)) * decay) @ rng.normal(size=(r, cols))
+
+
+@SEEDED
+@given(low_rank_matrices())
+def test_rank_factorize_matches_the_dense_rank_rule(M):
+    O, R, r = rank_factorize(M)
+    assert r == DEFAULT_TOL.rank(np.linalg.svd(M, compute_uv=False), M.shape)
+    assert O.shape == (M.shape[0], r) and R.shape == (r, M.shape[1])
+    assert np.linalg.norm(O @ R - M) <= 1e-9 * (1 + np.linalg.norm(M))
+    O2, R2, r2 = rank_factorize(M)
+    assert r2 == r and np.array_equal(O2, O) and np.array_equal(R2, R)
+
+
+@SEEDED
+@given(low_rank_matrices())
+def test_bases_of_large_low_rank_matrices(M):
+    scale = 1 + np.linalg.norm(M)
+    V, W = range_basis(M), row_basis(M)
+    r = V.shape[1]
+    assert W.shape == (r, M.shape[1]) and r == numerical_rank(M)
+    assert np.linalg.norm(V.T @ V - np.eye(r)) <= 1e-10
+    assert np.linalg.norm(W @ W.T - np.eye(r)) <= 1e-10
+    assert np.linalg.norm(V @ (V.T @ M) - M) <= 1e-9 * scale
+    assert np.linalg.norm((M @ W.T) @ W - M) <= 1e-9 * scale
+    assert np.array_equal(range_basis(M), V) and np.array_equal(row_basis(M), W)
+
+
+@SEEDED
+@given(low_rank_matrices())
+def test_sketch_certifies_when_a_width_above_the_rank_fits(M):
+    T = M.T if M.shape[0] < M.shape[1] else M
+    width = 8
+    while width <= numerical_rank(M):
+        width *= 2
+    certified = linalg._sketched_svd(T, M.shape, DEFAULT_TOL) is not None
+    assert certified == (8 * width <= T.shape[1])
 
 
 @SEEDED

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from alpvreal import (
+    DEFAULT_TOL,
     ALPVSystem,
     DimensionMismatch,
     NotIsomorphic,
@@ -19,10 +20,13 @@ from alpvreal import (
     minimize,
     numerical_rank,
     obs_reduce,
+    observability_factor,
     reach_reduce,
+    reachability_factor,
     simulate,
     words_up_to,
 )
+from alpvreal import linalg
 
 from helpers import (
     pad_unobservable,
@@ -262,3 +266,31 @@ def test_find_isomorphism_random_transforms(minimal_population):
         other = transform_system(sys, T_true)
         T = find_isomorphism(sys, other)
         assert np.allclose(T, T_true, atol=1e-7 * (1 + np.abs(T_true).max()))
+
+
+def markov_deviation(sys1, sys2, depth):
+    """Largest |M1(v) - M2(v)| and largest |M1(v)| over all words with |v| <= 2 depth.
+
+    Both are read off H_{depth,depth} = O R of the difference system, a
+    block of rows at a time.
+    """
+    O = np.hstack([observability_factor(sys1, depth), -observability_factor(sys2, depth)])
+    R = np.vstack([reachability_factor(sys1, depth), reachability_factor(sys2, depth)])
+    n1, dev, top = sys1.n, 0.0, 0.0
+    for i in range(0, len(O), 512):
+        dev = max(dev, float(np.abs(O[i : i + 512] @ R).max()))
+        top = max(top, float(np.abs(O[i : i + 512, :n1] @ R[:n1]).max()))
+    return dev, top
+
+
+@pytest.mark.parametrize("n, m, seed", [(5, 1, 51), (6, 1, 61), (4, 2, 42)])
+def test_kalman_ho_on_sketched_windows(n, m, seed):
+    sys = random_minimal_system(np.random.default_rng(seed), n=n, D=3, m=m, p=m)
+    H = build_hankel(sys, n - 1, n)
+    assert linalg._sketched_svd(H.data.T, H.shape, DEFAULT_TOL) is not None
+    realized = kalman_ho(H)
+    assert realized.n == n
+    dev, top = markov_deviation(sys, realized, n)
+    assert dev <= 1e-8 * max(1.0, top)
+    T = find_isomorphism(sys, realized)
+    assert isomorphism_residual(sys, realized, T) < 1e-7
