@@ -22,11 +22,11 @@ import tempfile
 import numpy as np
 
 from . import words as _w
-from .errors import InvalidWord, NonFiniteEntry
+from .errors import InvalidWord
 from .ioeq import AffineIOEquation, EquationCheckReport, SchedulingPoly
 from .hankel import HankelBlockMatrix
 from .markov import MarkovTable
-from .model import ALPVSystem, InputSequence, validate
+from .model import ALPVSystem, InputSequence
 from .realize import AnalysisReport
 from .switched import SwitchedInput
 
@@ -166,7 +166,6 @@ def _load_labelled(path, kind: str, prefixes, lead=()):
 # -- systems -----------------------------------------------------------------
 
 def system_to_dict(sys: ALPVSystem) -> dict:
-    validate(sys)
     return {
         "schema": SCHEMA,
         "D": sys.D,
@@ -189,7 +188,7 @@ def system_from_dict(data: dict) -> ALPVSystem:
         raise ValueError(f"malformed system object: {exc}") from exc
     if len(A) != D or len(B) != D or len(C) != D:
         raise ValueError(f"expected {D} matrices per family")
-    return validate(ALPVSystem(A=A, B=B, C=C))
+    return ALPVSystem(A=A, B=B, C=C)
 
 
 def save_system(path, sys: ALPVSystem) -> None:
@@ -235,9 +234,6 @@ def table_from_dict(data: dict) -> MarkovTable:
         )
     coeffs = np.empty((len(words), p, m))
     coeffs[rows] = np.reshape(S, (-1, p, m))
-    finite = np.isfinite(coeffs).all(axis=(1, 2))
-    if not finite.all():
-        raise NonFiniteEntry(f"S({_w.word_to_str(words[np.argmin(finite)], D)}) is not finite")
     return MarkovTable(D=D, m=m, p=p, horizon=horizon, coeffs=coeffs)
 
 

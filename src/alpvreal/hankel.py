@@ -27,7 +27,7 @@ import numpy as np
 from . import words as _w
 from .linalg import DEFAULT_TOL, ToleranceConfig, numerical_rank
 from .markov import ALPVSystem, stacked_input_matrix, word_blocks, word_products
-from .model import dual, validate
+from .model import dual
 
 
 @dataclass(frozen=True, eq=False)
@@ -48,7 +48,8 @@ class HankelBlockMatrix:
 
 def reachability_factor(sys: ALPVSystem, depth: int) -> np.ndarray:
     """n x N(depth)*mD matrix whose block column for word v is A_{v_k} ... A_{v_1} Btilde."""
-    validate(sys)
+    if depth < 0:
+        raise ValueError(f"word-length bound must be >= 0, got depth={depth}")
     A3, _, _ = sys.stacked()
     P = np.concatenate(word_products(A3, stacked_input_matrix(sys)[None], depth))
     return P.transpose(1, 0, 2).reshape(sys.n, P.shape[0] * P.shape[2])
@@ -59,7 +60,6 @@ def observability_factor(sys: ALPVSystem, depth: int) -> np.ndarray:
 
     That block is the dual's reachability block for the reversed word, transposed.
     """
-    validate(sys)
     n, N, pD = sys.n, _w.word_count(depth, sys.D), sys.p * sys.D
     Rd = reachability_factor(dual(sys), depth).reshape(n, N, pD)
     return Rd[:, _w.reversal_positions(depth, sys.D)].transpose(1, 2, 0).reshape(N * pD, n)
@@ -98,7 +98,6 @@ def hankel_singular_values(sys: ALPVSystem, L: int, M: int) -> np.ndarray:
     the spectrum of the small core R1 @ R2^T; the remaining singular values
     of H are exactly zero and are not returned.
     """
-    validate(sys)
     Of = observability_factor(sys, L)
     Rf = reachability_factor(sys, M)
     r1 = np.linalg.qr(Of, mode="r")
@@ -112,7 +111,6 @@ def factored_hankel_rank(sys: ALPVSystem, L: int, M: int, tol: ToleranceConfig =
     Uses the same cutoff rule as `hankel_rank`, scaled by the dimensions the
     assembled matrix would have.
     """
-    validate(sys)
     s = hankel_singular_values(sys, L, M)
     rows = _w.word_count(L, sys.D) * sys.p * sys.D
     cols = _w.word_count(M, sys.D) * sys.m * sys.D

@@ -32,7 +32,7 @@ from .errors import (
 from .hankel import factored_hankel_rank, hankel_rank
 from .linalg import DEFAULT_TOL, ToleranceConfig
 from .markov import MarkovTable
-from .model import ALPVSystem, InputSequence, simulate, validate
+from .model import ALPVSystem, InputSequence, simulate
 
 
 def _canonical_key(exps) -> tuple:
@@ -233,7 +233,6 @@ def check_equation(
     verdict is scale-invariant.  At least one trial and a finite tol >= 0
     are required.
     """
-    validate(sys)
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     if not 0 <= tol < np.inf:

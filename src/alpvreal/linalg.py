@@ -24,32 +24,31 @@ import numpy as np
 
 from .errors import InvalidMatrix, NonFiniteEntry
 
+ABS_FLOOR = 1e-300  # no singular value at or below this counts toward a rank
+
 
 @dataclass(frozen=True)
 class ToleranceConfig:
     """Cutoff rule for treating singular values as zero.
 
     A singular value counts toward the rank iff it exceeds
-    ``max(abs_floor, rel_eps * max(rows, cols) * sigma_max)``; a shape with
+    ``max(ABS_FLOOR, rel_eps * max(rows, cols) * sigma_max)``; a shape with
     ``rel_eps * max(rows, cols) >= 1`` would discard every singular value
     and raises ValueError.
     """
 
     rel_eps: float = 1e-10
-    abs_floor: float = 1e-300
 
     def __post_init__(self):
         if not 0 < self.rel_eps < 1:
             raise ValueError(f"rel_eps must lie in (0, 1), got {self.rel_eps}")
-        if not 0 <= self.abs_floor < np.inf:
-            raise ValueError(f"abs_floor must be finite and >= 0, got {self.abs_floor}")
 
     def cutoff(self, singular_values, shape) -> float:
         if self.rel_eps * max(shape) >= 1:
             raise ValueError(f"rel_eps {self.rel_eps} times the largest dimension of a {shape[0]}"
                              f" x {shape[1]} matrix is >= 1: no singular value can count")
         smax = float(singular_values[0]) if len(singular_values) else 0.0
-        return max(self.abs_floor, self.rel_eps * max(shape) * smax)
+        return max(ABS_FLOOR, self.rel_eps * max(shape) * smax)
 
     def rank(self, singular_values, shape) -> int:
         """Number of the descending `singular_values` of a `shape` matrix above the cutoff."""

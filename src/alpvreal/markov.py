@@ -31,8 +31,8 @@ from typing import Callable
 import numpy as np
 
 from . import words as _w
-from .errors import DimensionMismatch, HorizonExceeded, WordTooShort
-from .model import ALPVSystem, InputSequence, simulate, validate
+from .errors import DimensionMismatch, HorizonExceeded, NonFiniteEntry, WordTooShort
+from .model import ALPVSystem, InputSequence, simulate
 from .switched import unit_schedule
 
 
@@ -42,6 +42,8 @@ class MarkovTable:
 
     `coeffs` holds them in enumeration order: row r is S(v) for the word at
     0-based position N(1) + r.  `entries` is a derived read-only word -> S view.
+    The constructor checks the (N(horizon) - N(1), p, m) shape of `coeffs`
+    (DimensionMismatch) and that every S(v) is finite (NonFiniteEntry).
     """
 
     D: int
@@ -49,6 +51,15 @@ class MarkovTable:
     p: int
     horizon: int
     coeffs: np.ndarray  # (N(horizon) - N(1), p, m)
+
+    def __post_init__(self):
+        shape = (_w.word_count(self.horizon, self.D) - _w.word_count(1, self.D), self.p, self.m)
+        if np.shape(self.coeffs) != shape:
+            raise DimensionMismatch(f"coeffs has shape {np.shape(self.coeffs)}, expected {shape}")
+        finite = np.isfinite(self.coeffs).all(axis=(1, 2))
+        if not finite.all():
+            v = _w.index_to_word(_w.word_count(1, self.D) + int(np.argmin(finite)) + 1, self.D)
+            raise NonFiniteEntry(f"S({_w.word_to_str(v, self.D)}) is not finite")
 
     def level(self, k: int) -> np.ndarray:
         """The (D^k, p, m) coefficients of the words of length k, in enumeration order."""
@@ -85,7 +96,6 @@ class IOOracle:
 
 def system_oracle(sys: ALPVSystem) -> IOOracle:
     """The zero-initial-state input-output map of a system, as an oracle."""
-    validate(sys)
     x0 = np.zeros(sys.n)
 
     def fn(w: InputSequence) -> np.ndarray:
@@ -96,7 +106,6 @@ def system_oracle(sys: ALPVSystem) -> IOOracle:
 
 def kernel_coeff(sys: ALPVSystem, v) -> np.ndarray:
     """S(v) of a system: the product C_{q_t} A_{q_{t-1}} ... A_{q_1} B_{q_0}."""
-    validate(sys)
     v = _w.check_word(v, sys.D)
     if len(v) < 2:
         raise WordTooShort(f"kernel coefficients need |v| >= 2, got {len(v)}")
@@ -124,8 +133,8 @@ def markov_table(sys: ALPVSystem, horizon: int) -> MarkovTable:
     """All kernel coefficients of a system up to the given word length.
 
     `word_products` runs from the stacked B_q; its concatenated levels are closed with the C_q.
+    A coefficient that overflows raises NonFiniteEntry.
     """
-    validate(sys)
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
     A3, B3, C3 = sys.stacked()
@@ -136,13 +145,11 @@ def markov_table(sys: ALPVSystem, horizon: int) -> MarkovTable:
 
 def stacked_input_matrix(sys: ALPVSystem) -> np.ndarray:
     """Btilde = [B_1, ..., B_D], shape n x mD."""
-    validate(sys)
     return np.hstack(sys.B)
 
 
 def stacked_output_matrix(sys: ALPVSystem) -> np.ndarray:
     """Ctilde = [C_1; ...; C_D], shape pD x n."""
-    validate(sys)
     return np.vstack(sys.C)
 
 

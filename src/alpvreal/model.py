@@ -16,6 +16,9 @@ Scheduling vectors are unrestricted elements of R^D: affine dependence on
 physical parameters is modelled by pinning one scheduling coordinate to 1,
 and every multilinear identity used here extends uniquely from any spanning
 set to the whole space.
+
+Every `ALPVSystem` is checked once, when it is built: an ill-formed family
+raises there, so no function that takes a system checks it again.
 """
 
 from __future__ import annotations
@@ -32,17 +35,13 @@ from .errors import (
 )
 
 
-def _matrix_tuple(mats):
-    return tuple(np.atleast_2d(np.asarray(M, dtype=float)) for M in mats)
-
-
 @dataclass(frozen=True, eq=False)
 class ALPVSystem:
     """Matrix family of a discrete-time affine LPV system.
 
     A, B and C hold D matrices each, of shapes n x n, n x m and p x n.
-    The constructor only coerces entries to 2-d float arrays; call
-    `validate` to enforce the shape and finiteness invariants.
+    The constructor coerces entries to 2-d float arrays, checks the shape
+    and finiteness invariants with `validate`, and stacks the family once.
     """
 
     A: tuple
@@ -50,9 +49,11 @@ class ALPVSystem:
     C: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "A", _matrix_tuple(self.A))
-        object.__setattr__(self, "B", _matrix_tuple(self.B))
-        object.__setattr__(self, "C", _matrix_tuple(self.C))
+        for name in ("A", "B", "C"):
+            mats = tuple(np.atleast_2d(np.asarray(M, dtype=float)) for M in getattr(self, name))
+            object.__setattr__(self, name, mats)
+        validate(self)
+        object.__setattr__(self, "_stacked", (np.stack(self.A), np.stack(self.B), np.stack(self.C)))
 
     @property
     def D(self) -> int:
@@ -77,17 +78,11 @@ class ALPVSystem:
 
     def stacked(self):
         """The family as three stacked arrays (D,n,n), (D,n,m), (D,p,n)."""
-        cached = self.__dict__.get("_stacked")
-        if cached is None:
-            cached = (np.stack(self.A), np.stack(self.B), np.stack(self.C))
-            object.__setattr__(self, "_stacked", cached)
-        return cached
+        return self._stacked
 
 
 def validate(sys: ALPVSystem) -> ALPVSystem:
-    """Check all shape and finiteness invariants; identity on valid input."""
-    if sys.__dict__.get("_valid"):
-        return sys
+    """Raise on a shape or finiteness defect, else return sys; rerun after in-place edits."""
     D = len(sys.A)
     if D < 1:
         raise InvalidAlphabet("a system needs at least one scheduling coordinate (D >= 1)")
@@ -114,13 +109,11 @@ def validate(sys: ALPVSystem) -> ALPVSystem:
                 )
             if not np.all(np.isfinite(M)):
                 raise NonFiniteEntry(f"{name}[{q}] contains NaN or Inf entries")
-    object.__setattr__(sys, "_valid", True)
     return sys
 
 
 def dual(sys: ALPVSystem) -> ALPVSystem:
     """The transposed family (A_q^T, C_q^T, B_q^T); its reachability is observability of sys."""
-    validate(sys)
     return ALPVSystem(A=[a.T for a in sys.A], B=[c.T for c in sys.C], C=[b.T for b in sys.B])
 
 
@@ -193,7 +186,6 @@ def simulate(sys: ALPVSystem, x0, w: InputSequence) -> SimulationResult:
     so the input at the final time never affects the outputs.  A non-finite
     state or output, from x0 or from overflow, raises NonFiniteEntry.
     """
-    validate(sys)
     D, n, m, p = sys.dims
     if w.D != D:
         raise DimensionMismatch(f"sequence has D={w.D}, system has D={D}")

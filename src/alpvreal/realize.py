@@ -42,7 +42,7 @@ from .linalg import (
     rank_factorize,
     row_basis,  # not called here; perfbench/tracing.py rebinds realize.row_basis by name
 )
-from .model import ALPVSystem, dual, validate
+from .model import ALPVSystem, dual
 
 
 @dataclass(frozen=True)
@@ -59,7 +59,6 @@ class AnalysisReport:
 
 def extended_reachability(sys: ALPVSystem, depth: int) -> np.ndarray:
     """R_depth per the branching recursion; shape n x mD*(D+1)^depth."""
-    validate(sys)
     if depth < 0:
         raise ValueError(f"depth must be >= 0, got {depth}")
     R = np.hstack(sys.B)
@@ -79,7 +78,6 @@ def analyze(sys: ALPVSystem, tol: ToleranceConfig = DEFAULT_TOL) -> AnalysisRepo
     Depth n-1 is sharp: longer words cannot gain rank.  A zero-dimensional
     system is trivially minimal.
     """
-    validate(sys)
     n = sys.n
     if n == 0:
         return AnalysisReport(0, 0, 0, True, True, True)
@@ -129,7 +127,6 @@ def reach_reduce(sys: ALPVSystem, tol: ToleranceConfig = DEFAULT_TOL):
     That space is invariant under every A_q and contains every column of
     every B_q, so (V^T A_q V, V^T B_q, C_q V) reproduces the input-output map.
     """
-    validate(sys)
     n = sys.n
     if n == 0:
         return sys, np.zeros((0, 0))
@@ -165,8 +162,6 @@ def minimize(sys: ALPVSystem, tol: ToleranceConfig = DEFAULT_TOL) -> ALPVSystem:
 
 def isomorphism_residual(sys1: ALPVSystem, sys2: ALPVSystem, T) -> float:
     """Worst relative defect of the relations A2_q T = T A1_q, B2_q = T B1_q, C2_q T = C1_q."""
-    validate(sys1)
-    validate(sys2)
     T = np.asarray(T, dtype=float)
     worst = 0.0
     for q in range(sys1.D):
@@ -198,8 +193,6 @@ def find_isomorphism(
     """
     if not 0 <= residual_tol < np.inf:
         raise ValueError(f"residual_tol must be finite and >= 0, got {residual_tol}")
-    validate(sys1)
-    validate(sys2)
     if sys1.dims != sys2.dims:
         raise DimensionMismatch(
             f"systems have different dimensions: {sys1.dims} vs {sys2.dims}"

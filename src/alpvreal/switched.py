@@ -15,7 +15,7 @@ import numpy as np
 
 from . import words as _w
 from .errors import DimensionMismatch, NonFiniteEntry
-from .model import ALPVSystem, InputSequence, simulate, validate
+from .model import ALPVSystem, InputSequence, simulate
 
 
 @dataclass(frozen=True, eq=False)
@@ -27,8 +27,7 @@ class SwitchedInput:
     inputs: np.ndarray  # (T+1, m)
 
     def __post_init__(self):
-        _w.check_alphabet(self.D)
-        object.__setattr__(self, "modes", tuple(int(q) for q in self.modes))
+        object.__setattr__(self, "modes", _w.check_word(self.modes, self.D))
         u = np.atleast_2d(np.asarray(self.inputs, dtype=float))
         if len(self.modes) < 1:
             raise DimensionMismatch("a switched input must have at least one step")
@@ -65,7 +64,6 @@ def embed_switched_input(sw: SwitchedInput) -> InputSequence:
 
 def switched_output(sys: ALPVSystem, sw: SwitchedInput) -> np.ndarray:
     """Final output of the switched run from the zero initial state."""
-    validate(sys)
     if sw.D != sys.D:
         raise DimensionMismatch(f"switched input has D={sw.D}, system has D={sys.D}")
     return simulate(sys, np.zeros(sys.n), embed_switched_input(sw)).final_output

@@ -159,6 +159,16 @@ def test_horizon_too_small_is_domain_error(tmp_path, sigma_star_path, capsys):
     assert "HorizonExceeded" in capsys.readouterr().err
 
 
+def test_overflowing_table_is_domain_error(tmp_path, capsys):
+    path = tmp_path / "expansive.json"
+    fileio.save_system(path, ALPVSystem(A=[[[1e3]]], B=[[[1.0]]], C=[[[1.0]]]))
+    table = tmp_path / "table.json"
+    with np.errstate(over="ignore"):
+        assert run(["markov", str(path), "--horizon", "120", "-o", str(table)]) == 1
+    assert "NonFiniteEntry: S(" in capsys.readouterr().err
+    assert not table.exists()
+
+
 def test_bad_arguments_exit_2():
     assert run(["hankel", "--L", "0", "--M", "1"]) == 2
     assert run(["no-such-command"]) == 2

@@ -123,3 +123,19 @@ def test_factor_shapes(sigma2):
     Of = observability_factor(sigma2, 2)
     assert Rf.shape == (2, word_count(2, 2) * 1 * 2)
     assert Of.shape == (word_count(2, 2) * 1 * 2, 2)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda sys: reachability_factor(sys, -1),
+        lambda sys: observability_factor(sys, -1),
+        lambda sys: hankel_singular_values(sys, -1, 0),
+        lambda sys: hankel_singular_values(sys, 0, -1),
+        lambda sys: factored_hankel_rank(sys, 0, -1),
+    ],
+    ids=["reachability", "observability", "singular-values-L", "singular-values-M", "factored-rank"],
+)
+def test_negative_depth_is_rejected(sigma2, call):
+    with pytest.raises(ValueError, match="word-length bound must be >= 0, got depth=-1"):
+        call(sigma2)

@@ -2,9 +2,12 @@ import numpy as np
 import pytest
 
 from alpvreal import (
+    ALPVSystem,
     DimensionMismatch,
     HorizonExceeded,
     IOOracle,
+    MarkovTable,
+    NonFiniteEntry,
     WordTooShort,
     build_hankel,
     convolution_output,
@@ -14,6 +17,8 @@ from alpvreal import (
     probe_kernel_coeff,
     probe_markov_block,
     system_oracle,
+    word_count,
+    word_to_index,
     words_up_to,
 )
 
@@ -128,3 +133,27 @@ def test_oracle_output_length_must_equal_p(outputs):
         probe_kernel_coeff(oracle, (1, 2))
     with pytest.raises(DimensionMismatch):
         build_hankel(oracle, 0, 1)
+
+
+def test_table_rejects_coefficients_of_the_wrong_shape(sigma2):
+    t = markov_table(sigma2, 3)
+    with pytest.raises(DimensionMismatch, match=r"expected \(12, 1, 1\)"):
+        MarkovTable(D=2, m=1, p=1, horizon=3, coeffs=t.coeffs[:-1])
+    with pytest.raises(DimensionMismatch):
+        MarkovTable(D=2, m=1, p=1, horizon=2, coeffs=t.coeffs)
+    with pytest.raises(DimensionMismatch):
+        MarkovTable(D=2, m=1, p=2, horizon=3, coeffs=t.coeffs)
+
+
+def test_table_rejects_a_non_finite_coefficient(sigma2):
+    coeffs = markov_table(sigma2, 3).coeffs.copy()
+    coeffs[word_to_index((2, 1, 2), 2) - 1 - word_count(1, 2), 0, 0] = np.nan
+    with pytest.raises(NonFiniteEntry, match=r"^S\(212\) is not finite$"):
+        MarkovTable(D=2, m=1, p=1, horizon=3, coeffs=coeffs)
+
+
+def test_overflowing_table_raises():
+    expansive = ALPVSystem(A=[[[1e3]]], B=[[[1.0]]], C=[[[1.0]]])
+    # S(1^k) = 1e3^(k-2) first exceeds the float range at k = 105
+    with np.errstate(over="ignore"), pytest.raises(NonFiniteEntry, match=f"S\\({'1' * 105}\\)"):
+        markov_table(expansive, 120)

@@ -22,13 +22,12 @@ def test_validate_fixture_ok(sigma_star):
 
 
 def test_validate_reports_reshaped_matrix(sigma_star):
-    bad = ALPVSystem(
-        A=sigma_star.A,
-        B=[sigma_star.B[0], np.zeros((2, 1))],
-        C=sigma_star.C,
-    )
     with pytest.raises(DimensionMismatch, match=r"B\[2\]"):
-        validate(bad)
+        ALPVSystem(
+            A=sigma_star.A,
+            B=[sigma_star.B[0], np.zeros((2, 1))],
+            C=sigma_star.C,
+        )
 
 
 def test_validate_empty_alphabet():

@@ -10,11 +10,14 @@ are checked against the dense rank rule.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from alpvreal import (
     DEFAULT_TOL,
+    ALPVSystem,
+    DimensionMismatch,
     analyze,
     build_hankel,
     convolution_output,
@@ -69,6 +72,25 @@ def padded_systems(draw):
     )
     unreachable = pad_unreachable(core, draw(st.integers(0, 2)), rng)
     return pad_unobservable(unreachable, draw(st.integers(0, 2)), rng)
+
+
+@SEEDED
+@given(systems(), st.sampled_from("ABC"), st.integers(0, 2), st.integers(1, 2))
+def test_constructor_names_the_first_misshapen_matrix(sys, name, index, extra):
+    """A well-shaped family builds; one grown matrix is named when the family is built.
+
+    n, m and p are read from the rows of A[1], the columns of B[1] and the
+    rows of C[1], so growing the other side of a matrix (the rows of a B_q,
+    the columns of an A_q or C_q) makes that matrix the first one to misfit.
+    """
+    assert ALPVSystem(A=sys.A, B=sys.B, C=sys.C).dims == sys.dims
+    q = index % sys.D
+    family = {"A": list(sys.A), "B": list(sys.B), "C": list(sys.C)}
+    M = family[name][q]
+    grown = (M.shape[0] + extra, M.shape[1]) if name == "B" else (M.shape[0], M.shape[1] + extra)
+    family[name][q] = np.ones(grown)
+    with pytest.raises(DimensionMismatch, match=rf"^{name}\[{q + 1}\]: expected shape"):
+        ALPVSystem(**family)
 
 
 @SEEDED

@@ -28,6 +28,12 @@ def test_embed_rejects_bad_mode():
         embed_switched_input(SwitchedInput(D=2, modes=(3,), inputs=[[0.0]]))
 
 
+@pytest.mark.parametrize("mode", [1.7, 5])
+def test_switched_input_rejects_bad_mode_at_construction(mode):
+    with pytest.raises(InvalidWord, match=f"symbol {mode!r} outside alphabet 1..2"):
+        SwitchedInput(D=2, modes=(mode, 2), inputs=[[0.0], [0.0]])
+
+
 def test_switched_output_fixture_values(sigma_star):
     assert switched_output(
         sigma_star, SwitchedInput(D=2, modes=(1, 1), inputs=[[1.0], [0.0]])
