@@ -22,7 +22,7 @@ import tempfile
 import numpy as np
 
 from . import words as _w
-from .errors import InvalidWord
+from .errors import DimensionMismatch, InvalidWord
 from .ioeq import AffineIOEquation, EquationCheckReport, SchedulingPoly
 from .hankel import HankelBlockMatrix
 from .markov import MarkovTable
@@ -172,9 +172,9 @@ def system_to_dict(sys: ALPVSystem) -> dict:
         "n": sys.n,
         "m": sys.m,
         "p": sys.p,
-        "A": [M.tolist() for M in sys.A],
-        "B": [M.tolist() for M in sys.B],
-        "C": [M.tolist() for M in sys.C],
+        "A": sys.A.tolist(),
+        "B": sys.B.tolist(),
+        "C": sys.C.tolist(),
     }
 
 
@@ -266,12 +266,10 @@ def load_hankel(path) -> HankelBlockMatrix:
         L, M, D, m, p = _sizes(meta, "L", "M", "D", "m", "p")
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed Hankel sidecar: {exc}") from exc
-    expected = (_w.word_count(L, D) * p * D, _w.word_count(M, D) * m * D)
-    if data.shape != expected:
-        raise ValueError(
-            f"Hankel data is {data.shape} but the sidecar implies {expected}"
-        )
-    return HankelBlockMatrix(L=L, M=M, D=D, m=m, p=p, data=data)
+    try:
+        return HankelBlockMatrix(L=L, M=M, D=D, m=m, p=p, data=data)
+    except DimensionMismatch as exc:
+        raise ValueError(f"sidecar does not fit the data: {exc}") from exc
 
 
 # -- signals and outputs -----------------------------------------------------

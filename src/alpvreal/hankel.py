@@ -25,14 +25,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import words as _w
+from .errors import DimensionMismatch
 from .linalg import DEFAULT_TOL, ToleranceConfig, numerical_rank
 from .markov import ALPVSystem, stacked_input_matrix, word_blocks, word_products
-from .model import dual
 
 
 @dataclass(frozen=True, eq=False)
 class HankelBlockMatrix:
-    """The assembled sub-matrix plus the bounds and dimensions it was built for."""
+    """The assembled sub-matrix plus the bounds and dimensions it was built for.
+
+    `data` must be the N(L)*pD x N(M)*mD matrix the bounds imply (else
+    DimensionMismatch); the constructor keeps it as a read-only view.
+    """
 
     L: int
     M: int
@@ -40,6 +44,15 @@ class HankelBlockMatrix:
     m: int
     p: int
     data: np.ndarray
+
+    def __post_init__(self):
+        D = self.D
+        shape = (_w.word_count(self.L, D) * self.p * D, _w.word_count(self.M, D) * self.m * D)
+        if np.shape(self.data) != shape:
+            raise DimensionMismatch(f"Hankel data is {np.shape(self.data)}, bounds imply {shape}")
+        data = np.asarray(self.data).view()  # a view: the caller's array keeps its flags
+        data.flags.writeable = False
+        object.__setattr__(self, "data", data)
 
     @property
     def shape(self):
@@ -50,19 +63,21 @@ def reachability_factor(sys: ALPVSystem, depth: int) -> np.ndarray:
     """n x N(depth)*mD matrix whose block column for word v is A_{v_k} ... A_{v_1} Btilde."""
     if depth < 0:
         raise ValueError(f"word-length bound must be >= 0, got depth={depth}")
-    A3, _, _ = sys.stacked()
-    P = np.concatenate(word_products(A3, stacked_input_matrix(sys)[None], depth))
+    P = np.concatenate(word_products(sys.A, stacked_input_matrix(sys)[None], depth))
     return P.transpose(1, 0, 2).reshape(sys.n, P.shape[0] * P.shape[2])
 
 
 def observability_factor(sys: ALPVSystem, depth: int) -> np.ndarray:
     """N(depth)*pD x n matrix whose block row for word v is Ctilde A_{v_k} ... A_{v_1}.
 
-    That block is the dual's reachability block for the reversed word, transposed.
+    Transposed, that block is A_{v_1}^T ... A_{v_k}^T Ctilde^T: the dual family's
+    product for the reversed word, which `word_products` gives from the transposed stacks.
     """
-    n, N, pD = sys.n, _w.word_count(depth, sys.D), sys.p * sys.D
-    Rd = reachability_factor(dual(sys), depth).reshape(n, N, pD)
-    return Rd[:, _w.reversal_positions(depth, sys.D)].transpose(1, 2, 0).reshape(N * pD, n)
+    if depth < 0:
+        raise ValueError(f"word-length bound must be >= 0, got depth={depth}")
+    P = np.concatenate(word_products(sys.A.transpose(0, 2, 1), np.vstack(sys.C).T[None], depth))
+    P = P[_w.reversal_positions(depth, sys.D)].transpose(0, 2, 1)
+    return P.reshape(P.shape[0] * P.shape[1], sys.n)
 
 
 def build_hankel(source, L: int, M: int) -> HankelBlockMatrix:

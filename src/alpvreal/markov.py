@@ -43,7 +43,8 @@ class MarkovTable:
     `coeffs` holds them in enumeration order: row r is S(v) for the word at
     0-based position N(1) + r.  `entries` is a derived read-only word -> S view.
     The constructor checks the (N(horizon) - N(1), p, m) shape of `coeffs`
-    (DimensionMismatch) and that every S(v) is finite (NonFiniteEntry).
+    (DimensionMismatch) and that every S(v) is finite (NonFiniteEntry), and
+    keeps `coeffs` as a read-only view so that no edit undoes those checks.
     """
 
     D: int
@@ -60,6 +61,9 @@ class MarkovTable:
         if not finite.all():
             v = _w.index_to_word(_w.word_count(1, self.D) + int(np.argmin(finite)) + 1, self.D)
             raise NonFiniteEntry(f"S({_w.word_to_str(v, self.D)}) is not finite")
+        coeffs = np.asarray(self.coeffs).view()  # a view: the caller's array keeps its flags
+        coeffs.flags.writeable = False
+        object.__setattr__(self, "coeffs", coeffs)
 
     def level(self, k: int) -> np.ndarray:
         """The (D^k, p, m) coefficients of the words of length k, in enumeration order."""
@@ -137,9 +141,8 @@ def markov_table(sys: ALPVSystem, horizon: int) -> MarkovTable:
     """
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
-    A3, B3, C3 = sys.stacked()
-    P = np.concatenate(word_products(A3, B3, horizon - 2)) if horizon >= 2 else B3[:0]
-    coeffs = (C3[None] @ P[:, None]).reshape(-1, sys.p, sys.m)
+    P = np.concatenate(word_products(sys.A, sys.B, horizon - 2)) if horizon >= 2 else sys.B[:0]
+    coeffs = (sys.C[None] @ P[:, None]).reshape(-1, sys.p, sys.m)
     return MarkovTable(D=sys.D, m=sys.m, p=sys.p, horizon=horizon, coeffs=coeffs)
 
 

@@ -18,7 +18,9 @@ and every multilinear identity used here extends uniquely from any spanning
 set to the whole space.
 
 Every `ALPVSystem` is checked once, when it is built: an ill-formed family
-raises there, so no function that takes a system checks it again.
+raises there, so no function that takes a system checks it again.  It keeps
+one read-only copy of the family, the stacks A (D,n,n), B (D,n,m), C (D,p,n),
+which neither the caller's arrays nor an in-place write can change.
 """
 
 from __future__ import annotations
@@ -39,50 +41,54 @@ from .errors import (
 class ALPVSystem:
     """Matrix family of a discrete-time affine LPV system.
 
-    A, B and C hold D matrices each, of shapes n x n, n x m and p x n.
-    The constructor coerces entries to 2-d float arrays, checks the shape
-    and finiteness invariants with `validate`, and stacks the family once.
+    The constructor takes D matrices each for A, B and C, of shapes n x n,
+    n x m and p x n, coerces them to 2-d float arrays and checks the shape
+    and finiteness invariants with `validate`.  It keeps only their stacks:
+    A[q-1] is a read-only view of A_q, and likewise for B and C.
     """
 
-    A: tuple
-    B: tuple
-    C: tuple
+    A: np.ndarray  # (D, n, n)
+    B: np.ndarray  # (D, n, m)
+    C: np.ndarray  # (D, p, n)
 
     def __post_init__(self):
         for name in ("A", "B", "C"):
             mats = tuple(np.atleast_2d(np.asarray(M, dtype=float)) for M in getattr(self, name))
             object.__setattr__(self, name, mats)
         validate(self)
-        object.__setattr__(self, "_stacked", (np.stack(self.A), np.stack(self.B), np.stack(self.C)))
+        for name in ("A", "B", "C"):
+            family = np.stack(getattr(self, name))
+            family.flags.writeable = False
+            object.__setattr__(self, name, family)
 
     @property
     def D(self) -> int:
-        return len(self.A)
+        return self.A.shape[0]
 
     @property
     def n(self) -> int:
-        return self.A[0].shape[0]
+        return self.A.shape[1]
 
     @property
     def m(self) -> int:
-        return self.B[0].shape[1]
+        return self.B.shape[2]
 
     @property
     def p(self) -> int:
-        return self.C[0].shape[0]
+        return self.C.shape[1]
 
     @property
     def dims(self):
         """(D, n, m, p)."""
         return (self.D, self.n, self.m, self.p)
 
-    def stacked(self):
-        """The family as three stacked arrays (D,n,n), (D,n,m), (D,p,n)."""
-        return self._stacked
-
 
 def validate(sys: ALPVSystem) -> ALPVSystem:
-    """Raise on a shape or finiteness defect, else return sys; rerun after in-place edits."""
+    """Raise on a shape or finiteness defect, else return sys.
+
+    The constructor runs it before it stores the family's one read-only copy,
+    so every built system passes.
+    """
     D = len(sys.A)
     if D < 1:
         raise InvalidAlphabet("a system needs at least one scheduling coordinate (D >= 1)")
@@ -114,7 +120,9 @@ def validate(sys: ALPVSystem) -> ALPVSystem:
 
 def dual(sys: ALPVSystem) -> ALPVSystem:
     """The transposed family (A_q^T, C_q^T, B_q^T); its reachability is observability of sys."""
-    return ALPVSystem(A=[a.T for a in sys.A], B=[c.T for c in sys.C], C=[b.T for b in sys.B])
+    return ALPVSystem(
+        A=sys.A.transpose(0, 2, 1), B=sys.C.transpose(0, 2, 1), C=sys.B.transpose(0, 2, 1)
+    )
 
 
 @dataclass(frozen=True, eq=False)
@@ -194,15 +202,14 @@ def simulate(sys: ALPVSystem, x0, w: InputSequence) -> SimulationResult:
     x = np.asarray(x0, dtype=float).reshape(-1)
     if x.shape[0] != n:
         raise DimensionMismatch(f"initial state has dim {x.shape[0]}, system has n={n}")
-    A3, B3, C3 = sys.stacked()
     steps = w.length
     states = np.empty((steps + 1, n))
     outputs = np.empty((steps, p))
     states[0] = x
     for t in range(steps):
         pt = w.scheduling[t]
-        outputs[t] = np.tensordot(pt, C3, axes=1) @ x
-        x = np.tensordot(pt, A3, axes=1) @ x + np.tensordot(pt, B3, axes=1) @ w.inputs[t]
+        outputs[t] = np.tensordot(pt, sys.C, axes=1) @ x
+        x = np.tensordot(pt, sys.A, axes=1) @ x + np.tensordot(pt, sys.B, axes=1) @ w.inputs[t]
         states[t + 1] = x
     if not (np.isfinite(states).all() and np.isfinite(outputs).all()):
         raise NonFiniteEntry("trajectory is not finite (non-finite x0 or overflow)")

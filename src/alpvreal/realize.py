@@ -114,9 +114,9 @@ def kalman_ho(H: HankelBlockMatrix, tol: ToleranceConfig = DEFAULT_TOL) -> ALPVS
     Rbar_pinv = pseudoinverse(R[:, : n_rows * mD], tol)
     R3 = R.reshape(n, _w.word_count(L + 1, D), mD)
     shifted = R3[:, _w.shift_positions(L, D)]  # n x D x N(L) x mD: block (q, j) is v_j q
-    A = [shifted[:, q].reshape(n, n_rows * mD) @ Rbar_pinv for q in range(D)]
-    B = [R[:, (q - 1) * m : q * m] for q in range(1, D + 1)]
-    C = [O[(q - 1) * p : q * p, :] for q in range(1, D + 1)]
+    A = shifted.transpose(1, 0, 2, 3).reshape(D, n, n_rows * mD) @ Rbar_pinv
+    B = R[:, :mD].reshape(n, D, m).transpose(1, 0, 2)
+    C = O[: p * D].reshape(D, p, n)
     return ALPVSystem(A=A, B=B, C=C)
 
 
@@ -131,10 +131,7 @@ def reach_reduce(sys: ALPVSystem, tol: ToleranceConfig = DEFAULT_TOL):
     if n == 0:
         return sys, np.zeros((0, 0))
     V = range_basis(reachability_factor(sys, n - 1), tol)
-    A = [V.T @ Aq @ V for Aq in sys.A]
-    B = [V.T @ Bq for Bq in sys.B]
-    C = [Cq @ V for Cq in sys.C]
-    return ALPVSystem(A=A, B=B, C=C), V
+    return ALPVSystem(A=V.T @ sys.A @ V, B=V.T @ sys.B, C=sys.C @ V), V
 
 
 def obs_reduce(sys: ALPVSystem, tol: ToleranceConfig = DEFAULT_TOL):
@@ -162,18 +159,12 @@ def minimize(sys: ALPVSystem, tol: ToleranceConfig = DEFAULT_TOL) -> ALPVSystem:
 
 def isomorphism_residual(sys1: ALPVSystem, sys2: ALPVSystem, T) -> float:
     """Worst relative defect of the relations A2_q T = T A1_q, B2_q = T B1_q, C2_q T = C1_q."""
+    if sys1.dims != sys2.dims:
+        raise DimensionMismatch(f"systems have different dimensions: {sys1.dims} vs {sys2.dims}")
     T = np.asarray(T, dtype=float)
-    worst = 0.0
-    for q in range(sys1.D):
-        pairs = (
-            (sys2.A[q] @ T, T @ sys1.A[q]),
-            (sys2.B[q], T @ sys1.B[q]),
-            (sys2.C[q] @ T, sys1.C[q]),
-        )
-        for lhs, rhs in pairs:
-            scale = 1.0 + np.linalg.norm(lhs) + np.linalg.norm(rhs)
-            worst = max(worst, np.linalg.norm(lhs - rhs) / scale)
-    return worst
+    norm = lambda X: np.linalg.norm(X, axis=(1, 2))
+    pairs = ((sys2.A @ T, T @ sys1.A), (sys2.B, T @ sys1.B), (sys2.C @ T, sys1.C))
+    return max(float(np.max(norm(lhs - rhs) / (1.0 + norm(lhs) + norm(rhs)))) for lhs, rhs in pairs)
 
 
 def find_isomorphism(

@@ -3,11 +3,14 @@ import pytest
 
 from alpvreal import (
     ALPVSystem,
+    DimensionMismatch,
+    HankelBlockMatrix,
     HorizonExceeded,
     build_hankel,
     factored_hankel_rank,
     hankel_rank,
     hankel_singular_values,
+    kalman_ho,
     markov_block,
     markov_table,
     observability_factor,
@@ -139,3 +142,20 @@ def test_factor_shapes(sigma2):
 def test_negative_depth_is_rejected(sigma2, call):
     with pytest.raises(ValueError, match="word-length bound must be >= 0, got depth=-1"):
         call(sigma2)
+
+
+def test_hankel_block_matrix_checks_its_shape():
+    with pytest.raises(DimensionMismatch, match=r"\(3, 3\), bounds imply \(2, 6\)"):
+        kalman_ho(HankelBlockMatrix(L=0, M=1, D=2, m=1, p=1, data=np.ones((3, 3))))
+    with pytest.raises(DimensionMismatch):
+        HankelBlockMatrix(L=0, M=1, D=2, m=1, p=1, data=np.ones(12))
+
+
+def test_hankel_data_is_a_read_only_view(sigma2):
+    data = build_hankel(sigma2, 1, 2).data.copy()
+    H = HankelBlockMatrix(L=1, M=2, D=2, m=1, p=1, data=data)
+    assert np.shares_memory(H.data, data) and data.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        H.data[0, 0] = 1.0
+    with pytest.raises(ValueError, match="read-only"):
+        build_hankel(sigma2, 1, 2).data[0, 0] = 1.0

@@ -152,6 +152,18 @@ def test_table_rejects_a_non_finite_coefficient(sigma2):
         MarkovTable(D=2, m=1, p=1, horizon=3, coeffs=coeffs)
 
 
+def test_table_coeffs_are_read_only(sigma2):
+    coeffs = markov_table(sigma2, 3).coeffs.copy()
+    t = MarkovTable(D=2, m=1, p=1, horizon=3, coeffs=coeffs)
+    assert coeffs.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        t.coeffs[0] = np.nan
+    with pytest.raises(ValueError, match="read-only"):
+        t.level(3)[0] = np.nan
+    w = random_run(np.random.default_rng(3), 2, 1, 3)
+    assert np.isfinite(convolution_output(t, w)).all()
+
+
 def test_overflowing_table_raises():
     expansive = ALPVSystem(A=[[[1e3]]], B=[[[1.0]]], C=[[[1.0]]])
     # S(1^k) = 1e3^(k-2) first exceeds the float range at k = 105

@@ -9,6 +9,8 @@ from alpvreal import (
     InvalidAlphabet,
     NonFiniteEntry,
     convolution_output,
+    kernel_coeff,
+    markov_block,
     markov_table,
     simulate,
     validate,
@@ -38,6 +40,30 @@ def test_validate_empty_alphabet():
 def test_validate_nonfinite():
     with pytest.raises(NonFiniteEntry):
         validate(ALPVSystem(A=[[[np.nan]]], B=[[[1.0]]], C=[[[1.0]]]))
+
+
+def test_caller_arrays_do_not_reach_a_built_system():
+    A = np.array([[0.5]])
+    sys = ALPVSystem(A=[A], B=[[[1.0]]], C=[[[1.0]]])
+    A[0, 0] = 0.9
+    assert A.flags.writeable
+    assert kernel_coeff(sys, (1, 1, 1))[0, 0] == 0.5
+    assert markov_table(sys, 3).level(3)[0, 0, 0] == 0.5
+
+
+@pytest.mark.parametrize("name", "ABC")
+def test_family_is_read_only(name):
+    sys = ALPVSystem(A=[[[0.5]], [[0.25]]], B=[[[1.0]], [[3.0]]], C=[[[1.0]], [[2.0]]])
+    with pytest.raises(ValueError, match="read-only"):
+        getattr(sys, name)[1][0, 0] = 0.9
+    with pytest.raises(ValueError, match="read-only"):
+        getattr(sys, name)[...] = 0.0
+    # S(222) = C_2 A_2 B_2 = 2 * 0.25 * 3 on every route
+    w = InputSequence.from_pairs([((0, 1), (1,)), ((0, 1), (0,)), ((0, 1), (0,))])
+    assert simulate(sys, [0.0], w).final_output[0] == 1.5
+    assert kernel_coeff(sys, (2, 2, 2))[0, 0] == 1.5
+    assert markov_block(sys, (2,))[1, 1] == 1.5
+    assert markov_table(sys, 3).entries[(2, 2, 2)][0, 0] == 1.5
 
 
 def test_simulate_hand_recursion(sigma_star):

@@ -18,6 +18,8 @@ from alpvreal import (
     DEFAULT_TOL,
     ALPVSystem,
     DimensionMismatch,
+    HankelBlockMatrix,
+    MarkovTable,
     analyze,
     build_hankel,
     convolution_output,
@@ -91,6 +93,43 @@ def test_constructor_names_the_first_misshapen_matrix(sys, name, index, extra):
     family[name][q] = np.ones(grown)
     with pytest.raises(DimensionMismatch, match=rf"^{name}\[{q + 1}\]: expected shape"):
         ALPVSystem(**family)
+
+
+@SEEDED
+@given(systems(), st.integers(0, 2**32 - 1), st.integers(0, 2))
+def test_a_built_system_ignores_edits_to_its_source_arrays(sys, seed, L):
+    """Every route reads the one stored family after the caller overwrites its arrays.
+
+    A is handed over as one (D, n, n) array and B, C as lists of matrices.
+    After construction every source array is overwritten in place; simulate,
+    markov_table, kernel_coeff, markov_block and build_hankel(system) must
+    still agree with each other and with the untouched system.  No
+    constructor may change whether a caller's array is writable.
+    """
+    rng = np.random.default_rng(seed)
+    sources = {"A": np.array(sys.A), "B": [np.array(M) for M in sys.B]}
+    sources["C"] = [np.array(M) for M in sys.C]
+    built = ALPVSystem(**sources)
+    for family in sources.values():
+        for M in family:
+            assert M.flags.writeable
+            M[...] = rng.uniform(-1, 1, M.shape)
+    horizon = 2 * L + 3
+    table = markov_table(built, horizon)
+    assert np.array_equal(table.coeffs, markov_table(sys, horizon).coeffs)
+    for v in words_up_to(horizon - 2, sys.D):
+        assert np.allclose(markov_block(built, v), markov_block(table, v), rtol=1e-12, atol=1e-12)
+        if len(v) >= 2:
+            assert np.allclose(kernel_coeff(built, v), table.entries[v], rtol=1e-12, atol=1e-12)
+    H = build_hankel(built, L, L + 1).data
+    assert np.allclose(H, build_hankel(table, L, L + 1).data, rtol=1e-12, atol=1e-12)
+    w = random_run(rng, sys.D, sys.m, horizon)
+    y = simulate(built, np.zeros(sys.n), w).final_output
+    assert np.allclose(y, convolution_output(table, w), rtol=1e-9, atol=1e-9)
+    coeffs, data = table.coeffs.copy(), H.copy()
+    MarkovTable(D=sys.D, m=sys.m, p=sys.p, horizon=horizon, coeffs=coeffs)
+    HankelBlockMatrix(L=L, M=L + 1, D=sys.D, m=sys.m, p=sys.p, data=data)
+    assert coeffs.flags.writeable and data.flags.writeable
 
 
 @SEEDED

@@ -252,6 +252,13 @@ def test_find_isomorphism_dimension_mismatch(sigma_star, sigma2):
         find_isomorphism(sigma_star, sigma2)
 
 
+def test_isomorphism_residual_rejects_families_of_different_sizes(sigma1, sigma_star):
+    # unchecked, the stacked relations of D = 1 against D = 2 would broadcast to a number
+    for sys1, sys2 in ((sigma1, sigma_star), (sigma_star, sigma1)):
+        with pytest.raises(DimensionMismatch, match="different dimensions"):
+            isomorphism_residual(sys1, sys2, np.eye(1))
+
+
 def test_find_isomorphism_rejects_nonequivalent(sigma_star):
     other = ALPVSystem(A=sigma_star.A, B=[[[1.0]], [[4.0]]], C=sigma_star.C)
     with pytest.raises(NotIsomorphic):
