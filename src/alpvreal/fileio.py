@@ -269,7 +269,7 @@ def load_hankel(path) -> HankelBlockMatrix:
     try:
         return HankelBlockMatrix(L=L, M=M, D=D, m=m, p=p, data=data)
     except DimensionMismatch as exc:
-        raise ValueError(f"sidecar does not fit the data: {exc}") from exc
+        raise ValueError(str(exc)) from exc
 
 
 # -- signals and outputs -----------------------------------------------------

@@ -27,15 +27,18 @@ import numpy as np
 from . import words as _w
 from .errors import DimensionMismatch
 from .linalg import DEFAULT_TOL, ToleranceConfig, numerical_rank
-from .markov import ALPVSystem, stacked_input_matrix, word_blocks, word_products
+from .markov import (
+    ALPVSystem, stacked_input_matrix, stacked_output_matrix, word_blocks, word_products,
+)
 
 
 @dataclass(frozen=True, eq=False)
 class HankelBlockMatrix:
     """The assembled sub-matrix plus the bounds and dimensions it was built for.
 
-    `data` must be the N(L)*pD x N(M)*mD matrix the bounds imply (else
-    DimensionMismatch); the constructor keeps it as a read-only view.
+    `data` must be the N(L)*pD x N(M)*mD matrix that L, M, D, m, p (a saved
+    matrix's sidecar) imply, else DimensionMismatch.  It is kept as a read-only
+    view: writes through it raise, but the caller's array is shared.
     """
 
     L: int
@@ -48,9 +51,9 @@ class HankelBlockMatrix:
     def __post_init__(self):
         D = self.D
         shape = (_w.word_count(self.L, D) * self.p * D, _w.word_count(self.M, D) * self.m * D)
-        if np.shape(self.data) != shape:
-            raise DimensionMismatch(f"Hankel data is {np.shape(self.data)}, bounds imply {shape}")
         data = np.asarray(self.data).view()  # a view: the caller's array keeps its flags
+        if data.shape != shape:
+            raise DimensionMismatch(f"Hankel data is {data.shape} but the sidecar implies {shape}")
         data.flags.writeable = False
         object.__setattr__(self, "data", data)
 
@@ -61,9 +64,7 @@ class HankelBlockMatrix:
 
 def reachability_factor(sys: ALPVSystem, depth: int) -> np.ndarray:
     """n x N(depth)*mD matrix whose block column for word v is A_{v_k} ... A_{v_1} Btilde."""
-    if depth < 0:
-        raise ValueError(f"word-length bound must be >= 0, got depth={depth}")
-    P = np.concatenate(word_products(sys.A, stacked_input_matrix(sys)[None], depth))
+    P = word_products(sys.A, stacked_input_matrix(sys)[None], depth)
     return P.transpose(1, 0, 2).reshape(sys.n, P.shape[0] * P.shape[2])
 
 
@@ -73,9 +74,7 @@ def observability_factor(sys: ALPVSystem, depth: int) -> np.ndarray:
     Transposed, that block is A_{v_1}^T ... A_{v_k}^T Ctilde^T: the dual family's
     product for the reversed word, which `word_products` gives from the transposed stacks.
     """
-    if depth < 0:
-        raise ValueError(f"word-length bound must be >= 0, got depth={depth}")
-    P = np.concatenate(word_products(sys.A.transpose(0, 2, 1), np.vstack(sys.C).T[None], depth))
+    P = word_products(sys.A.transpose(0, 2, 1), stacked_output_matrix(sys).T[None], depth)
     P = P[_w.reversal_positions(depth, sys.D)].transpose(0, 2, 1)
     return P.reshape(P.shape[0] * P.shape[1], sys.n)
 

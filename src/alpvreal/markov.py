@@ -43,8 +43,8 @@ class MarkovTable:
     `coeffs` holds them in enumeration order: row r is S(v) for the word at
     0-based position N(1) + r.  `entries` is a derived read-only word -> S view.
     The constructor checks the (N(horizon) - N(1), p, m) shape of `coeffs`
-    (DimensionMismatch) and that every S(v) is finite (NonFiniteEntry), and
-    keeps `coeffs` as a read-only view so that no edit undoes those checks.
+    (DimensionMismatch) and that every S(v) is finite (NonFiniteEntry); writes
+    through the read-only view it keeps raise, but the caller's array is shared.
     """
 
     D: int
@@ -119,29 +119,31 @@ def kernel_coeff(sys: ALPVSystem, v) -> np.ndarray:
     return sys.C[v[-1] - 1] @ P
 
 
-def word_products(A3: np.ndarray, P0: np.ndarray, depth: int) -> list:
+def word_products(A3: np.ndarray, P0: np.ndarray, depth: int) -> np.ndarray:
     """Level-batched products A_{v_k} ... A_{v_1} P0[i] for all words with |v| <= depth.
 
     A3 stacks the A_q.  Level k+1 is A3 @ level k with q varying fastest, and
     since appending q multiplies by A_q on the left, the products already
-    come out in the enumeration order of the pairs (i, v).
+    come out in the enumeration order of the pairs (i, v), concatenated here.
     """
+    if depth < 0:
+        raise ValueError(f"word-length bound must be >= 0, got depth={depth}")
     levels = [P0]
     for _ in range(depth):
         P = levels[-1]
         levels.append((A3[None] @ P[:, None]).reshape(len(P) * len(A3), *P0.shape[1:]))
-    return levels
+    return np.concatenate(levels)
 
 
 def markov_table(sys: ALPVSystem, horizon: int) -> MarkovTable:
     """All kernel coefficients of a system up to the given word length.
 
-    `word_products` runs from the stacked B_q; its concatenated levels are closed with the C_q.
+    `word_products` runs from the stacked B_q; its products are closed with the C_q.
     A coefficient that overflows raises NonFiniteEntry.
     """
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
-    P = np.concatenate(word_products(sys.A, sys.B, horizon - 2)) if horizon >= 2 else sys.B[:0]
+    P = word_products(sys.A, sys.B, horizon - 2) if horizon >= 2 else sys.B[:0]
     coeffs = (sys.C[None] @ P[:, None]).reshape(-1, sys.p, sys.m)
     return MarkovTable(D=sys.D, m=sys.m, p=sys.p, horizon=horizon, coeffs=coeffs)
 

@@ -39,7 +39,7 @@ def test_system_roundtrip(tmp_path, sigma2):
     fileio.save_system(path, sigma2)
     loaded = fileio.load_system(path)
     assert loaded.dims == sigma2.dims
-    for M1, M2 in zip(loaded.A + loaded.B + loaded.C, sigma2.A + sigma2.B + sigma2.C):
+    for M1, M2 in zip((loaded.A, loaded.B, loaded.C), (sigma2.A, sigma2.B, sigma2.C)):
         assert np.array_equal(M1, M2)
     assert json.loads(path.read_text())["schema"] == "alpv-1"
 

@@ -145,7 +145,7 @@ def test_negative_depth_is_rejected(sigma2, call):
 
 
 def test_hankel_block_matrix_checks_its_shape():
-    with pytest.raises(DimensionMismatch, match=r"\(3, 3\), bounds imply \(2, 6\)"):
+    with pytest.raises(DimensionMismatch, match=r"^Hankel data is \(3, 3\) but the sidecar implies \(2, 6\)$"):
         kalman_ho(HankelBlockMatrix(L=0, M=1, D=2, m=1, p=1, data=np.ones((3, 3))))
     with pytest.raises(DimensionMismatch):
         HankelBlockMatrix(L=0, M=1, D=2, m=1, p=1, data=np.ones(12))
