@@ -48,7 +48,6 @@ from .model import (
     convolution_output,
     dual,
     simulate,
-    validate,
 )
 from .markov import (
     IOOracle,
@@ -69,7 +68,9 @@ from .hankel import (
     hankel_rank,
     hankel_singular_values,
     observability_factor,
+    observability_root,
     reachability_factor,
+    reachability_root,
 )
 from .realize import (
     AnalysisReport,

@@ -13,9 +13,16 @@ word-indexed observability and reachability factors,
     H_{L,M} = observability_factor(sys, L) @ reachability_factor(sys, M),
 
 whose inner dimension is the state dimension n; the observability factor
-is the dual family's reachability factor.  The same factors at depth n-1
-decide reachability and observability in `realize`, and give
-`hankel_singular_values` the spectrum without assembling the matrix.
+is the dual family's reachability factor.  `build_hankel(system)` is the
+only library path that builds the factors.  Every rank decision on a
+system reads `factor_root` instead: an at most n x n triangular K with
+K^T K equal to the factor's n x n Gram matrix, grown one word length at a
+time in O(depth D n^3).  K has the factor's nonzero singular values, and
+a decision on K takes its cutoff from the shape of the factor K stands
+for, so it agrees with the dense rank of the factor up to round-off.
+`realize` ranks the depth n-1 roots to decide reachability and
+observability, and `hankel_singular_values` reads the spectrum of H_{L,M}
+off the product of two roots.
 """
 
 from __future__ import annotations
@@ -79,6 +86,42 @@ def observability_factor(sys: ALPVSystem, depth: int) -> np.ndarray:
     return P.reshape(P.shape[0] * P.shape[1], sys.n)
 
 
+def factor_root(A: np.ndarray, X: np.ndarray, depth: int) -> np.ndarray:
+    """Root K of F = [A_{v_k} ... A_{v_1} X : |v| <= depth], meaning K^T K = F F^T.
+
+    A stacks the D matrices A_q (n x n) and X is n x c.  Up to a column order,
+    which F F^T ignores, F at depth k+1 is [X, A_1 F_k, ..., A_D F_k], so the
+    stack [X^T; K_k A_1^T; ...; K_k A_D^T] is a root at depth k+1.  A stack
+    with more rows than n is replaced by the triangular factor of its QR
+    decomposition, which keeps K^T K.  K therefore has min(N(depth) c, n)
+    rows, the singular values of F, and F's left singular vectors as its
+    right singular vectors.
+    """
+    if depth < 0:
+        raise ValueError(f"word-length bound must be >= 0, got depth={depth}")
+    n = X.shape[0]
+    At = A.transpose(0, 2, 1)
+    upper = np.triu(np.ones((n, n)))
+    K = X.T
+    for level in range(depth + 1):
+        if level:
+            K = np.concatenate([X.T, (K @ At).reshape(len(A) * len(K), n)])
+        if len(K) > n:
+            # R of mode="r", without its triu call: the upper triangle of the raw reflectors
+            K = np.linalg.qr(K, mode="raw")[0].T[:n] * upper
+    return K
+
+
+def reachability_root(sys: ALPVSystem, depth: int) -> np.ndarray:
+    """`factor_root` of `reachability_factor(sys, depth)`: K^T K = Rf Rf^T."""
+    return factor_root(sys.A, stacked_input_matrix(sys), depth)
+
+
+def observability_root(sys: ALPVSystem, depth: int) -> np.ndarray:
+    """`factor_root` of `observability_factor(sys, depth)` from the dual stacks: K^T K = Of^T Of."""
+    return factor_root(sys.A.transpose(0, 2, 1), stacked_output_matrix(sys).T, depth)
+
+
 def build_hankel(source, L: int, M: int) -> HankelBlockMatrix:
     """Assemble H_{L,M} from a system, a MarkovTable, or an IOOracle.
 
@@ -106,21 +149,18 @@ def hankel_rank(source, L: int, M: int, tol: ToleranceConfig = DEFAULT_TOL) -> i
 
 
 def hankel_singular_values(sys: ALPVSystem, L: int, M: int) -> np.ndarray:
-    """Nonzero-part singular values of H_{L,M}, from the rank-n factors.
+    """Nonzero-part singular values of H_{L,M}, from the roots of its factors.
 
-    With H = Of @ Rf and thin QR of each factor, the spectrum of H equals
-    the spectrum of the small core R1 @ R2^T; the remaining singular values
-    of H are exactly zero and are not returned.
+    With H = Of @ Rf, Of = Q1 K1 and Rf^T = Q2 K2 for the roots K1 of Of and
+    K2 of Rf (Q1, Q2 with orthonormal columns), the spectrum of H equals that
+    of the at most n x n core K1 @ K2^T; the remaining singular values of H
+    are exactly zero and are not returned.
     """
-    Of = observability_factor(sys, L)
-    Rf = reachability_factor(sys, M)
-    r1 = np.linalg.qr(Of, mode="r")
-    r2 = np.linalg.qr(Rf.T, mode="r")
-    return np.linalg.svd(r1 @ r2.T, compute_uv=False)
+    return np.linalg.svd(observability_root(sys, L) @ reachability_root(sys, M).T, compute_uv=False)
 
 
 def factored_hankel_rank(sys: ALPVSystem, L: int, M: int, tol: ToleranceConfig = DEFAULT_TOL) -> int:
-    """Rank of H_{L,M} computed from the factors, never assembling the matrix.
+    """Rank of H_{L,M} from the roots of its factors, never building either.
 
     Uses the same cutoff rule as `hankel_rank`, scaled by the dimensions the
     assembled matrix would have.

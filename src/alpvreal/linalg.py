@@ -3,8 +3,10 @@
 Every rank decision in the package (Hankel ranks, reachability and
 observability tests, factorizations, pseudoinverses) goes through the same
 singular-value cutoff so that the modules agree on what counts as zero.
-Wide matrices, such as the n x N(n-1)mD reachability factors of the rank
-tests, are factored through their transpose, where the SVD is faster.
+Wide matrices are factored through their transpose, where the SVD is
+faster.  The system-side rank tests of `hankel` and `realize` apply the
+same rule to small roots of the Hankel factors, with the cutoff taken
+from the shape of the factor each root stands for.
 
 The factorizations share one SVD helper.  A matrix whose shorter side has
 at least 64 entries, such as a Kalman-Ho Hankel window, is first factored
@@ -76,7 +78,8 @@ def _sketched_svd(T, shape, tol: ToleranceConfig):
     U_B S V^T of the small k x b matrix B.  The sketch is accepted when S
     reaches the cutoff (taken from sigma_1(B) and the `shape` of the
     original matrix) within its k values, so the rank ends inside the
-    width, and the residual E = T - Q B has ||E||_F <= cutoff / 10; then
+    width, and the residual E = T - Q B has ||E||_F <= cutoff / 10 (summed
+    slab by slab in `_residual_norm`, never held whole); then
     T = (Q U_B) S V^T + E.  By Weyl's inequality every singular value of T
     lies within ||E||_2 <= cutoff / 10 of the matching value of S (zero past
     the k-th), so the rank equals the dense rule's unless a singular value
@@ -94,13 +97,27 @@ def _sketched_svd(T, shape, tol: ToleranceConfig):
         B = Q.T @ T
         Ub, s, Vt = np.linalg.svd(B, full_matrices=False)
         cutoff = tol.cutoff(s, shape)
-        if s[-1] <= cutoff:
-            E = np.matmul(Q, B, out=np.empty_like(T))  # T's memory order: E -= T runs contiguously
-            E -= T
-            if np.linalg.norm(E) <= cutoff / 10:
-                return Q @ Ub, s, Vt
+        if s[-1] <= cutoff and _residual_norm(T, Q, B) <= cutoff / 10:
+            return Q @ Ub, s, Vt
         k *= 2
     return None
+
+
+def _residual_norm(T, Q, B) -> float:
+    """||Q B - T||_F, summed over slabs of at most 2**20 entries along T's contiguous axis.
+
+    Only one slab of the residual exists at a time, so checking a sketch
+    costs no second copy of the window T.
+    """
+    if T.flags.f_contiguous and not T.flags.c_contiguous:
+        T, Q, B = T.T, B.T, Q.T  # the transposed residual has contiguous rows
+    step = max(1, 2**20 // T.shape[1])
+    total = 0.0
+    for i in range(0, T.shape[0], step):
+        E = Q[i : i + step] @ B
+        E -= T[i : i + step]
+        total += float(np.vdot(E, E))
+    return total**0.5
 
 
 def _svd(M, tol: ToleranceConfig):

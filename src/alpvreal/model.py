@@ -42,9 +42,12 @@ class ALPVSystem:
     """Matrix family of a discrete-time affine LPV system.
 
     The constructor takes D matrices each for A, B and C, of shapes n x n,
-    n x m and p x n, coerces them to 2-d float arrays and checks the shape
-    and finiteness invariants with `validate`.  It keeps only their stacks:
-    A[q-1] is a read-only view of A_q, and likewise for B and C.
+    n x m and p x n, and coerces them to 2-d float arrays.  It raises
+    InvalidAlphabet for D < 1, DimensionMismatch naming the first misshapen
+    matrix (or m < 1, p < 1, or families of different lengths) and
+    NonFiniteEntry naming the first matrix with a NaN or Inf entry.  It
+    keeps only their stacks: A[q-1] is a read-only view of A_q, and likewise
+    for B and C.
     """
 
     A: np.ndarray  # (D, n, n)
@@ -52,14 +55,35 @@ class ALPVSystem:
     C: np.ndarray  # (D, p, n)
 
     def __post_init__(self):
-        for name in ("A", "B", "C"):
-            mats = tuple(np.atleast_2d(np.asarray(M, dtype=float)) for M in getattr(self, name))
-            object.__setattr__(self, name, mats)
-        validate(self)
-        for name in ("A", "B", "C"):
-            family = np.stack(getattr(self, name))
-            family.flags.writeable = False
-            object.__setattr__(self, name, family)
+        families = {
+            name: tuple(np.atleast_2d(np.asarray(M, dtype=float)) for M in getattr(self, name))
+            for name in "ABC"
+        }
+        A, B, C = families.values()
+        D = len(A)
+        if D < 1:
+            raise InvalidAlphabet("a system needs at least one scheduling coordinate (D >= 1)")
+        if len(B) != D or len(C) != D:
+            raise DimensionMismatch(
+                f"matrix families disagree on D: len(A)={D}, len(B)={len(B)}, len(C)={len(C)}"
+            )
+        n, m, p = A[0].shape[0], B[0].shape[1], C[0].shape[0]
+        if m < 1:
+            raise DimensionMismatch(f"input dimension must be >= 1, got m={m}")
+        if p < 1:
+            raise DimensionMismatch(f"output dimension must be >= 1, got p={p}")
+        for (name, family), expected in zip(families.items(), ((n, n), (n, m), (p, n))):
+            for q, M in enumerate(family, start=1):
+                if M.shape != expected:
+                    raise DimensionMismatch(
+                        f"{name}[{q}]: expected shape {expected}, got {M.shape}"
+                    )
+                if not np.isfinite(M).all():
+                    raise NonFiniteEntry(f"{name}[{q}] contains NaN or Inf entries")
+        for name, family in families.items():
+            stack = np.stack(family)
+            stack.flags.writeable = False
+            object.__setattr__(self, name, stack)
 
     @property
     def D(self) -> int:
@@ -81,41 +105,6 @@ class ALPVSystem:
     def dims(self):
         """(D, n, m, p)."""
         return (self.D, self.n, self.m, self.p)
-
-
-def validate(sys: ALPVSystem) -> ALPVSystem:
-    """Raise on a shape or finiteness defect, else return sys.
-
-    The constructor runs it before it stores the family's one read-only copy,
-    so every built system passes.
-    """
-    D = len(sys.A)
-    if D < 1:
-        raise InvalidAlphabet("a system needs at least one scheduling coordinate (D >= 1)")
-    if len(sys.B) != D or len(sys.C) != D:
-        raise DimensionMismatch(
-            f"matrix families disagree on D: len(A)={D}, len(B)={len(sys.B)}, len(C)={len(sys.C)}"
-        )
-    n = sys.A[0].shape[0]
-    m = sys.B[0].shape[1]
-    p = sys.C[0].shape[0]
-    if m < 1:
-        raise DimensionMismatch(f"input dimension must be >= 1, got m={m}")
-    if p < 1:
-        raise DimensionMismatch(f"output dimension must be >= 1, got p={p}")
-    for name, family, expected in (
-        ("A", sys.A, (n, n)),
-        ("B", sys.B, (n, m)),
-        ("C", sys.C, (p, n)),
-    ):
-        for q, M in enumerate(family, start=1):
-            if M.shape != expected:
-                raise DimensionMismatch(
-                    f"{name}[{q}]: expected shape {expected}, got {M.shape}"
-                )
-            if not np.all(np.isfinite(M)):
-                raise NonFiniteEntry(f"{name}[{q}] contains NaN or Inf entries")
-    return sys
 
 
 def dual(sys: ALPVSystem) -> ALPVSystem:

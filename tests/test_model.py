@@ -13,14 +13,16 @@ from alpvreal import (
     markov_block,
     markov_table,
     simulate,
-    validate,
 )
 
 from helpers import random_run, random_system
 
 
 def test_validate_fixture_ok(sigma_star):
-    assert validate(sigma_star) is sigma_star
+    rebuilt = ALPVSystem(A=sigma_star.A, B=sigma_star.B, C=sigma_star.C)
+    assert rebuilt.dims == sigma_star.dims
+    for name in "ABC":
+        assert np.array_equal(getattr(rebuilt, name), getattr(sigma_star, name))
 
 
 def test_validate_reports_reshaped_matrix(sigma_star):
@@ -33,13 +35,13 @@ def test_validate_reports_reshaped_matrix(sigma_star):
 
 
 def test_validate_empty_alphabet():
-    with pytest.raises(InvalidAlphabet):
-        validate(ALPVSystem(A=[], B=[], C=[]))
+    with pytest.raises(InvalidAlphabet, match="at least one scheduling coordinate"):
+        ALPVSystem(A=[], B=[], C=[])
 
 
 def test_validate_nonfinite():
-    with pytest.raises(NonFiniteEntry):
-        validate(ALPVSystem(A=[[[np.nan]]], B=[[[1.0]]], C=[[[1.0]]]))
+    with pytest.raises(NonFiniteEntry, match=r"^A\[1\] contains NaN or Inf entries$"):
+        ALPVSystem(A=[[[np.nan]]], B=[[[1.0]]], C=[[[1.0]]])
 
 
 def test_caller_arrays_do_not_reach_a_built_system():

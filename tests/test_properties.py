@@ -2,11 +2,13 @@
 
 Systems range over D in {1, 2, 3}, n in {0, ..., 4} and m, p in {1, 2}; D = 1
 exercises the single-symbol word order and n = 0 the empty state space.  The
-rank tests and reductions, which work on the Hankel factors, are checked
-against the extended matrices of the branching recursion on random systems
-with planted unreachable and unobservable states.  Low-rank matrices whose
-shorter side reaches 64 take the range-sketch route of the SVD helper and
-are checked against the dense rank rule.
+rank tests and reductions, which work on the n x n roots of the Hankel
+factors, are checked against the extended matrices of the branching
+recursion on random systems with planted unreachable and unobservable
+states, and the roots' spectra against the dense factors and Hankel
+matrices.  Low-rank matrices whose shorter side reaches 64 take the
+range-sketch route of the SVD helper and are checked against the dense
+rank rule.
 """
 
 import numpy as np
@@ -25,26 +27,35 @@ from alpvreal import (
     convolution_output,
     extended_observability,
     extended_reachability,
+    factored_hankel_rank,
     find_isomorphism,
+    hankel_singular_values,
+    io_span_dimension,
     isomorphism_residual,
     kernel_coeff,
     markov_block,
     markov_table,
     minimize,
     numerical_rank,
+    observability_factor,
+    observability_root,
     obs_reduce,
     pseudoinverse,
     range_basis,
     rank_factorize,
     reach_reduce,
+    reachability_factor,
+    reachability_root,
     row_basis,
     simulate,
     system_oracle,
     words_up_to,
 )
 
-from alpvreal import linalg, realize
-from helpers import pad_unobservable, pad_unreachable, random_run, random_system
+from alpvreal import hankel, linalg, realize
+from helpers import (
+    pad_unobservable, pad_unreachable, random_minimal_system, random_run, random_system,
+)
 
 SEEDED = settings(derandomize=True, database=None, deadline=None, max_examples=30)
 
@@ -278,6 +289,25 @@ def test_analyze_ranks_match_extended_matrices(sys):
 
 
 @SEEDED
+@given(padded_systems(), st.integers(0, 2), st.integers(0, 3))
+def test_factor_roots_carry_the_dense_spectra(sys, L, M):
+    """Each root has its factor's singular values at every depth 0..n-1, and two roots H's."""
+    for depth in range(sys.n):
+        for root, factor in (
+            (reachability_root(sys, depth), reachability_factor(sys, depth)),
+            (observability_root(sys, depth), observability_factor(sys, depth)),
+        ):
+            dense = np.linalg.svd(factor, compute_uv=False)
+            assert root.shape == (len(dense), sys.n)
+            s = np.linalg.svd(root, compute_uv=False)
+            assert np.allclose(s, dense, rtol=0, atol=1e-12 * dense[0])
+    s = hankel_singular_values(sys, L, M)
+    dense = np.linalg.svd(build_hankel(sys, L, M).data, compute_uv=False)
+    assert np.allclose(s, dense[: len(s)], rtol=0, atol=1e-12 * dense[0])
+    assert np.all(dense[len(s):] <= 1e-12 * dense[0])
+
+
+@SEEDED
 @given(padded_systems())
 def test_reductions_span_the_extended_matrices(sys):
     _, V = reach_reduce(sys)
@@ -302,3 +332,25 @@ def test_decisions_never_build_extended_matrices(monkeypatch, sigma2):
     assert small.n == 2
     T = find_isomorphism(small, sigma2)
     assert isomorphism_residual(small, sigma2, T) < 1e-10
+
+
+def test_system_decisions_never_build_the_factors(monkeypatch):
+    """At D=3, n=14 a depth-13 factor has 7,174,452 columns; every decision reads roots."""
+
+    def refuse(sys, depth):
+        raise AssertionError("a decision built a word-indexed Hankel factor")
+
+    rng = np.random.default_rng(0)
+    core = random_minimal_system(rng, n=11, D=3, m=1, p=1, sv_gap=1e-2)
+    padded = pad_unobservable(pad_unreachable(core, 2, rng), 1, rng)
+    for name in ("reachability_factor", "observability_factor"):
+        monkeypatch.setattr(hankel, name, refuse)
+        monkeypatch.setattr(realize, name, refuse, raising=False)
+    report = analyze(padded)
+    assert (report.n, report.reach_rank, report.obs_rank, report.minimal) == (14, 12, 13, False)
+    small = minimize(padded)
+    assert small.n == 11
+    T = find_isomorphism(small, core)
+    assert isomorphism_residual(small, core, T) < 1e-10
+    assert factored_hankel_rank(padded, 13, 13) == 11
+    assert io_span_dimension(padded, 14) == 11
