@@ -195,9 +195,9 @@ def find_isomorphism(
     block-diagonal family of both systems) satisfies [O2, O1] = Q K for some
     Q with orthonormal columns, so T = pinv(K2) @ K1, where pinv(K2) takes
     its cutoff from O2's N(n-1)*pD x n shape.  T is then verified on every
-    relation; if any residual exceeds residual_tol,
-    or T is singular, the systems are not related by a constant isomorphism
-    (not equivalent, or not minimal) and NotIsomorphic is raised.
+    relation; if any residual exceeds residual_tol, or T is singular, the
+    systems are not related by a constant isomorphism (not equivalent, or
+    not minimal) and NotIsomorphic is raised.
     residual_tol must be finite and >= 0.
     """
     if not 0 <= residual_tol < np.inf:
