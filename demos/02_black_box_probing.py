@@ -14,7 +14,6 @@ from alpvreal import (
     ALPVSystem,
     markov_block,
     probe_kernel_coeff,
-    probe_markov_block,
     system_oracle,
     words_up_to,
 )
@@ -38,7 +37,7 @@ for v in ((1, 2), (2, 1, 1)):
 print("\nblock Markov parameters, probed vs. the hidden matrices:")
 worst = 0.0
 for v in words_up_to(3, D):
-    probed = probe_markov_block(oracle, v)
+    probed = markov_block(oracle, v)
     direct = markov_block(hidden, v)
     worst = max(worst, np.max(np.abs(probed - direct)))
 print(f"  checked all words up to length 3; max deviation = {worst:.3e}")

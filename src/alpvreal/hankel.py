@@ -18,11 +18,11 @@ only library path that builds the factors.  Every rank decision on a
 system reads `factor_root` instead: an at most n x n triangular K with
 K^T K equal to the factor's n x n Gram matrix, grown one word length at a
 time in O(depth D n^3).  K has the factor's nonzero singular values, and
-a decision on K takes its cutoff from the shape of the factor K stands
-for, so it agrees with the dense rank of the factor up to round-off.
-`realize` ranks the depth n-1 roots to decide reachability and
-observability, and `hankel_singular_values` reads the spectrum of H_{L,M}
-off the product of two roots.
+a decision on K ranks K itself, with the cutoff of K's own at most n x n
+shape, which does not grow with the number of words.  `realize` ranks the
+depth n-1 roots to decide reachability and observability, and
+`hankel_singular_values` and `hankel_rank` read the spectrum and rank of
+H_{L,M} off the product of two roots.
 """
 
 from __future__ import annotations
@@ -139,12 +139,17 @@ def build_hankel(source, L: int, M: int) -> HankelBlockMatrix:
 
 
 def hankel_rank(source, L: int, M: int, tol: ToleranceConfig = DEFAULT_TOL) -> int:
-    """Numerical rank of the assembled sub-matrix.
+    """Numerical rank of H_{L,M}, the one Hankel-rank entry point.
 
-    The value certifies the rank of the full (infinite) Hankel matrix only
-    together with the bounds used: it equals the full rank whenever some
-    realization of dimension <= L + 1 exists.
+    A system source is ranked through `factored_hankel_rank`, which never
+    assembles H; a table or oracle source ranks the assembled window.  Each
+    takes the cutoff of the matrix it ranks.  The value certifies the rank
+    of the full (infinite) Hankel matrix only together with the bounds
+    used: it equals the full rank whenever some realization of dimension
+    <= L + 1 exists.
     """
+    if isinstance(source, ALPVSystem):
+        return factored_hankel_rank(source, L, M, tol)
     return numerical_rank(build_hankel(source, L, M).data, tol)
 
 
@@ -162,10 +167,7 @@ def hankel_singular_values(sys: ALPVSystem, L: int, M: int) -> np.ndarray:
 def factored_hankel_rank(sys: ALPVSystem, L: int, M: int, tol: ToleranceConfig = DEFAULT_TOL) -> int:
     """Rank of H_{L,M} from the roots of its factors, never building either.
 
-    Uses the same cutoff rule as `hankel_rank`, scaled by the dimensions the
-    assembled matrix would have.
+    The `numerical_rank` of the at most n x n core whose singular values
+    `hankel_singular_values` returns, under the core's own cutoff.
     """
-    s = hankel_singular_values(sys, L, M)
-    rows = _w.word_count(L, sys.D) * sys.p * sys.D
-    cols = _w.word_count(M, sys.D) * sys.m * sys.D
-    return tol.rank(s, (rows, cols))
+    return numerical_rank(observability_root(sys, L) @ reachability_root(sys, M).T, tol)

@@ -29,9 +29,8 @@ from .errors import (
     TrajectoryTooShort,
     ZeroLeadingCoefficient,
 )
-from .hankel import factored_hankel_rank, hankel_rank
+from .hankel import hankel_rank
 from .linalg import DEFAULT_TOL, ToleranceConfig
-from .markov import MarkovTable
 from .model import ALPVSystem, InputSequence, simulate
 
 
@@ -93,13 +92,6 @@ class SchedulingPoly:
 
     def max_abs_coeff(self) -> float:
         return max((abs(c) for c in self.monomials.values()), default=0.0)
-
-    def scaled(self, factor: float) -> "SchedulingPoly":
-        return SchedulingPoly(
-            order=self.order,
-            D=self.D,
-            monomials={k: c * factor for k, c in self.monomials.items()},
-        )
 
     def evaluate(self, values) -> float:
         """Sum of coefficient * product of powered variable values.
@@ -253,13 +245,10 @@ def io_span_dimension(source, bound: int, tol: ToleranceConfig = DEFAULT_TOL) ->
 
     The span of all zero-input continuations of the map is linearly
     isomorphic to the row span of its Hankel matrix, so its dimension is
-    read off rank H_{bound-1, bound-1}; the value is exact once `bound`
-    exceeds the minimal realization dimension.
+    `hankel_rank(source, bound-1, bound-1)`, under the cutoff of the matrix
+    that ranks it; the value is exact once `bound` exceeds the minimal
+    realization dimension.
     """
     if bound < 1:
         raise ValueError(f"bound must be >= 1, got {bound}")
-    if isinstance(source, ALPVSystem):
-        return factored_hankel_rank(source, bound - 1, bound - 1, tol)
-    if isinstance(source, MarkovTable):
-        return hankel_rank(source, bound - 1, bound - 1, tol)
-    raise TypeError(f"unsupported source: {type(source).__name__}")
+    return hankel_rank(source, bound - 1, bound - 1, tol)

@@ -1,12 +1,13 @@
 """Dense linear-algebra kernels with one shared numerical-rank rule.
 
 Every rank decision in the package (Hankel ranks, reachability and
-observability tests, factorizations, pseudoinverses) goes through the same
-singular-value cutoff so that the modules agree on what counts as zero.
-Wide matrices are factored through their transpose, where the SVD is
-faster.  The system-side rank tests of `hankel` and `realize` apply the
-same rule to small roots of the Hankel factors, with the cutoff taken
-from the shape of the factor each root stands for.
+observability tests, factorizations, pseudoinverses) goes through the
+functions of this module and the same singular-value cutoff, so that the
+modules agree on what counts as zero.  The cutoff always scales with the
+shape of the matrix being ranked: the system-side decisions of `hankel`
+and `realize` pass the small roots of the Hankel factors here and are
+ranked as the at most n x n matrices they are.  Wide matrices are
+factored through their transpose, where the SVD is faster.
 
 The factorizations share one SVD helper.  A matrix whose shorter side has
 at least 64 entries, such as a Kalman-Ho Hankel window, is first factored
@@ -65,7 +66,8 @@ def as_matrix(M) -> np.ndarray:
     A = np.asarray(M, dtype=float)
     if A.ndim != 2:
         raise InvalidMatrix(f"expected a 2-d array, got ndim={A.ndim}")
-    if not np.all(np.isfinite(A)):
+    # min and max propagate NaN and need no entry-sized boolean temporary
+    if A.size and not (np.isfinite(A.min()) and np.isfinite(A.max())):
         raise NonFiniteEntry("matrix contains NaN or Inf entries")
     return A
 

@@ -214,8 +214,3 @@ def probe_kernel_coeff(oracle: IOOracle, v) -> np.ndarray:
         u[0, l] = 1.0
         S[:, l] = oracle(InputSequence(scheduling=sched, inputs=u))
     return S
-
-
-def probe_markov_block(oracle: IOOracle, v) -> np.ndarray:
-    """Recover M(v) from a black-box map, one probe batch per block."""
-    return markov_block(oracle, v)

@@ -140,13 +140,6 @@ class InputSequence:
         object.__setattr__(self, "scheduling", sched)
         object.__setattr__(self, "inputs", u)
 
-    @classmethod
-    def from_pairs(cls, pairs):
-        """Build from an iterable of (p_vector, u_vector) pairs."""
-        sched = np.array([np.atleast_1d(np.asarray(p, dtype=float)) for p, _ in pairs])
-        u = np.array([np.atleast_1d(np.asarray(v, dtype=float)) for _, v in pairs])
-        return cls(scheduling=sched, inputs=u)
-
     @property
     def length(self) -> int:
         return self.scheduling.shape[0]

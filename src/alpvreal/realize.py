@@ -6,9 +6,10 @@ factor `reachability_factor(sys, n-1)`, whose block column for the word v
 is A_{v_k} ... A_{v_1} [B_1, ..., B_D], and of the same factor for the dual
 family (A_q^T, C_q^T, B_q^T), which gives observability and its reduction.
 The factor has N(n-1)*mD columns, so it is never built here: what is ranked
-is its n x n root from `hankel.factor_root`, which has the factor's
-singular values and left singular vectors, with the cutoff taken from the
-factor's n x N(n-1)*mD shape.  `extended_reachability`
+is its at most n x n root from `hankel.factor_root`, which has the factor's
+singular values and left singular vectors.  Every rank goes through
+`linalg` with the cutoff of the matrix actually ranked, the root, so the
+cutoff does not grow with the number of words.  `extended_reachability`
 (R_{i+1} = [R_i, A_1 R_i, ..., A_D R_i]) spans the same space but repeats
 every word; it is kept only as a test reference.
 
@@ -44,7 +45,7 @@ from .linalg import (
     pseudoinverse,
     range_basis,  # not called here; perfbench/tracing.py rebinds realize.range_basis by name
     rank_factorize,
-    row_basis,  # not called here; perfbench/tracing.py rebinds realize.row_basis by name
+    row_basis,
 )
 from .markov import stacked_output_matrix
 from .model import ALPVSystem, dual
@@ -80,19 +81,16 @@ def extended_observability(sys: ALPVSystem, depth: int) -> np.ndarray:
 def analyze(sys: ALPVSystem, tol: ToleranceConfig = DEFAULT_TOL) -> AnalysisReport:
     """Rank the depth n-1 reachability and observability factors; the three flags.
 
-    Each rank is read off the singular values of the factor's n x n root,
-    with the cutoff taken from the N(n-1)*mD (or N(n-1)*pD) by n shape of the
-    factor it stands for.  Depth n-1 is sharp: longer words cannot gain
-    rank.  A zero-dimensional system is trivially minimal.
+    Each rank is the `numerical_rank` of the factor's at most n x n root,
+    which has the factor's singular values; the cutoff is the root's own.
+    Depth n-1 is sharp: longer words cannot gain rank.  A zero-dimensional
+    system is trivially minimal.
     """
     n = sys.n
     if n == 0:
         return AnalysisReport(0, 0, 0, True, True, True)
-    words = _w.word_count(n - 1, sys.D) * sys.D
-    reach_s = np.linalg.svd(reachability_root(sys, n - 1), compute_uv=False)
-    obs_s = np.linalg.svd(observability_root(sys, n - 1), compute_uv=False)
-    reach = tol.rank(reach_s, (n, words * sys.m))
-    obs = tol.rank(obs_s, (words * sys.p, n))
+    reach = numerical_rank(reachability_root(sys, n - 1), tol)
+    obs = numerical_rank(observability_root(sys, n - 1), tol)
     return AnalysisReport(
         reach_rank=reach,
         obs_rank=obs,
@@ -134,17 +132,15 @@ def reach_reduce(sys: ALPVSystem, tol: ToleranceConfig = DEFAULT_TOL):
     """Restrict to the reachable subspace; returns (reduced system, basis V).
 
     V has orthonormal columns spanning the depth n-1 reachability factor:
-    they are the leading right singular vectors of the factor's n x n root,
-    as many as the factor's rank under the cutoff of its n x N(n-1)*mD shape.
-    That space is invariant under every A_q and contains every column of
-    every B_q, so (V^T A_q V, V^T B_q, C_q V) reproduces the input-output map.
+    V^T is the `row_basis` of the factor's at most n x n root, whose row
+    space is the factor's column space, under the root's own cutoff.  That
+    space is invariant under every A_q and contains every column of every
+    B_q, so (V^T A_q V, V^T B_q, C_q V) reproduces the input-output map.
     """
     n = sys.n
     if n == 0:
         return sys, np.zeros((0, 0))
-    shape = (n, _w.word_count(n - 1, sys.D) * sys.m * sys.D)
-    _, s, Vt = np.linalg.svd(reachability_root(sys, n - 1), full_matrices=False)
-    V = Vt[: tol.rank(s, shape)].T
+    V = row_basis(reachability_root(sys, n - 1), tol).T
     return ALPVSystem(A=V.T @ sys.A @ V, B=V.T @ sys.B, C=sys.C @ V), V
 
 
@@ -193,11 +189,11 @@ def find_isomorphism(
     for the depth n-1 observability factors O1, O2, computed without them:
     the joint root K = [K2, K1] of [O2, O1] (the observability root of the
     block-diagonal family of both systems) satisfies [O2, O1] = Q K for some
-    Q with orthonormal columns, so T = pinv(K2) @ K1, where pinv(K2) takes
-    its cutoff from O2's N(n-1)*pD x n shape.  T is then verified on every
-    relation; if any residual exceeds residual_tol, or T is singular, the
-    systems are not related by a constant isomorphism (not equivalent, or
-    not minimal) and NotIsomorphic is raised.
+    Q with orthonormal columns, so T = pinv(K2) @ K1, under the cutoff of
+    the block K2 itself.  T is then verified on every relation; if any
+    residual exceeds residual_tol, or T is singular, the systems are not
+    related by a constant isomorphism (not equivalent, or not minimal) and
+    NotIsomorphic is raised.
     residual_tol must be finite and >= 0.
     """
     if not 0 <= residual_tol < np.inf:
@@ -209,15 +205,12 @@ def find_isomorphism(
     n = sys1.n
     if n == 0:
         return np.zeros((0, 0))
-    D, p = sys1.D, sys1.p
-    At = np.zeros((D, 2 * n, 2 * n))
+    At = np.zeros((sys1.D, 2 * n, 2 * n))
     At[:, :n, :n] = sys2.A.transpose(0, 2, 1)
     At[:, n:, n:] = sys1.A.transpose(0, 2, 1)
     Ct = np.hstack([stacked_output_matrix(sys2), stacked_output_matrix(sys1)]).T
     K = factor_root(At, Ct, n - 1)
-    U, s, Vt = np.linalg.svd(K[:, :n], full_matrices=False)
-    r = tol.rank(s, (_w.word_count(n - 1, D) * p * D, n))
-    T = (Vt[:r].T / s[:r]) @ (U[:, :r].T @ K[:, n:])
+    T = pseudoinverse(K[:, :n], tol) @ K[:, n:]
     res = isomorphism_residual(sys1, sys2, T)
     if res > residual_tol:
         raise NotIsomorphic(

@@ -5,6 +5,7 @@ import numpy as np
 from alpvreal import (
     ALPVSystem,
     InputSequence,
+    SchedulingPoly,
     analyze,
     hankel_singular_values,
 )
@@ -44,6 +45,20 @@ def random_run(rng, D, m, length) -> InputSequence:
     return InputSequence(
         scheduling=rng.uniform(-1, 1, (length, D)),
         inputs=rng.uniform(-1, 1, (length, m)),
+    )
+
+
+def input_from_pairs(pairs) -> InputSequence:
+    """The run with one (p_vector, u_vector) pair per time step."""
+    sched = np.array([np.atleast_1d(np.asarray(p, dtype=float)) for p, _ in pairs])
+    u = np.array([np.atleast_1d(np.asarray(v, dtype=float)) for _, v in pairs])
+    return InputSequence(scheduling=sched, inputs=u)
+
+
+def scaled_poly(poly: SchedulingPoly, factor: float) -> SchedulingPoly:
+    """`poly` with every coefficient multiplied by `factor`."""
+    return SchedulingPoly(
+        order=poly.order, D=poly.D, monomials={k: c * factor for k, c in poly.monomials.items()}
     )
 
 

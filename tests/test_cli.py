@@ -10,7 +10,7 @@ from alpvreal import fileio
 from alpvreal.cli import run
 
 from conftest import make_eq1
-from helpers import random_run
+from helpers import random_run, random_system
 
 
 @pytest.fixture()
@@ -318,12 +318,25 @@ def test_iso_residual_tolerance_must_be_finite(tmp_path, sigma_star_path, residu
 
 
 @pytest.mark.parametrize("cmd", ["analyze", "minimize"])
-def test_rank_tolerance_that_discards_every_singular_value(tmp_path, sigma_star_path, cmd, capsys):
-    # sigma_star's rank tests are 1 x 2 and 2 x 1: 0.5 * 2 puts the cutoff at sigma_1
+def test_rank_tolerance_that_discards_every_singular_value(tmp_path, sigma2_path, cmd, capsys):
+    # sigma2's reachability root is 2 x 2: 0.5 * 2 puts the cutoff at sigma_1
     out = tmp_path / "out.json"
-    assert run([cmd, sigma_star_path, "--tol", "0.5", "-o", str(out)]) == 2
+    assert run([cmd, sigma2_path, "--tol", "0.5", "-o", str(out)]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and "rel_eps 0.5 times the largest dimension" in captured.err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("cmd", ["analyze", "minimize"])
+def test_overflowing_root_is_domain_error(tmp_path, cmd, capsys):
+    rng = np.random.default_rng(3)
+    base = random_system(rng, n=6, D=2, m=1, p=1)
+    path = tmp_path / "huge.json"
+    fileio.save_system(path, ALPVSystem(A=base.A * 1e80, B=base.B, C=base.C))
+    out = tmp_path / "out.json"
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert run([cmd, str(path), "-o", str(out)]) == 1
+    assert "NonFiniteEntry: matrix contains NaN or Inf entries" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -19,7 +19,7 @@ from alpvreal import (
 )
 
 from conftest import make_eq1
-from helpers import random_run
+from helpers import random_run, scaled_poly
 
 
 def test_poly_evaluate_examples():
@@ -107,9 +107,9 @@ def test_check_equation_scale_invariant_verdict(sigma1, eq1, eq1_perturbed):
             order=1,
             m=1,
             D=1,
-            output_coeffs=tuple(p.scaled(factor) for p in eq1.output_coeffs),
+            output_coeffs=tuple(scaled_poly(p, factor) for p in eq1.output_coeffs),
             input_coeffs=tuple(
-                tuple(p.scaled(factor) for p in row) for row in eq1.input_coeffs
+                tuple(scaled_poly(p, factor) for p in row) for row in eq1.input_coeffs
             ),
         )
         assert check_equation(scaled, sigma1, trials=50, seed=7).satisfied
@@ -117,9 +117,9 @@ def test_check_equation_scale_invariant_verdict(sigma1, eq1, eq1_perturbed):
             order=1,
             m=1,
             D=1,
-            output_coeffs=tuple(p.scaled(factor) for p in eq1_perturbed.output_coeffs),
+            output_coeffs=tuple(scaled_poly(p, factor) for p in eq1_perturbed.output_coeffs),
             input_coeffs=tuple(
-                tuple(p.scaled(factor) for p in row) for row in eq1_perturbed.input_coeffs
+                tuple(scaled_poly(p, factor) for p in row) for row in eq1_perturbed.input_coeffs
             ),
         )
         assert not check_equation(scaled_bad, sigma1, trials=50, seed=7).satisfied

@@ -1,9 +1,14 @@
+import ast
+import tracemalloc
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from alpvreal import (
     DEFAULT_TOL,
     InvalidMatrix,
+    NonFiniteEntry,
     ToleranceConfig,
     numerical_rank,
     pseudoinverse,
@@ -36,6 +41,23 @@ def test_rank_nonfinite_rejected():
         pseudoinverse([[np.inf]])
     with pytest.raises(InvalidMatrix):
         rank_factorize(np.ones(3))  # not 2-d
+
+
+def test_finiteness_check_needs_no_entry_sized_temporary():
+    for bad in (np.nan, np.inf, -np.inf):
+        M = np.ones((3, 4))
+        M[2, 1] = bad
+        with pytest.raises(NonFiniteEntry):
+            linalg.as_matrix(M)
+    assert linalg.as_matrix(np.zeros((0, 5))).shape == (0, 5)
+    M = np.ones((2000, 2000))
+    tracemalloc.start()
+    try:
+        linalg.as_matrix(M)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6  # a boolean mask of M alone would take 4 MB
 
 
 def test_rank_of_random_products():
@@ -166,3 +188,16 @@ def test_tail_under_the_cutoff_is_not_certified():
     M = (U * s) @ V.T
     assert linalg._sketched_svd(M, M.shape, DEFAULT_TOL) is None
     assert rank_factorize(M)[2] == numerical_rank(M) == 11
+
+
+def test_only_linalg_applies_the_cutoff():
+    """Every other module ranks through linalg's functions, so each cutoff is the ranked matrix's."""
+    offenders = []
+    for path in sorted(Path(linalg.__file__).parent.glob("*.py")):
+        if path.name == "linalg.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and node.func.attr in ("rank", "cutoff")):
+                offenders.append(f"{path.name}:{node.lineno}")
+    assert offenders == []

@@ -15,7 +15,6 @@ from alpvreal import (
     markov_block,
     markov_table,
     probe_kernel_coeff,
-    probe_markov_block,
     system_oracle,
     word_count,
     word_to_index,
@@ -86,17 +85,17 @@ def test_markov_block_table_horizon_guard(sigma_star):
 
 def test_probing_matches_products_on_fixture(sigma_star):
     oracle = system_oracle(sigma_star)
-    assert np.allclose(probe_markov_block(oracle, ()), [[1.0, 3.0], [2.0, 6.0]], atol=1e-10)
+    assert np.allclose(markov_block(oracle, ()), [[1.0, 3.0], [2.0, 6.0]], atol=1e-10)
     assert np.allclose(probe_kernel_coeff(oracle, (1, 1, 1)), [[0.5]], atol=1e-10)
     assert np.allclose(
-        probe_markov_block(oracle, (1, 1)), [[0.25, 0.75], [0.5, 1.5]], atol=1e-10
+        markov_block(oracle, (1, 1)), [[0.25, 0.75], [0.5, 1.5]], atol=1e-10
     )
 
 
 def test_probing_zero_oracle():
     oracle = IOOracle(fn=lambda w: np.zeros(2), D=2, m=1, p=2)
     assert np.allclose(probe_kernel_coeff(oracle, (1, 2)), np.zeros((2, 1)))
-    assert np.allclose(probe_markov_block(oracle, (1,)), np.zeros((4, 2)))
+    assert np.allclose(markov_block(oracle, (1,)), np.zeros((4, 2)))
 
 
 def test_probing_matches_products_random_population(random_population):
@@ -104,7 +103,7 @@ def test_probing_matches_products_random_population(random_population):
         oracle = system_oracle(sys)
         for v in words_up_to(3, sys.D):
             assert np.allclose(
-                probe_markov_block(oracle, v), markov_block(sys, v), atol=1e-9
+                markov_block(oracle, v), markov_block(sys, v), atol=1e-9
             )
 
 

@@ -15,7 +15,7 @@ from alpvreal import (
     simulate,
 )
 
-from helpers import random_run, random_system
+from helpers import input_from_pairs, random_run, random_system
 
 
 def test_validate_fixture_ok(sigma_star):
@@ -61,7 +61,7 @@ def test_family_is_read_only(name):
     with pytest.raises(ValueError, match="read-only"):
         getattr(sys, name)[...] = 0.0
     # S(222) = C_2 A_2 B_2 = 2 * 0.25 * 3 on every route
-    w = InputSequence.from_pairs([((0, 1), (1,)), ((0, 1), (0,)), ((0, 1), (0,))])
+    w = input_from_pairs([((0, 1), (1,)), ((0, 1), (0,)), ((0, 1), (0,))])
     assert simulate(sys, [0.0], w).final_output[0] == 1.5
     assert kernel_coeff(sys, (2, 2, 2))[0, 0] == 1.5
     assert markov_block(sys, (2,))[1, 1] == 1.5
@@ -69,7 +69,7 @@ def test_family_is_read_only(name):
 
 
 def test_simulate_hand_recursion(sigma_star):
-    w = InputSequence.from_pairs([((1, 0), (2,)), ((0, 1), (0,))])
+    w = input_from_pairs([((1, 0), (2,)), ((0, 1), (0,))])
     res = simulate(sigma_star, [0.0], w)
     assert res.states.shape == (3, 1)
     assert res.outputs.shape == (2, 1)
@@ -78,13 +78,13 @@ def test_simulate_hand_recursion(sigma_star):
 
 
 def test_simulate_zero_state_no_feedthrough(sigma_star):
-    w = InputSequence.from_pairs([((0.3, -0.7), (5.0,))])
+    w = input_from_pairs([((0.3, -0.7), (5.0,))])
     res = simulate(sigma_star, [0.0], w)
     assert res.outputs[0, 0] == 0.0
 
 
 def test_simulate_initial_state_readout(sigma_star):
-    w = InputSequence.from_pairs([((1, 0), (0,))])
+    w = input_from_pairs([((1, 0), (0,))])
     assert simulate(sigma_star, [1.0], w).outputs[0, 0] == pytest.approx(1.0)
 
 
@@ -115,10 +115,10 @@ def test_simulate_nonfinite_initial_state_raises(sigma_star):
 
 
 def test_simulate_dimension_mismatch(sigma_star):
-    w = InputSequence.from_pairs([((1, 0, 0), (0,))])
+    w = input_from_pairs([((1, 0, 0), (0,))])
     with pytest.raises(DimensionMismatch):
         simulate(sigma_star, [0.0], w)
-    w = InputSequence.from_pairs([((1, 0), (0,))])
+    w = input_from_pairs([((1, 0), (0,))])
     with pytest.raises(DimensionMismatch):
         simulate(sigma_star, [0.0, 0.0], w)
 
@@ -134,7 +134,7 @@ def test_simulate_deterministic(sigma_star):
 
 def test_convolution_fixture_value(sigma_star):
     table = markov_table(sigma_star, 2)
-    w = InputSequence.from_pairs([((1, 0), (2,)), ((0, 1), (7.0,))])
+    w = input_from_pairs([((1, 0), (2,)), ((0, 1), (7.0,))])
     # only the k=0 term survives: S(12) * p1(0) p2(1) * u(0) = 2*1*1*2
     assert convolution_output(table, w)[0] == pytest.approx(4.0)
 

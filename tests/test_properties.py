@@ -29,6 +29,7 @@ from alpvreal import (
     extended_reachability,
     factored_hankel_rank,
     find_isomorphism,
+    hankel_rank,
     hankel_singular_values,
     io_span_dimension,
     isomorphism_residual,
@@ -354,3 +355,28 @@ def test_system_decisions_never_build_the_factors(monkeypatch):
     assert isomorphism_residual(small, core, T) < 1e-10
     assert factored_hankel_rank(padded, 13, 13) == 11
     assert io_span_dimension(padded, 14) == 11
+    monkeypatch.setattr(hankel, "build_hankel", lambda *args: refuse(None, None))
+    assert hankel_rank(padded, 13, 13) == 11
+
+
+def test_rank_cutoff_does_not_grow_with_the_word_count():
+    """At D=3 the depth n-1 factor of an n=21 system has 3 N(20) > 1.5e10 columns.
+
+    A cutoff scaled by that width (rel_eps 1e-10) would discard every
+    singular value; each decision ranks its root under the root's own cutoff.
+    """
+    rng = np.random.default_rng(0)
+    core = random_minimal_system(rng, n=18, D=3, m=1, p=1, sv_gap=1e-2)
+    padded = pad_unobservable(pad_unreachable(core, 2, rng), 1, rng)
+    report = analyze(padded)
+    assert (report.n, report.reach_rank, report.obs_rank) == (21, 19, 20)
+    small = minimize(padded)
+    assert small.n == 18
+    assert hankel_rank(padded, 20, 20) == 18
+    assert isomorphism_residual(small, core, find_isomorphism(small, core)) < 1e-10
+
+    wide = random_system(rng, n=20, D=3, m=1, p=1)
+    s = np.linalg.svd(reachability_root(wide, 19), compute_uv=False)
+    assert s[-1] / s[0] > 1e-2
+    report = analyze(wide)
+    assert (report.reach_rank, report.obs_rank) == (20, 20)
