@@ -8,6 +8,7 @@ are deterministic: identical inputs and flags give byte-identical files.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 import numpy as np
@@ -110,14 +111,16 @@ def _tol_option(help_text="relative singular-value tolerance for rank decisions"
     return "--tol", dict(type=float, default=1e-10, help=help_text)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The `alpv` parser, built once per process; `run` dispatches to ``cmd_<name>``."""
     parser = argparse.ArgumentParser(
         prog="alpv",
         description="Realization tools for affine linear parameter-varying systems.",
     )
     sub = parser.add_subparsers(dest="cmd", required=True)
 
-    def command(name, handler, help_text, formats, *arguments, output, required=True):
+    def command(name, help_text, formats, *arguments, output, required=True):
         """A subcommand whose epilog is the `fileio.FORMATS` line of each of `formats`.
 
         Each argument is a positional name, a list of `PATH` options exactly
@@ -141,54 +144,50 @@ def build_parser() -> argparse.ArgumentParser:
             else:
                 p.add_argument(arg[0], **arg[1])
         p.add_argument("-o", "--output", required=required, help=output)
-        p.set_defaults(handler=handler)
 
-    command("sim", cmd_sim, "simulate a system on a signal file",
+    command("sim", "simulate a system on a signal file",
             ("system", "signal", "outputs"), "system", "signal", output="outputs CSV path")
-    command("markov", cmd_markov, "kernel coefficient table of a system",
+    command("markov", "kernel coefficient table of a system",
             ("system", "table"), "system",
             ("--horizon", dict(type=int, required=True, help="max word length (>= 1)")),
             output="table JSON path")
-    command("hankel", cmd_hankel, "assemble a finite Hankel sub-matrix",
+    command("hankel", "assemble a finite Hankel sub-matrix",
             ("system", "table", "hankel"), ["--from-system", "--from-table"],
             ("--L", dict(type=int, required=True, help="block-row word-length bound")),
             ("--M", dict(type=int, required=True, help="block-column word-length bound")),
             output="hankel CSV path (sidecar is added)")
-    command("realize", cmd_realize, "Kalman-Ho realization from a Hankel sub-matrix",
+    command("realize", "Kalman-Ho realization from a Hankel sub-matrix",
             ("hankel", "system"), ["--from-hankel", "--from-system"],
             ("--L", dict(type=int, help="row bound when building from a system (M = L+1)")),
             _tol_option(), output="system JSON path")
-    command("minimize", cmd_minimize, "reachability + observability reduction to a minimal system",
+    command("minimize", "reachability + observability reduction to a minimal system",
             ("system",), "system", _tol_option(), output="system JSON path")
-    command("analyze", cmd_analyze, "reachability/observability ranks and minimality flags",
+    command("analyze", "reachability/observability ranks and minimality flags",
             ("system",), "system", _tol_option(),
             output="also write the report JSON here", required=False)
-    command("iso", cmd_iso, "state isomorphism between two minimal systems",
+    command("iso", "state isomorphism between two minimal systems",
             ("system", "iso"), "system1", "system2", _tol_option(),
             ("--residual-tol", dict(
                 type=float, default=1e-7,
                 help="max allowed relative defect of the isomorphism relations")),
             output="also write the CSV here", required=False)
-    command("ioeq-check", cmd_ioeq_check,
-            "randomized check of an affine polynomial input-output equation",
+    command("ioeq-check", "randomized check of an affine polynomial input-output equation",
             ("equation", "system"), "equation", "system",
             ("--trials", dict(type=int, default=100)), ("--seed", dict(type=int, default=42)),
             _tol_option("residual tolerance relative to 1 + max |y|"),
             output="also write the report JSON here", required=False)
-    command("switched-sim", cmd_switched_sim,
-            "simulate a system on a switched (one mode per step) input",
+    command("switched-sim", "simulate a system on a switched (one mode per step) input",
             ("system", "switched", "outputs"), "system", "switched", output="outputs CSV path")
     return parser
 
 
 def run(argv) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        args.handler(args)
+        globals()["cmd_" + args.cmd.replace("-", "_")](args)
     except ALPVError as exc:
         print(f"error: {args.cmd}: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import csv
 import dataclasses
-import io
 import json
 import os
 import tempfile
@@ -52,35 +51,64 @@ def format_float(x) -> str:
     return "%.17g" % float(x)
 
 
+_quote = json.encoder.encode_basestring_ascii
+
+# The scalars a list may hold and still print on one line; the exact types among them,
+# and the text of the commonest ones, are found by type() before any isinstance.
+_INLINE = (bool, int, float, str, np.integer, np.floating)
+_PLAIN = {bool, int, float, str}
+_EXACT = {float: "%.17g".__mod__, int: str, str: _quote}
+
+
+def _scalar(x):
+    """JSON text of a scalar; TypeError for any other object."""
+    if type(x) in _EXACT:
+        return _EXACT[type(x)](x)
+    if isinstance(x, (bool, np.bool_)):
+        return "true" if x else "false"
+    if isinstance(x, (int, np.integer)):
+        return str(int(x))
+    if isinstance(x, (float, np.floating)):
+        return format_float(x)
+    if isinstance(x, str):
+        return _quote(x)
+    if x is None:
+        return "null"
+    raise TypeError(f"cannot serialize {type(x).__name__}")
+
+
+def _write(obj, pad: str, out: list) -> None:
+    """Append the JSON text of `obj` to `out`; `pad` is a newline and the current indent."""
+    t = type(obj)
+    if t in _EXACT:
+        out.append(_EXACT[t](obj))
+    elif t is dict or t is not list and isinstance(obj, dict):
+        inner, sep = pad + "  ", "{"
+        for k, v in obj.items():
+            out.append(sep + inner + _quote(str(k)) + ": ")
+            _write(v, inner, out)
+            sep = ","
+        out.append(pad + "}" if obj else "{}")
+    elif t is list or isinstance(obj, (list, tuple)):
+        kinds = set(map(type, obj))
+        if kinds <= _PLAIN or list not in kinds and all(isinstance(x, _INLINE) for x in obj):
+            out.append("[" + ", ".join(map(_scalar, obj)) + "]")
+            return
+        inner, sep = pad + "  ", "["
+        for x in obj:
+            out.append(sep + inner)
+            _write(x, inner, out)
+            sep = ","
+        out.append(pad + "]")
+    else:
+        out.append(_scalar(obj))
+
+
 def dumps_json(obj, indent: int = 0) -> str:
     """Deterministic JSON with 17-significant-digit floats."""
-    pad = "  " * indent
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        inner = ",\n".join(
-            f"{pad}  {json.dumps(str(k))}: {dumps_json(v, indent + 1)}"
-            for k, v in obj.items()
-        )
-        return "{\n" + inner + "\n" + pad + "}"
-    if isinstance(obj, (list, tuple)):
-        if len(obj) == 0:
-            return "[]"
-        if all(isinstance(x, (bool, int, float, str, np.integer, np.floating)) for x in obj):
-            return "[" + ", ".join(dumps_json(x) for x in obj) + "]"
-        inner = ",\n".join(pad + "  " + dumps_json(x, indent + 1) for x in obj)
-        return "[\n" + inner + "\n" + pad + "]"
-    if isinstance(obj, (bool, np.bool_)):
-        return "true" if obj else "false"
-    if isinstance(obj, (int, np.integer)):
-        return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
-        return format_float(obj)
-    if isinstance(obj, str):
-        return json.dumps(obj)
-    if obj is None:
-        return "null"
-    raise TypeError(f"cannot serialize {type(obj).__name__}")
+    out = []
+    _write(obj, "\n" + "  " * indent, out)
+    return "".join(out)
 
 
 def write_text(path, text: str) -> None:
@@ -115,11 +143,9 @@ def _sizes(data: dict, *names) -> list:
 
 def matrix_csv(matrix) -> str:
     """A matrix as CSV text: one line per row, 17-significant-digit entries."""
-    out = io.StringIO()
-    for row in np.atleast_2d(matrix):
-        out.write(",".join(format_float(x) for x in row))
-        out.write("\n")
-    return out.getvalue()
+    rows = np.atleast_2d(matrix)
+    line = ",".join(["%.17g"] * rows.shape[1]) + "\n"
+    return "".join([line % tuple(row) for row in rows.tolist()])
 
 
 def load_matrix_csv(path) -> np.ndarray:
@@ -203,37 +229,43 @@ def load_system(path) -> ALPVSystem:
 # -- Markov tables -----------------------------------------------------------
 
 def table_to_dict(table: MarkovTable) -> dict:
-    words = _w.words_up_to(table.horizon, table.D)[_w.word_count(1, table.D):]
-    S = [s for k in range(2, table.horizon + 1) for s in table.level(k).tolist()]
+    labels = _w.labels_up_to(table.horizon, table.D)[_w.word_count(1, table.D):]
     return {
         "schema": SCHEMA,
         "D": table.D,
         "m": table.m,
         "p": table.p,
         "horizon": table.horizon,
-        "entries": [{"word": _w.word_to_str(v, table.D), "S": s} for v, s in zip(words, S)],
+        "entries": [{"word": v, "S": s} for v, s in zip(labels, table.coeffs.tolist())],
     }
 
 
 def table_from_dict(data: dict) -> MarkovTable:
+    """A table from its JSON object; only a word not in its text form is parsed."""
     try:
         D, m, p, horizon = _sizes(data, "D", "m", "p", "horizon")
         items = data["entries"]
-        parsed = [_w.word_from_str(item["word"], D) for item in items]
-        S = [np.array(item["S"], dtype=float).reshape(p, m) for item in items]
+        labels = _w.labels_up_to(horizon, D)[_w.word_count(1, D):]
+        row_of = dict(zip(labels, range(len(labels))))
+        keys = [item["word"] for item in items]
+        rows = [row_of.get(k, -1) if type(k) is str else -1 for k in keys]
+        for i in [i for i, row in enumerate(rows) if row < 0]:
+            row = _w.word_to_index(_w.word_from_str(keys[i], D), D) - _w.word_count(1, D) - 1
+            rows[i] = row if 0 <= row < len(labels) else -1
+        S = np.array([item["S"] for item in items], dtype=float)
+        if S.size != len(items) * p * m:
+            raise ValueError(f"every S must be a {p} x {m} matrix")
     except (AttributeError, KeyError, TypeError, ValueError, InvalidWord) as exc:
         raise ValueError(f"malformed Markov table: {exc}") from exc
-    words = _w.words_up_to(horizon, D)[_w.word_count(1, D):]
-    position = dict(zip(words, range(len(words))))
-    rows = np.array([position.get(v, -1) for v in parsed], dtype=int)
+    rows = np.array(rows, dtype=int)
     covered = np.unique(rows[rows >= 0]).size
-    if len(items) != len(words) or covered != len(words):
+    if len(items) != len(labels) or covered != len(labels):
         raise ValueError(
             f"table must cover each word of length 2..{horizon} once "
-            f"({len(words)} entries), got {len(items)} covering {covered}"
+            f"({len(labels)} entries), got {len(items)} covering {covered}"
         )
-    coeffs = np.empty((len(words), p, m))
-    coeffs[rows] = np.reshape(S, (-1, p, m))
+    coeffs = np.empty((len(labels), p, m))
+    coeffs[rows] = S.reshape(-1, p, m)
     return MarkovTable(D=D, m=m, p=p, horizon=horizon, coeffs=coeffs)
 
 

@@ -113,6 +113,14 @@ def word_to_str(w, D: int) -> str:
     return " ".join(str(q) for q in w)
 
 
+def labels_up_to(L: int, D: int) -> list:
+    """word_to_str of every word of length <= L, in enumeration order."""
+    check_alphabet(D)
+    symbols, sep = [str(q) for q in range(1, D + 1)], "" if D <= 9 else " "
+    levels = (itertools.product(symbols, repeat=k) for k in range(1, L + 1))
+    return ["eps"] + [sep.join(v) for level in levels for v in level]
+
+
 def word_from_str(s: str, D: int) -> Word:
     """Parse the textual form produced by word_to_str."""
     check_alphabet(D)

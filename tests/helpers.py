@@ -1,5 +1,7 @@
 """Shared constructions for the test suite: random systems, paddings, runs."""
 
+import json
+
 import numpy as np
 
 from alpvreal import (
@@ -96,3 +98,37 @@ def transform_system(sys: ALPVSystem, T) -> ALPVSystem:
         B=[T @ Bq for Bq in sys.B],
         C=[Cq @ Tinv for Cq in sys.C],
     )
+
+
+def reference_dumps_json(obj, indent: int = 0) -> str:
+    """The recursive JSON emitter that `fileio.dumps_json` must match byte for byte.
+
+    Kept as the test reference; its floats are `fileio.format_float`'s text.
+    """
+    pad = "  " * indent
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        inner = ",\n".join(
+            f"{pad}  {json.dumps(str(k))}: {reference_dumps_json(v, indent + 1)}"
+            for k, v in obj.items()
+        )
+        return "{\n" + inner + "\n" + pad + "}"
+    if isinstance(obj, (list, tuple)):
+        if len(obj) == 0:
+            return "[]"
+        if all(isinstance(x, (bool, int, float, str, np.integer, np.floating)) for x in obj):
+            return "[" + ", ".join(reference_dumps_json(x) for x in obj) + "]"
+        inner = ",\n".join(pad + "  " + reference_dumps_json(x, indent + 1) for x in obj)
+        return "[\n" + inner + "\n" + pad + "]"
+    if isinstance(obj, (bool, np.bool_)):
+        return "true" if obj else "false"
+    if isinstance(obj, (int, np.integer)):
+        return str(int(obj))
+    if isinstance(obj, (float, np.floating)):
+        return "%.17g" % float(obj)
+    if isinstance(obj, str):
+        return json.dumps(obj)
+    if obj is None:
+        return "null"
+    raise TypeError(f"cannot serialize {type(obj).__name__}")

@@ -392,6 +392,18 @@ def test_table_word_not_a_string_is_usage_error(tmp_path, sigma_star, capsys):
 
 
 @pytest.mark.parametrize(
+    "S", [[[1.0, 2.0]], [[1.0], [2.0]], [], "S"], ids=["row", "column", "empty", "string"]
+)
+def test_table_entry_of_wrong_shape_is_usage_error(tmp_path, sigma_star, S, capsys):
+    def edit(entries):
+        entries[1]["S"] = S
+
+    assert run(_sigma_star_table_argv(tmp_path, sigma_star, edit)) == 2
+    assert "malformed Markov table" in capsys.readouterr().err
+    assert not (tmp_path / "H.csv").exists()
+
+
+@pytest.mark.parametrize(
     "edit",
     [
         lambda eq: eq["Q"][1][0].update(exps=[1]),

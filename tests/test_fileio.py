@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from alpvreal import (
     InputSequence,
@@ -11,10 +13,10 @@ from alpvreal import (
     markov_table,
     words_up_to,
 )
-from alpvreal import fileio
+from alpvreal import fileio, words
 
 from conftest import make_eq1
-from helpers import random_run, random_system
+from helpers import random_run, random_system, reference_dumps_json
 
 
 def test_float_formatting():
@@ -32,6 +34,50 @@ def test_dumps_json_deterministic_and_parseable():
     parsed = json.loads(text)
     assert parsed["flag"] is True
     assert parsed["x"][0] == pytest.approx(1.0 / 3.0, abs=0)
+
+
+_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.floats(),
+    st.sampled_from([0.0, -0.0, 1e-320, -1e-320, float("nan"), float("inf"), -float("inf")]),
+    st.text(),
+    st.sampled_from(['"', "\\", 'a "quoted\\" word', "caf\u00e9", "\u65e5\u672c", "\u2028", "\x00"]),
+    st.integers(-(2**63), 2**63 - 1).map(np.int64),
+    st.integers(-(2**15), 2**15 - 1).map(np.int16),
+    st.floats().map(np.float64),
+    st.floats(width=32).map(np.float32),
+    st.booleans().map(np.bool_),
+)
+_KEYS = st.one_of(st.text(), st.integers(), st.booleans(), st.floats(allow_nan=False))
+_OBJECTS = st.recursive(
+    _SCALARS,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        st.dictionaries(_KEYS, inner, max_size=4),
+    ),
+    max_leaves=24,
+)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(_OBJECTS, st.integers(0, 3))
+def test_dumps_json_matches_the_reference_emitter(obj, indent):
+    assert fileio.dumps_json(obj, indent) == reference_dumps_json(obj, indent)
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [object(), {1, 2}, np.zeros(2), 1j, b"bytes", [1.0, object()], {"a": [None, {"b": 1j}]}],
+    ids=["object", "set", "ndarray", "complex", "bytes", "in-list", "nested"],
+)
+def test_dumps_json_rejects_unsupported_objects(obj):
+    with pytest.raises(TypeError, match="cannot serialize"):
+        reference_dumps_json(obj)
+    with pytest.raises(TypeError, match="cannot serialize"):
+        fileio.dumps_json(obj)
 
 
 def test_system_roundtrip(tmp_path, sigma2):
@@ -80,12 +126,19 @@ def _enumerated(table):
     return np.array([table.entries[v] for v in words]).reshape(len(words), table.p, table.m)
 
 
-@pytest.mark.parametrize("D, m, p, horizon", [(3, 2, 2, 5), (1, 2, 1, 6)])
-def test_table_save_load_save_is_byte_identical(tmp_path, D, m, p, horizon):
+@pytest.mark.parametrize(
+    "D, m, p, horizon", [(3, 2, 2, 5), (1, 2, 1, 6), (10, 1, 2, 3), (3, 1, 1, 8)]
+)
+def test_table_save_load_save_is_byte_identical(tmp_path, monkeypatch, D, m, p, horizon):
     table = markov_table(random_system(np.random.default_rng(D), D=D, m=m, p=p), horizon)
+    checked = []
+    check_word = words.check_word
+    monkeypatch.setattr(words, "check_word", lambda w, D: checked.append(w) or check_word(w, D))
     fileio.save_table(tmp_path / "a.json", table)
     loaded = fileio.load_table(tmp_path / "a.json")
     fileio.save_table(tmp_path / "b.json", loaded)
+    # Words are written and matched by their text: no per-word check.
+    assert len(checked) < 50
     assert (tmp_path / "b.json").read_bytes() == (tmp_path / "a.json").read_bytes()
     assert np.array_equal(_enumerated(loaded), _enumerated(table))
 
@@ -100,6 +153,16 @@ def test_table_entry_order_in_the_file_does_not_matter(tmp_path):
     loaded = fileio.load_table(path)
     assert (loaded.D, loaded.m, loaded.p, loaded.horizon) == (2, 2, 2, 4)
     assert np.array_equal(_enumerated(loaded), _enumerated(table))
+
+
+def test_table_word_with_surrounding_spaces_is_parsed(tmp_path, sigma_star):
+    table = markov_table(sigma_star, 3)
+    data = fileio.table_to_dict(table)
+    assert data["entries"][1]["word"] == "12"
+    data["entries"][1]["word"] = " 12 "
+    path = tmp_path / "padded.json"
+    path.write_text(fileio.dumps_json(data))
+    assert np.array_equal(fileio.load_table(path).coeffs, table.coeffs)
 
 
 def test_hankel_roundtrip(tmp_path, sigma2):

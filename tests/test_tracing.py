@@ -1,13 +1,16 @@
 """The benchmark's tracer can rebind every package name it wraps.
 
 `perfbench/tracing.py` rebinds module-level names of `alpvreal` by name, so
-deleting or renaming one of them breaks the traced benchmark run.  This test
-fails on such a change without running the benchmark.
+deleting or renaming one of them breaks the traced benchmark run.  These tests
+fail on such a change without running the benchmark, and on a CLI that keeps
+its subcommand handlers where a later rebinding cannot reach them.
 """
 
 import pathlib
 import subprocess
 import sys
+
+from alpvreal import cli, fileio
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 INSTALL = (
@@ -21,3 +24,16 @@ def test_tracer_installs():
         [sys.executable, "-c", INSTALL], cwd=ROOT, capture_output=True, text=True, timeout=60
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_rebound_cli_handler_runs_after_the_parser_exists(tmp_path, sigma_star, monkeypatch):
+    system = tmp_path / "system.json"
+    fileio.save_system(system, sigma_star)
+    argv = ["markov", str(system), "--horizon", "3", "-o", str(tmp_path / "table.json")]
+    assert cli.run(argv) == 0
+    ran = []
+    cmd_markov = cli.cmd_markov
+    monkeypatch.setattr(cli, "cmd_markov", lambda args: ran.append(args.cmd) or cmd_markov(args))
+    assert cli.run(argv) == 0
+    assert ran == ["markov"]
+    assert cli.build_parser() is cli.build_parser()
