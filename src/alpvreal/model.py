@@ -153,6 +153,10 @@ class InputSequence:
         return self.inputs.shape[1]
 
 
+# Entries of the per-step matrices `simulate` forms at once (2 MB of floats).
+_BLOCK_ENTRIES = 1 << 18
+
+
 @dataclass(frozen=True, eq=False)
 class SimulationResult:
     """States x(0)..x(T+1) and outputs y(0)..y(T) of one run."""
@@ -175,6 +179,13 @@ def simulate(sys: ALPVSystem, x0, w: InputSequence) -> SimulationResult:
 
     so the input at the final time never affects the outputs.  A non-finite
     state or output, from x0 or from overflow, raises NonFiniteEntry.
+
+    The scheduling contractions are taken outside the step loop, so each
+    step is one matrix-vector product: the matrices A(p(t)) of a block of
+    steps come from one product with the flattened A stack, and the input
+    terms B(p(t)) u(t) and the outputs from one matrix product each.  Blocks
+    are bounded so that their matrices hold about `_BLOCK_ENTRIES` numbers;
+    the memory is O(block n^2 + T D max(m, p) + T n), never O(T n^2).
     """
     D, n, m, p = sys.dims
     if w.D != D:
@@ -185,14 +196,26 @@ def simulate(sys: ALPVSystem, x0, w: InputSequence) -> SimulationResult:
     if x.shape[0] != n:
         raise DimensionMismatch(f"initial state has dim {x.shape[0]}, system has n={n}")
     steps = w.length
+    sched = w.scheduling
+    A_flat = sys.A.reshape(D, n * n)
+    block = max(1, _BLOCK_ENTRIES // max(1, n * n))
     states = np.empty((steps + 1, n))
-    outputs = np.empty((steps, p))
     states[0] = x
-    for t in range(steps):
-        pt = w.scheduling[t]
-        outputs[t] = np.tensordot(pt, sys.C, axes=1) @ x
-        x = np.tensordot(pt, sys.A, axes=1) @ x + np.tensordot(pt, sys.B, axes=1) @ w.inputs[t]
-        states[t + 1] = x
+    # Overflow is reported once, as NonFiniteEntry, by the check below.
+    with np.errstate(over="ignore", invalid="ignore"):
+        # states[t+1] starts as B(p(t)) u(t) = (p(t) (x) u(t)) [B_1 ... B_D]^T ...
+        pu = np.einsum("tq,tj->tqj", sched, w.inputs).reshape(steps, D * m)
+        states[1:] = pu @ sys.B.transpose(0, 2, 1).reshape(D * m, n)
+        # ... and step t adds A(p(t)) x(t).
+        for start in range(0, steps, block):
+            stop = min(start + block, steps)
+            At = (sched[start:stop] @ A_flat).reshape(stop - start, n, n)
+            for A_t, row in zip(At, states[start + 1 : stop + 1]):
+                row += A_t @ x
+                x = row
+        # y(t) = sum_q p_q(t) C_q x(t), with every C_q x(t) from one product.
+        Cx = states[:-1] @ sys.C.transpose(2, 0, 1).reshape(n, D * p)
+        outputs = np.einsum("tq,tqi->ti", sched, Cx.reshape(steps, D, p))
     if not (np.isfinite(states).all() and np.isfinite(outputs).all()):
         raise NonFiniteEntry("trajectory is not finite (non-finite x0 or overflow)")
     return SimulationResult(states=states, outputs=outputs)

@@ -8,6 +8,7 @@ from alpvreal import (
     ALPVSystem,
     InputSequence,
     SchedulingPoly,
+    SimulationResult,
     analyze,
     hankel_singular_values,
 )
@@ -24,6 +25,11 @@ def random_system(rng, n=None, D=None, m=None, p=None) -> ALPVSystem:
         B=[rng.uniform(-1, 1, (n, m)) for _ in range(D)],
         C=[rng.uniform(-1, 1, (p, n)) for _ in range(D)],
     )
+
+
+def contractive(sys: ALPVSystem) -> ALPVSystem:
+    """`sys` with every A_q divided by D n, so that no A(p), |p_q| <= 1, expands."""
+    return ALPVSystem(A=sys.A / (sys.D * max(sys.n, 1)), B=sys.B, C=sys.C)
 
 
 def random_minimal_system(rng, n=None, D=None, m=None, p=None, sv_gap=1e-4) -> ALPVSystem:
@@ -48,6 +54,23 @@ def random_run(rng, D, m, length) -> InputSequence:
         scheduling=rng.uniform(-1, 1, (length, D)),
         inputs=rng.uniform(-1, 1, (length, m)),
     )
+
+
+def reference_simulate(sys: ALPVSystem, x0, w: InputSequence) -> SimulationResult:
+    """The per-step recursion that `simulate` must match: three contractions per step.
+
+    Kept as the test reference; it checks no dimensions and no finiteness.
+    """
+    x = np.asarray(x0, dtype=float).reshape(-1)
+    states = np.empty((w.length + 1, sys.n))
+    outputs = np.empty((w.length, sys.p))
+    states[0] = x
+    for t in range(w.length):
+        pt = w.scheduling[t]
+        outputs[t] = np.tensordot(pt, sys.C, axes=1) @ x
+        x = np.tensordot(pt, sys.A, axes=1) @ x + np.tensordot(pt, sys.B, axes=1) @ w.inputs[t]
+        states[t + 1] = x
+    return SimulationResult(states=states, outputs=outputs)
 
 
 def input_from_pairs(pairs) -> InputSequence:

@@ -1,16 +1,28 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import alpvreal
 from alpvreal import ALPVSystem, InputSequence, SwitchedInput, build_hankel, markov_table, simulate
 from alpvreal import fileio
 from alpvreal.cli import run
 
 from conftest import make_eq1
 from helpers import random_run, random_system
+
+
+def run_module(*args, interpreter_flags=()):
+    """`python -m alpvreal ARGS` in a new process that imports this package."""
+    env = {**os.environ, "PYTHONPATH": str(Path(alpvreal.__file__).parents[1])}
+    return subprocess.run(
+        [sys.executable, *interpreter_flags, "-m", "alpvreal", *args],
+        capture_output=True, text=True, env=env,
+    )
 
 
 @pytest.fixture()
@@ -39,6 +51,23 @@ def test_sim_outputs_match_library(tmp_path, sigma_star, sigma_star_path):
     values = np.array([[float(x)] for x in lines[1:]])
     expected = simulate(sigma_star, [0.0], w).outputs
     assert np.allclose(values, expected, atol=0)
+
+
+@pytest.mark.parametrize("warning_flags", [[], ["-W", "error"]])
+def test_sim_overflow_prints_one_error_line(tmp_path, warning_flags):
+    system = tmp_path / "expansive.json"
+    fileio.save_system(system, ALPVSystem(A=[[[1e200]]], B=[[[1.0]]], C=[[[1.0]]]))
+    signal = tmp_path / "signal.csv"
+    fileio.save_signal(
+        signal, InputSequence(scheduling=np.ones((5, 1)), inputs=[[1.0]] + [[0.0]] * 4)
+    )
+    out = tmp_path / "y.csv"
+    proc = run_module("sim", str(system), str(signal), "-o", str(out),
+                      interpreter_flags=warning_flags)
+    assert proc.returncode == 1
+    assert not out.exists()
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: sim: NonFiniteEntry: ")
 
 
 def test_analyze_stdout_json(sigma_star_path, capsys):
@@ -175,11 +204,7 @@ def test_bad_arguments_exit_2():
 
 
 def test_console_entry_point(sigma_star_path):
-    proc = subprocess.run(
-        [sys.executable, "-m", "alpvreal", "analyze", sigma_star_path],
-        capture_output=True,
-        text=True,
-    )
+    proc = run_module("analyze", sigma_star_path)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["minimal"] is True
 

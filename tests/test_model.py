@@ -1,3 +1,6 @@
+import tracemalloc
+import warnings
+
 import numpy as np
 import pytest
 
@@ -15,7 +18,7 @@ from alpvreal import (
     simulate,
 )
 
-from helpers import input_from_pairs, random_run, random_system
+from helpers import contractive, input_from_pairs, random_run, random_system
 
 
 def test_validate_fixture_ok(sigma_star):
@@ -105,6 +108,33 @@ def test_simulate_overflow_raises():
     w = InputSequence(scheduling=np.ones((5, 1)), inputs=np.array([[1.0]] + [[0.0]] * 4))
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NonFiniteEntry):
         simulate(sys, [0.0], w)
+
+
+@pytest.mark.parametrize("gain, schedule", [(1e200, 1.0), (1.0, 1e300)])
+def test_simulate_overflow_raises_only_nonfinite_entry(gain, schedule):
+    sys = ALPVSystem(A=[[[gain]]], B=[[[1.0]]], C=[[[1.0]]])
+    w = InputSequence(
+        scheduling=np.full((5, 1), schedule), inputs=np.array([[1.0]] + [[0.0]] * 4)
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteEntry):
+            simulate(sys, [0.0], w)
+
+
+def test_simulate_memory_stays_far_below_a_stack_of_step_matrices():
+    rng = np.random.default_rng(64)
+    n, steps = 64, 5000
+    sys = contractive(random_system(rng, n=n, D=2, m=1, p=1))
+    w = random_run(rng, 2, 1, steps)
+    tracemalloc.start()
+    try:
+        simulate(sys, np.zeros(n), w)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # All the steps' matrices A(p(t)) at once would take 8 * steps * n^2 bytes, 164 MB.
+    assert peak < 16 * 2**20
 
 
 def test_simulate_nonfinite_initial_state_raises(sigma_star):

@@ -1,15 +1,20 @@
 """Seeded property tests over random systems and matrices of every small shape.
 
 Systems range over D in {1, 2, 3}, n in {0, ..., 4} and m, p in {1, 2}; D = 1
-exercises the single-symbol word order and n = 0 the empty state space.  The
-rank tests and reductions, which work on the n x n roots of the Hankel
-factors, are checked against the extended matrices of the branching
-recursion on random systems with planted unreachable and unobservable
-states, and the roots' spectra against the dense factors and Hankel
-matrices.  Low-rank matrices whose shorter side reaches 64 take the
-range-sketch route of the SVD helper and are checked against the dense
-rank rule.
+exercises the single-symbol word order and n = 0 the empty state space.
+`simulate`, which takes its scheduling contractions in blocks of steps, is
+checked against the per-step recursion of `helpers.reference_simulate` on runs
+of length 1 and of a drawn length up to 40 (n up to 5) and on one run that
+crosses three block boundaries.  The rank tests and reductions, which work on
+the n x n roots of the Hankel factors, are checked against the extended
+matrices of the branching recursion on random systems with planted
+unreachable and unobservable states, and the roots' spectra against the dense
+factors and Hankel matrices.  Low-rank matrices whose shorter side reaches 64
+take the range-sketch route of the SVD helper and are checked against the
+dense rank rule.
 """
+
+import math
 
 import numpy as np
 import pytest
@@ -21,6 +26,7 @@ from alpvreal import (
     ALPVSystem,
     DimensionMismatch,
     HankelBlockMatrix,
+    InputSequence,
     MarkovTable,
     analyze,
     build_hankel,
@@ -53,21 +59,22 @@ from alpvreal import (
     words_up_to,
 )
 
-from alpvreal import hankel, linalg, realize
+from alpvreal import hankel, linalg, model, realize
 from helpers import (
-    pad_unobservable, pad_unreachable, random_minimal_system, random_run, random_system,
+    contractive, pad_unobservable, pad_unreachable, random_minimal_system, random_run,
+    random_system, reference_simulate,
 )
 
 SEEDED = settings(derandomize=True, database=None, deadline=None, max_examples=30)
 
 
 @st.composite
-def systems(draw):
+def systems(draw, max_n=4):
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     return random_system(
         rng,
         D=draw(st.integers(1, 3)),
-        n=draw(st.integers(0, 4)),
+        n=draw(st.integers(0, max_n)),
         m=draw(st.integers(1, 2)),
         p=draw(st.integers(1, 2)),
     )
@@ -163,6 +170,40 @@ def test_convolution_output_matches_simulation(sys, seed):
         w = random_run(rng, sys.D, sys.m, length)
         direct = simulate(sys, np.zeros(sys.n), w).final_output
         assert np.allclose(convolution_output(table, w), direct, rtol=1e-9, atol=1e-9)
+
+
+def assert_matches_reference_simulation(sys, x0, w):
+    res, ref = simulate(sys, x0, w), reference_simulate(sys, x0, w)
+    for got, expected in ((res.states, ref.states), (res.outputs, ref.outputs)):
+        assert got.shape == expected.shape
+        assert np.all(np.abs(got - expected) <= 1e-12 * (1 + np.abs(expected)))
+
+
+@SEEDED
+@given(systems(max_n=5), st.integers(0, 2**32 - 1), st.integers(2, 40))
+def test_simulate_matches_the_per_step_recursion(sys, seed, steps):
+    sys = contractive(sys)
+    rng = np.random.default_rng(seed)
+    for length in (1, steps):
+        w = random_run(rng, sys.D, sys.m, length)
+        assert_matches_reference_simulation(sys, rng.uniform(-1, 1, sys.n), w)
+
+
+def test_simulate_matches_the_per_step_recursion_across_step_blocks():
+    # A state dimension with blocks of about 16 steps keeps the run short.
+    n = math.isqrt(model._BLOCK_ENTRIES // 16)
+    block = model._BLOCK_ENTRIES // n**2
+    rng = np.random.default_rng(1618)
+    sys = contractive(random_system(rng, n=n, D=2, m=2, p=2))
+    x0 = rng.uniform(-1, 1, n)
+    # The final step opens a fourth block of step matrices.
+    w = random_run(rng, 2, 2, 3 * block + 1)
+    assert_matches_reference_simulation(sys, x0, w)
+    altered = InputSequence(
+        scheduling=w.scheduling, inputs=np.vstack([w.inputs[:-1], [[1e6, -1e6]]])
+    )
+    outputs = simulate(sys, x0, w).outputs
+    assert np.array_equal(simulate(sys, x0, altered).outputs, outputs)
 
 
 @SEEDED
