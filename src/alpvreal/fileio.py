@@ -126,7 +126,8 @@ def write_text(path, text: str) -> None:
 
 
 def _floats(rows) -> np.ndarray:
-    return np.array([[float(x) for x in row] for row in rows])
+    """The cells of a list of text rows as one float array, converted by numpy in one call."""
+    return np.array(rows, dtype=float)
 
 
 def _sizes(data: dict, *names) -> list:
@@ -149,8 +150,9 @@ def matrix_csv(matrix) -> str:
 
 
 def load_matrix_csv(path) -> np.ndarray:
-    with open(path, newline="") as handle:
-        data = _floats(row for row in csv.reader(handle) if row)
+    """A dense matrix written by `matrix_csv`; blank lines are skipped, cells are not unquoted."""
+    with open(path) as handle:
+        data = _floats([line.split(",") for line in handle.read().split("\n") if line])
     if not len(data):
         raise ValueError(f"{path}: empty matrix file")
     return data
@@ -228,18 +230,6 @@ def load_system(path) -> ALPVSystem:
 
 # -- Markov tables -----------------------------------------------------------
 
-def table_to_dict(table: MarkovTable) -> dict:
-    labels = _w.labels_up_to(table.horizon, table.D)[_w.word_count(1, table.D):]
-    return {
-        "schema": SCHEMA,
-        "D": table.D,
-        "m": table.m,
-        "p": table.p,
-        "horizon": table.horizon,
-        "entries": [{"word": v, "S": s} for v, s in zip(labels, table.coeffs.tolist())],
-    }
-
-
 def table_from_dict(data: dict) -> MarkovTable:
     """A table from its JSON object; only a word not in its text form is parsed."""
     try:
@@ -270,7 +260,23 @@ def table_from_dict(data: dict) -> MarkovTable:
 
 
 def save_table(path, table: MarkovTable) -> None:
-    write_text(path, dumps_json(table_to_dict(table)) + "\n")
+    """The table JSON, byte for byte what `dumps_json` prints for one {"word", "S"} dict per entry.
+
+    The header comes from `dumps_json`; the entries, in enumeration order, are
+    filled into a `%` template built once from p and m, so that no object is
+    built per entry.  A horizon-1 table has no entries and keeps `"entries": []`.
+    """
+    text = dumps_json({"schema": SCHEMA, "D": table.D, "m": table.m, "p": table.p,
+                       "horizon": table.horizon, "entries": []}) + "\n"
+    if len(table.coeffs):
+        row = "\n        [" + ", ".join(["%.17g"] * table.m) + "]"
+        S = ",".join([row] * table.p)
+        entry = '\n    {\n      "word": %s,\n      "S": [' + S + "\n      ]\n    }"
+        labels = _w.labels_up_to(table.horizon, table.D)[_w.word_count(1, table.D):]
+        values = table.coeffs.reshape(len(labels), -1).tolist()
+        entries = ",".join([entry % (_quote(v), *s) for v, s in zip(labels, values)])
+        text = text.replace('"entries": []', '"entries": [' + entries + "\n  ]")
+    write_text(path, text)
 
 
 def load_table(path) -> MarkovTable:
@@ -325,7 +331,7 @@ def save_outputs(path, outputs) -> None:
 def load_switched(path, D: int) -> SwitchedInput:
     _, rows = _load_labelled(path, "switched", ("u",), lead=("mode",))
     modes = tuple(int(row[0]) for row in rows)
-    return SwitchedInput(D=D, modes=modes, inputs=_floats(row[1:] for row in rows))
+    return SwitchedInput(D=D, modes=modes, inputs=_floats([row[1:] for row in rows]))
 
 
 def save_switched(path, sw: SwitchedInput) -> None:

@@ -43,8 +43,9 @@ class MarkovTable:
     `coeffs` holds them in enumeration order: row r is S(v) for the word at
     0-based position N(1) + r.  `entries` is a derived read-only word -> S view.
     The constructor checks the (N(horizon) - N(1), p, m) shape of `coeffs`
-    (DimensionMismatch) and that every S(v) is finite (NonFiniteEntry); writes
-    through the read-only view it keeps raise, but the caller's array is shared.
+    (DimensionMismatch) and that every S(v) is finite (NonFiniteEntry).  It keeps
+    its own read-only copy, so neither a write through it nor a later write to the
+    caller's array can change a checked table.
     """
 
     D: int
@@ -54,14 +55,14 @@ class MarkovTable:
     coeffs: np.ndarray  # (N(horizon) - N(1), p, m)
 
     def __post_init__(self):
+        coeffs = np.array(self.coeffs)
         shape = (_w.word_count(self.horizon, self.D) - _w.word_count(1, self.D), self.p, self.m)
-        if np.shape(self.coeffs) != shape:
-            raise DimensionMismatch(f"coeffs has shape {np.shape(self.coeffs)}, expected {shape}")
-        finite = np.isfinite(self.coeffs).all(axis=(1, 2))
+        if coeffs.shape != shape:
+            raise DimensionMismatch(f"coeffs has shape {coeffs.shape}, expected {shape}")
+        finite = np.isfinite(coeffs).all(axis=(1, 2))
         if not finite.all():
             v = _w.index_to_word(_w.word_count(1, self.D) + int(np.argmin(finite)) + 1, self.D)
             raise NonFiniteEntry(f"S({_w.word_to_str(v, self.D)}) is not finite")
-        coeffs = np.asarray(self.coeffs).view()  # a view: the caller's array keeps its flags
         coeffs.flags.writeable = False
         object.__setattr__(self, "coeffs", coeffs)
 

@@ -1,5 +1,6 @@
 """Shared constructions for the test suite: random systems, paddings, runs."""
 
+import csv
 import json
 
 import numpy as np
@@ -12,6 +13,7 @@ from alpvreal import (
     analyze,
     hankel_singular_values,
 )
+from alpvreal import words
 
 
 def random_system(rng, n=None, D=None, m=None, p=None) -> ALPVSystem:
@@ -155,3 +157,31 @@ def reference_dumps_json(obj, indent: int = 0) -> str:
     if obj is None:
         return "null"
     raise TypeError(f"cannot serialize {type(obj).__name__}")
+
+
+def table_to_dict(table) -> dict:
+    """The JSON object of a Markov table: one {"word", "S"} dict per entry, in enumeration order.
+
+    `reference_dumps_json` of it, plus a newline, is the text `fileio.save_table` must write.
+    """
+    labels = words.labels_up_to(table.horizon, table.D)[words.word_count(1, table.D):]
+    return {
+        "schema": "alpv-1",
+        "D": table.D,
+        "m": table.m,
+        "p": table.p,
+        "horizon": table.horizon,
+        "entries": [{"word": v, "S": s} for v, s in zip(labels, table.coeffs.tolist())],
+    }
+
+
+def reference_load_matrix_csv(path) -> np.ndarray:
+    """The `csv.reader` matrix reader that `fileio.load_matrix_csv` must match bit for bit.
+
+    Kept as the test reference: one `float()` per cell, blank lines skipped.
+    """
+    with open(path, newline="") as handle:
+        data = np.array([[float(x) for x in row] for row in csv.reader(handle) if row])
+    if not len(data):
+        raise ValueError(f"{path}: empty matrix file")
+    return data

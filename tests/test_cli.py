@@ -13,7 +13,7 @@ from alpvreal import fileio
 from alpvreal.cli import run
 
 from conftest import make_eq1
-from helpers import random_run, random_system
+from helpers import random_run, random_system, table_to_dict
 
 
 def run_module(*args, interpreter_flags=()):
@@ -273,6 +273,33 @@ def test_declared_size_out_of_range_is_usage_error(tmp_path, make_argv, capsys):
     assert " must be >= " in capsys.readouterr().err
 
 
+def _realize_from_csv(tmp_path, sigma_star, text):
+    """realize --from-hankel on sigma_star's H_{0,1} sidecar with `text` as the CSV."""
+    fileio.save_hankel(tmp_path / "H.csv", build_hankel(sigma_star, 0, 1))
+    (tmp_path / "H.csv").write_bytes(text.encode())
+    return ["realize", "--from-hankel", str(tmp_path / "H.csv"), "-o", str(tmp_path / "r.json")]
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["1,x\n2,3\n", "1,2\n3\n", "", "\n\r\n\n"],
+    ids=["non-numeric", "ragged", "empty", "blank-lines"],
+)
+def test_malformed_hankel_csv_is_usage_error(tmp_path, sigma_star, text, capsys):
+    assert run(_realize_from_csv(tmp_path, sigma_star, text)) == 2
+    assert capsys.readouterr().err.startswith(f"error: realize: hankel file {tmp_path / 'H.csv'}: ")
+    assert not (tmp_path / "r.json").exists()
+
+
+def test_quoted_hankel_cell_is_usage_error(tmp_path, sigma_star, capsys):
+    """Hankel CSV cells are numbers as `matrix_csv` writes them; a quoted cell is not unquoted."""
+    good = fileio.matrix_csv(build_hankel(sigma_star, 0, 1).data)
+    assert run(_realize_from_csv(tmp_path, sigma_star, good)) == 0
+    quoted = "\n".join(",".join(f'"{x}"' for x in line.split(",")) for line in good.splitlines())
+    assert run(_realize_from_csv(tmp_path, sigma_star, quoted)) == 2
+    assert "could not convert string to float: '\"" in capsys.readouterr().err
+
+
 def test_switched_rows_must_match_header(tmp_path, sigma_star_path, capsys):
     sw_path = tmp_path / "switched.csv"
     sw_path.write_text("mode,u_1,u_2\n1,1.0\n2,0.0\n")
@@ -367,7 +394,7 @@ def test_overflowing_root_is_domain_error(tmp_path, cmd, capsys):
 
 def _sigma_star_table_argv(tmp_path, sigma_star, edit):
     """hankel --from-table on sigma_star's horizon-2 table after `edit` changes its entries."""
-    table = fileio.table_to_dict(markov_table(sigma_star, 2))
+    table = table_to_dict(markov_table(sigma_star, 2))
     edit(table["entries"])
     path = tmp_path / "t.json"
     path.write_text(json.dumps(table))

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from alpvreal import (
     InputSequence,
+    MarkovTable,
     SwitchedInput,
     analyze,
     build_hankel,
@@ -16,7 +18,9 @@ from alpvreal import (
 from alpvreal import fileio, words
 
 from conftest import make_eq1
-from helpers import random_run, random_system, reference_dumps_json
+from helpers import (
+    random_run, random_system, reference_dumps_json, reference_load_matrix_csv, table_to_dict,
+)
 
 
 def test_float_formatting():
@@ -112,7 +116,7 @@ def test_table_roundtrip(tmp_path, sigma_star):
 
 def test_table_rejects_incomplete(tmp_path, sigma_star):
     table = markov_table(sigma_star, 3)
-    data = fileio.table_to_dict(table)
+    data = table_to_dict(table)
     data["entries"] = data["entries"][:-1]
     path = tmp_path / "table.json"
     path.write_text(fileio.dumps_json(data))
@@ -146,7 +150,7 @@ def test_table_save_load_save_is_byte_identical(tmp_path, monkeypatch, D, m, p, 
 def test_table_entry_order_in_the_file_does_not_matter(tmp_path):
     rng = np.random.default_rng(11)
     table = markov_table(random_system(rng, D=2, m=2, p=2), 4)
-    data = fileio.table_to_dict(table)
+    data = table_to_dict(table)
     data["entries"] = [data["entries"][i] for i in rng.permutation(len(data["entries"]))]
     path = tmp_path / "shuffled.json"
     path.write_text(fileio.dumps_json(data))
@@ -157,12 +161,64 @@ def test_table_entry_order_in_the_file_does_not_matter(tmp_path):
 
 def test_table_word_with_surrounding_spaces_is_parsed(tmp_path, sigma_star):
     table = markov_table(sigma_star, 3)
-    data = fileio.table_to_dict(table)
+    data = table_to_dict(table)
     assert data["entries"][1]["word"] == "12"
     data["entries"][1]["word"] = " 12 "
     path = tmp_path / "padded.json"
     path.write_text(fileio.dumps_json(data))
     assert np.array_equal(fileio.load_table(path).coeffs, table.coeffs)
+
+
+# Finite coefficients that stress the %.17g text: signed zeros, the smallest
+# subnormal and values next to the largest double.
+_COEFFS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1.7e308, -1.7e308]),
+)
+
+
+@st.composite
+def tables(draw):
+    """A MarkovTable built directly from drawn coefficients, tiled to its size."""
+    D = draw(st.sampled_from([1, 2, 3, 10]))
+    horizon = draw(st.integers(1, 3 if D == 10 else 5))
+    m, p = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    rows = words.word_count(horizon, D) - words.word_count(1, D)
+    values = draw(st.lists(_COEFFS, min_size=1, max_size=12))
+    coeffs = np.resize(np.array(values), rows * p * m).reshape(rows, p, m)
+    return MarkovTable(D=D, m=m, p=p, horizon=horizon, coeffs=coeffs)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(tables())
+def test_save_table_matches_the_reference_emitter(tmp_path_factory, table):
+    path = tmp_path_factory.mktemp("table") / "t.json"
+    fileio.save_table(path, table)
+    assert path.read_text() == reference_dumps_json(table_to_dict(table)) + "\n"
+
+
+@pytest.mark.parametrize("D, m, p", [(1, 1, 1), (10, 2, 3)])
+def test_horizon_one_table_has_an_empty_entry_list(tmp_path, D, m, p):
+    table = MarkovTable(D=D, m=m, p=p, horizon=1, coeffs=np.empty((0, p, m)))
+    path = tmp_path / "t.json"
+    fileio.save_table(path, table)
+    assert path.read_text().endswith('  "horizon": 1,\n  "entries": []\n}\n')
+    loaded = fileio.load_table(path)
+    assert (loaded.D, loaded.m, loaded.p, loaded.horizon) == (D, m, p, 1)
+    assert loaded.coeffs.shape == (0, p, m)
+
+
+def test_save_table_builds_no_object_per_entry(tmp_path):
+    """29,520 entries: one dict per entry peaked at 31 MB, the entry template at 13 MB."""
+    table = markov_table(random_system(np.random.default_rng(3), D=3, m=1, p=1), 9)
+    assert len(table.coeffs) == 29_520
+    tracemalloc.start()
+    try:
+        fileio.save_table(tmp_path / "t.json", table)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20e6
 
 
 def test_hankel_roundtrip(tmp_path, sigma2):
@@ -184,6 +240,45 @@ def test_hankel_sidecar_shape_guard(tmp_path, sigma2):
     (tmp_path / "H.csv.meta.json").write_text(fileio.dumps_json(meta))
     with pytest.raises(ValueError):
         fileio.load_hankel(path)
+
+
+_CELLS = st.one_of(
+    st.floats(),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, 1.7e308, -1.7e308]),
+)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(
+    st.integers(1, 6), st.integers(1, 6), st.lists(_CELLS, min_size=1, max_size=12),
+    st.sampled_from(["\n", "\r\n"]), st.booleans(),
+)
+def test_matrix_csv_reader_matches_the_reference_bit_for_bit(
+    tmp_path_factory, rows, cols, values, newline, blank_lines
+):
+    matrix = np.resize(np.array(values), rows * cols).reshape(rows, cols)
+    lines = fileio.matrix_csv(matrix).splitlines(keepends=True)
+    separator = "\n" if blank_lines else ""
+    text = separator.join(lines).replace("\n", newline)
+    path = tmp_path_factory.mktemp("csv") / "H.csv"
+    path.write_bytes(text.encode())
+    loaded, reference = fileio.load_matrix_csv(path), reference_load_matrix_csv(path)
+    assert loaded.shape == reference.shape == (rows, cols)
+    assert np.array_equal(loaded.view(np.int64), reference.view(np.int64))
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["1,x\n2,3\n", "1,2\n3\n", "", "\n\r\n\n"],
+    ids=["non-numeric", "ragged", "empty", "blank-lines"],
+)
+def test_malformed_matrix_csv_raises_value_error_like_the_reference(tmp_path, text):
+    path = tmp_path / "H.csv"
+    path.write_bytes(text.encode())
+    with pytest.raises(ValueError):
+        reference_load_matrix_csv(path)
+    with pytest.raises(ValueError):
+        fileio.load_matrix_csv(path)
 
 
 def test_signal_roundtrip(tmp_path):

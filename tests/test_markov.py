@@ -163,6 +163,14 @@ def test_table_coeffs_are_read_only(sigma2):
     assert np.isfinite(convolution_output(t, w)).all()
 
 
+def test_table_keeps_its_own_copy_of_the_coefficients():
+    c = markov_table(ALPVSystem(A=[[[0.5]]], B=[[[1.0]]], C=[[[1.0]]]), 3).coeffs.copy()
+    t = MarkovTable(D=1, m=1, p=1, horizon=3, coeffs=c)
+    c[0] = np.nan
+    w = random_run(np.random.default_rng(3), 1, 1, 3)
+    assert np.isfinite(convolution_output(t, w)).all()
+
+
 def test_overflowing_table_raises():
     expansive = ALPVSystem(A=[[[1e3]]], B=[[[1.0]]], C=[[[1.0]]])
     # S(1^k) = 1e3^(k-2) first exceeds the float range at k = 105
