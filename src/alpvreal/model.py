@@ -25,6 +25,7 @@ which neither the caller's arrays nor an in-place write can change.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -155,6 +156,12 @@ class InputSequence:
 
 # Entries of the per-step matrices `simulate` forms at once (2 MB of floats).
 _BLOCK_ENTRIES = 1 << 18
+# Runs shorter than this, or with more states than that, take one segment per
+# block: below about 64 steps the transfers cost more Python steps than they
+# save, and from about n = 24 on (0.7x at 300 to 8000 steps) the n^3 flops of
+# a transfer step cost more than the Python step it saves (1.05x at n = 20).
+_SHORTEST_SEGMENTED = 64
+_WIDEST_SEGMENTED = 20
 
 
 @dataclass(frozen=True, eq=False)
@@ -169,6 +176,68 @@ class SimulationResult:
         return self.outputs[-1]
 
 
+def _scan(A_steps, X, Y_steps):
+    """The step kernel: advance R runs side by side through consecutive steps.
+
+    Each step pairs the runs' matrices A with their next states Y, which hold
+    the step's input terms on entry: Y += A @ X, and Y is the X of the next
+    step.  A run's state is a vector, an n x 1 column or an n x (n+1) block;
+    a single run takes 2-d matrices and 1-d rows.  Returns the last X.
+    """
+    for A, Y in zip(A_steps, Y_steps):
+        Y += A @ X
+        X = Y
+    return X
+
+
+def _segment_length(steps: int, n: int) -> int:
+    """Steps per segment of a block: about sqrt(steps / 2), or all of them."""
+    if steps < _SHORTEST_SEGMENTED or n > _WIDEST_SEGMENTED:
+        return steps
+    return math.isqrt(steps // 2)
+
+
+def _advance_in_segments(At: np.ndarray, rows: np.ndarray, seg: int) -> None:
+    """Fill the states of a block of L > seg steps with step matrices At, in place.
+
+    On entry rows[0] is the block's entry state and rows[t+1] the input term
+    of step t; on return rows[t+1] is the state after step t.  A head of
+    L mod seg steps runs first, as one run, and the rest is R segments of seg
+    steps, advanced by `_scan` in three passes over the segment grid:
+
+    1. the transfers [Phi_c | r_c] of segments 0..R-2 from [I | 0], as one
+       batch (the input term enters the last column only);
+    2. the stitch x_{c+1} = Phi_c x_c + r_c of the segment starts, as a batch
+       of one;
+    3. every segment's states from its stitched start, as one batch; the
+       row of each start keeps the state the previous segment's last step
+       wrote there, equal to the stitched start up to round-off.
+
+    If a stitched start is not finite (a transfer or the stitch overflowed),
+    the segments run again as one run from the head's end.
+    """
+    L, n = At.shape[:2]
+    head, R = L % seg, L // seg
+    _scan(At[:head], rows[0], rows[1 : head + 1])
+    At, rows = At[head:], rows[head:]
+    S = rows[:, :, None]
+    A_grid = At.reshape(R, seg, n, n).swapaxes(0, 1)  # A_grid[j, c]: step j of segment c
+    Y_grid = S[1:].reshape(R, seg, n, 1).swapaxes(0, 1)
+    last = np.zeros(n + 1)
+    last[n] = 1.0
+    M = np.zeros((R - 1, n, n + 1))
+    M[:, :, :n] = np.eye(n)
+    M = _scan(A_grid[:, :-1], M, (b * last for b in Y_grid[:, :-1]))
+    starts = np.empty((R, n, 1))
+    starts[0] = S[0]
+    starts[1:] = M[:, :, n:]
+    _scan(M[:, :, :n], starts[0], starts[1:])
+    if not np.isfinite(starts).all():
+        _scan(At, rows[0], rows[1:])
+        return
+    _scan(A_grid, starts, Y_grid)
+
+
 def simulate(sys: ALPVSystem, x0, w: InputSequence) -> SimulationResult:
     """Run the state/output recursion of the system on a generalized input.
 
@@ -178,14 +247,28 @@ def simulate(sys: ALPVSystem, x0, w: InputSequence) -> SimulationResult:
         states[t+1]  = (sum_q p_q(t) A_q) states[t] + (sum_q p_q(t) B_q) u(t)
 
     so the input at the final time never affects the outputs.  A non-finite
-    state or output, from x0 or from overflow, raises NonFiniteEntry.
+    state or output, from x0 or from overflow, raises NonFiniteEntry, exactly
+    when the step-by-step recursion is not finite.
 
-    The scheduling contractions are taken outside the step loop, so each
-    step is one matrix-vector product: the matrices A(p(t)) of a block of
-    steps come from one product with the flattened A stack, and the input
-    terms B(p(t)) u(t) and the outputs from one matrix product each.  Blocks
-    are bounded so that their matrices hold about `_BLOCK_ENTRIES` numbers;
-    the memory is O(block n^2 + T D max(m, p) + T n), never O(T n^2).
+    The scheduling contractions are taken outside the step loop: the matrices
+    A(p(t)) of a block of steps come from one product with the flattened A
+    stack, and the input terms B(p(t)) u(t) and the outputs from one matrix
+    product each.  Blocks are bounded so that their matrices hold about
+    `_BLOCK_ENTRIES` numbers.
+
+    The recursion is affine in the state: across steps s..t it is
+    x(t) = Phi x(s) + r with the transfer Phi = A(p(t-1)) ... A(p(s)).  A block
+    of L >= 64 steps and n <= 20 states is therefore cut into segments of
+    about sqrt(L / 2) steps that advance side by side
+    (`_advance_in_segments`): the segments' transfers [Phi | r] as one
+    batch, the stitch of their starts through those transfers, then every
+    segment's states from its start as one batch, so a block costs about
+    3 sqrt(L) Python-level steps instead of L.  Such runs agree with the
+    step-by-step recursion to round-off, not bit for bit.  A shorter run, or
+    a wider state, is one segment, advanced one matrix-vector product per
+    step by the same kernel (`_scan`), bit for bit as that recursion.  The
+    memory is O(block n^2 + T D max(m, p) + T n), never O(T n^2): the
+    transfers take O((L / seg) n^2).
     """
     D, n, m, p = sys.dims
     if w.D != D:
@@ -210,9 +293,11 @@ def simulate(sys: ALPVSystem, x0, w: InputSequence) -> SimulationResult:
         for start in range(0, steps, block):
             stop = min(start + block, steps)
             At = (sched[start:stop] @ A_flat).reshape(stop - start, n, n)
-            for A_t, row in zip(At, states[start + 1 : stop + 1]):
-                row += A_t @ x
-                x = row
+            seg = _segment_length(stop - start, n)
+            if seg < stop - start:
+                _advance_in_segments(At, states[start : stop + 1], seg)
+            else:
+                _scan(At, states[start], states[start + 1 : stop + 1])
         # y(t) = sum_q p_q(t) C_q x(t), with every C_q x(t) from one product.
         Cx = states[:-1] @ sys.C.transpose(2, 0, 1).reshape(n, D * p)
         outputs = np.einsum("tq,tqi->ti", sched, Cx.reshape(steps, D, p))

@@ -28,7 +28,9 @@ class SwitchedInput:
 
     def __post_init__(self):
         object.__setattr__(self, "modes", _w.check_word(self.modes, self.D))
-        u = np.atleast_2d(np.asarray(self.inputs, dtype=float))
+        u = np.asarray(self.inputs, dtype=float)
+        if u.ndim != 2:
+            raise DimensionMismatch(f"inputs must be 2-d (steps x dim); got ndim {u.ndim}")
         if len(self.modes) < 1:
             raise DimensionMismatch("a switched input must have at least one step")
         if u.shape[0] != len(self.modes):
@@ -49,7 +51,11 @@ class SwitchedInput:
 
 
 def unit_schedule(modes, D: int) -> np.ndarray:
-    """The scheduling rows e_{q_0}, ..., e_{q_t} of a mode word over 1..D."""
+    """The scheduling rows e_{q_0}, ..., e_{q_t} of a mode word over 1..D.
+
+    The word is checked here, and its rows are set one by one, which beats
+    numpy indexing on the short words that probing asks for.
+    """
     modes = _w.check_word(modes, D)
     sched = np.zeros((len(modes), D))
     for t, q in enumerate(modes):
@@ -58,8 +64,14 @@ def unit_schedule(modes, D: int) -> np.ndarray:
 
 
 def embed_switched_input(sw: SwitchedInput) -> InputSequence:
-    """Replace each mode q by the unit scheduling vector e_q."""
-    return InputSequence(scheduling=unit_schedule(sw.modes, sw.D), inputs=sw.inputs)
+    """Replace each mode q by the unit scheduling vector e_q.
+
+    The modes were checked when `sw` was built, so the rows of a word of any
+    length take one index assignment.
+    """
+    sched = np.zeros((sw.length, sw.D))
+    sched[np.arange(sw.length), np.subtract(sw.modes, 1)] = 1.0
+    return InputSequence(scheduling=sched, inputs=sw.inputs)
 
 
 def switched_output(sys: ALPVSystem, sw: SwitchedInput) -> np.ndarray:

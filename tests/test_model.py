@@ -1,5 +1,6 @@
 import tracemalloc
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -17,8 +18,9 @@ from alpvreal import (
     markov_table,
     simulate,
 )
+from alpvreal import model
 
-from helpers import contractive, input_from_pairs, random_run, random_system
+from helpers import contractive, input_from_pairs, random_run, random_system, reference_simulate
 
 
 def test_validate_fixture_ok(sigma_star):
@@ -135,6 +137,87 @@ def test_simulate_memory_stays_far_below_a_stack_of_step_matrices():
         tracemalloc.stop()
     # All the steps' matrices A(p(t)) at once would take 8 * steps * n^2 bytes, 164 MB.
     assert peak < 16 * 2**20
+
+
+def test_simulate_in_segments_final_input_never_matters(sigma_star):
+    # A 1000-step run takes segments; the final input enters no transfer.
+    rng = np.random.default_rng(0)
+    w = random_run(rng, 2, 1, 1000)
+    altered = InputSequence(
+        scheduling=w.scheduling,
+        inputs=np.vstack([w.inputs[:-1], [[123.0]]]),
+    )
+    outputs = simulate(sigma_star, [0.4], w).outputs
+    assert np.array_equal(simulate(sigma_star, [0.4], altered).outputs, outputs)
+
+
+def test_simulate_in_segments_memory_stays_far_below_a_stack_of_step_matrices():
+    rng = np.random.default_rng(16)
+    n, steps = 16, 20000
+    sys = contractive(random_system(rng, n=n, D=2, m=1, p=1))
+    w = random_run(rng, 2, 1, steps)
+    tracemalloc.start()
+    try:
+        simulate(sys, np.zeros(n), w)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # All the steps' matrices A(p(t)) at once would take 8 * steps * n^2 bytes, 41 MB.
+    assert peak < 10 * 2**20
+
+
+@pytest.mark.parametrize("n, steps", [(4, 63), (21, 300)])
+def test_short_runs_and_wide_states_take_one_segment(n, steps):
+    rng = np.random.default_rng(n)
+    sys = contractive(random_system(rng, n=n, D=2, m=1, p=1))
+    x0, w = rng.uniform(-1, 1, n), random_run(rng, 2, 1, steps)
+    with mock.patch.object(model, "_segment_length", lambda L, n: L):
+        one = simulate(sys, x0, w)
+    res = simulate(sys, x0, w)
+    assert np.array_equal(res.states, one.states) and np.array_equal(res.outputs, one.outputs)
+
+
+def test_simulate_overflowing_transfers_of_a_zero_trajectory():
+    # The 1000-step transfer of A = 1e10 is infinite, but from the zero state
+    # with zero input every state is 0, as the step-by-step recursion gives.
+    sys = ALPVSystem(A=[[[1e10]]], B=[[[1.0]]], C=[[[1.0]]])
+    w = InputSequence(scheduling=np.ones((1000, 1)), inputs=np.zeros((1000, 1)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = simulate(sys, [0.0], w)
+    assert not res.states.any() and not res.outputs.any()
+
+
+@pytest.mark.parametrize("gain", [0.5, 2.0, 4.0, 1e10, 1e200])
+@pytest.mark.parametrize("x0, u0", [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)])
+def test_simulate_raises_exactly_when_the_recursion_is_not_finite(gain, x0, u0):
+    # A(p) = gain * p with p in [0.5, 1]: over 1500 steps gain 2 stays finite
+    # (near 1e250), gain 4 overflows, and from zero everything stays 0.
+    sys = ALPVSystem(A=[[[gain]]], B=[[[1.0]]], C=[[[1.0]]])
+    w = InputSequence(
+        scheduling=np.random.default_rng(3).uniform(0.5, 1.0, (1500, 1)),
+        inputs=np.array([[u0]] + [[0.0]] * 1499),
+    )
+    with np.errstate(all="ignore"):
+        ref = reference_simulate(sys, [x0], w)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if np.isfinite(ref.states).all():
+            res = simulate(sys, [x0], w)
+            assert np.all(np.abs(res.states - ref.states) <= 1e-12 * (1 + np.abs(ref.states)))
+        else:
+            with pytest.raises(NonFiniteEntry):
+                simulate(sys, [x0], w)
+
+
+def test_simulate_runs_an_empty_state_space_in_segments():
+    sys = ALPVSystem(
+        A=[np.zeros((0, 0))] * 2, B=[np.zeros((0, 1))] * 2, C=[np.zeros((1, 0))] * 2
+    )
+    w = random_run(np.random.default_rng(0), 2, 1, 1000)
+    res = simulate(sys, [], w)
+    assert res.states.shape == (1001, 0)
+    assert np.array_equal(res.outputs, np.zeros((1000, 1)))
 
 
 def test_simulate_nonfinite_initial_state_raises(sigma_star):

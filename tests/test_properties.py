@@ -2,10 +2,14 @@
 
 Systems range over D in {1, 2, 3}, n in {0, ..., 4} and m, p in {1, 2}; D = 1
 exercises the single-symbol word order and n = 0 the empty state space.
-`simulate`, which takes its scheduling contractions in blocks of steps, is
-checked against the per-step recursion of `helpers.reference_simulate` on runs
-of length 1 and of a drawn length up to 40 (n up to 5) and on one run that
-crosses three block boundaries.  The rank tests and reductions, which work on
+`simulate`, which takes its scheduling contractions in blocks of steps and
+cuts long blocks into segments, is checked against the per-step recursion of
+`helpers.reference_simulate` on runs of length 1 and of a drawn length up to 40
+(n up to 5), on runs of up to 3000 steps (n up to 8), which take many segments
+after a ragged head, under every segment length of runs up to 300 steps (one,
+two or many segments), and on runs that cross block boundaries with one
+segment per block (n = 128) and with segments (n = 16); `switched_output` on
+runs of up to 3000 steps.  The rank tests and reductions, which work on
 the n x n roots of the Hankel factors, are checked against the extended
 matrices of the branching recursion on random systems with planted
 unreachable and unobservable states, and the roots' spectra against the dense
@@ -15,6 +19,7 @@ dense rank rule.
 """
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -28,6 +33,7 @@ from alpvreal import (
     HankelBlockMatrix,
     InputSequence,
     MarkovTable,
+    SwitchedInput,
     analyze,
     build_hankel,
     convolution_output,
@@ -55,11 +61,13 @@ from alpvreal import (
     reachability_root,
     row_basis,
     simulate,
+    switched_output,
     system_oracle,
     words_up_to,
 )
 
 from alpvreal import hankel, linalg, model, realize
+from alpvreal.switched import unit_schedule
 from helpers import (
     contractive, pad_unobservable, pad_unreachable, random_minimal_system, random_run,
     random_system, reference_simulate,
@@ -204,6 +212,48 @@ def test_simulate_matches_the_per_step_recursion_across_step_blocks():
     )
     outputs = simulate(sys, x0, w).outputs
     assert np.array_equal(simulate(sys, x0, altered).outputs, outputs)
+
+
+@SEEDED
+@given(systems(max_n=8), st.integers(0, 2**32 - 1), st.integers(64, 3000))
+def test_simulate_in_segments_matches_the_per_step_recursion(sys, seed, steps):
+    sys = contractive(sys)
+    rng = np.random.default_rng(seed)
+    w = random_run(rng, sys.D, sys.m, steps)
+    assert_matches_reference_simulation(sys, rng.uniform(-1, 1, sys.n), w)
+
+
+@SEEDED
+@given(systems(max_n=8), st.integers(0, 2**32 - 1), st.integers(1, 300), st.data())
+def test_simulate_matches_the_per_step_recursion_under_any_segment_length(sys, seed, steps, data):
+    seg = data.draw(st.integers(1, steps))
+    sys = contractive(sys)
+    rng = np.random.default_rng(seed)
+    w = random_run(rng, sys.D, sys.m, steps)
+    with mock.patch.object(model, "_segment_length", lambda L, n: min(seg, L)):
+        assert_matches_reference_simulation(sys, rng.uniform(-1, 1, sys.n), w)
+
+
+def test_simulate_in_segments_matches_the_per_step_recursion_across_step_blocks():
+    n = 16
+    block = model._BLOCK_ENTRIES // n**2
+    rng = np.random.default_rng(1619)
+    sys = contractive(random_system(rng, n=n, D=3, m=2, p=2))
+    # Two full blocks and a third of 100 steps, each cut into segments.
+    w = random_run(rng, 3, 2, 2 * block + 100)
+    assert_matches_reference_simulation(sys, rng.uniform(-1, 1, n), w)
+
+
+@SEEDED
+@given(systems(max_n=8), st.integers(0, 2**32 - 1), st.integers(64, 3000))
+def test_long_switched_runs_match_the_per_step_recursion(sys, seed, steps):
+    sys = contractive(sys)
+    rng = np.random.default_rng(seed)
+    modes = tuple(int(q) for q in rng.integers(1, sys.D + 1, steps))
+    sw = SwitchedInput(D=sys.D, modes=modes, inputs=rng.uniform(-1, 1, (steps, sys.m)))
+    w = InputSequence(scheduling=unit_schedule(modes, sys.D), inputs=sw.inputs)
+    ref = reference_simulate(sys, np.zeros(sys.n), w).outputs[-1]
+    assert np.all(np.abs(switched_output(sys, sw) - ref) <= 1e-12 * (1 + np.abs(ref)))
 
 
 @SEEDED

@@ -12,6 +12,7 @@ from alpvreal import (
     switched_output,
     words_up_to,
 )
+from alpvreal.switched import unit_schedule
 
 
 def test_embed_unit_vectors():
@@ -21,6 +22,21 @@ def test_embed_unit_vectors():
     assert np.allclose(seq.inputs, [[4.0], [5.0]])
     single = embed_switched_input(SwitchedInput(D=3, modes=(1,), inputs=[[0.0]]))
     assert np.allclose(single.scheduling, [[1.0, 0.0, 0.0]])
+
+
+@pytest.mark.parametrize("D", [1, 2, 3, 4])
+def test_embed_rows_are_the_unit_schedule(D):
+    rng = np.random.default_rng(D)
+    for length in (1, 2, 7, 64, 2000):
+        modes = tuple(int(q) for q in rng.integers(1, D + 1, length))
+        sw = SwitchedInput(D=D, modes=modes, inputs=np.zeros((length, 1)))
+        assert np.array_equal(embed_switched_input(sw).scheduling, unit_schedule(modes, D))
+
+
+@pytest.mark.parametrize("modes, inputs", [((1,), [1.0, 2.0]), ((1, 2), np.zeros((2, 1, 1)))])
+def test_switched_input_rejects_inputs_that_are_not_2d(modes, inputs):
+    with pytest.raises(DimensionMismatch, match=r"^inputs must be 2-d \(steps x dim\); got ndim"):
+        SwitchedInput(D=2, modes=modes, inputs=inputs)
 
 
 def test_embed_rejects_bad_mode():
