@@ -66,9 +66,7 @@ from .hankel import (
     factored_hankel_rank,
     hankel_rank,
     hankel_singular_values,
-    observability_factor,
     observability_root,
-    reachability_factor,
     reachability_root,
 )
 from .realize import (

@@ -12,7 +12,6 @@ schema tag followed by the fields of the report dataclass.
 
 from __future__ import annotations
 
-import csv
 import dataclasses
 import json
 import os
@@ -104,10 +103,10 @@ def _write(obj, pad: str, out: list) -> None:
         out.append(_scalar(obj))
 
 
-def dumps_json(obj, indent: int = 0) -> str:
+def dumps_json(obj) -> str:
     """Deterministic JSON with 17-significant-digit floats."""
     out = []
-    _write(obj, "\n" + "  " * indent, out)
+    _write(obj, "\n", out)
     return "".join(out)
 
 
@@ -123,11 +122,6 @@ def write_text(path, text: str) -> None:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
-
-
-def _floats(rows) -> np.ndarray:
-    """The cells of a list of text rows as one float array, converted by numpy in one call."""
-    return np.array(rows, dtype=float)
 
 
 def _sizes(data: dict, *names) -> list:
@@ -149,10 +143,15 @@ def matrix_csv(matrix) -> str:
     return "".join([line % tuple(row) for row in rows.tolist()])
 
 
-def load_matrix_csv(path) -> np.ndarray:
-    """A dense matrix written by `matrix_csv`; blank lines are skipped, cells are not unquoted."""
+def _rows(path) -> list:
+    """The lines of a CSV file split at every comma, blank lines skipped; cells are not unquoted."""
     with open(path) as handle:
-        data = _floats([line.split(",") for line in handle.read().split("\n") if line])
+        return [line.split(",") for line in handle.read().split("\n") if line]
+
+
+def load_matrix_csv(path) -> np.ndarray:
+    """A dense matrix written by `matrix_csv`, every cell converted by numpy in one call."""
+    data = np.array(_rows(path), dtype=float)
     if not len(data):
         raise ValueError(f"{path}: empty matrix file")
     return data
@@ -172,18 +171,16 @@ def _load_labelled(path, kind: str, prefixes, lead=()):
 
     The header must be the labels `lead` followed by ``<prefix>_1..<prefix>_k``
     for each prefix, every k at least 1, and every row must have one cell per
-    label.  Returns the k of each prefix and the rows as text.
+    label.  Returns the k of each prefix and the rows as text, split by `_rows`.
     """
-    with open(path, newline="") as handle:
-        reader = csv.reader(handle)
-        header = [h.strip() for h in next(reader, [])]
-        counts = [sum(h.startswith(prefix + "_") for h in header) for prefix in prefixes]
-        expected = list(lead)
-        for prefix, k in zip(prefixes, counts):
-            expected += _labels(prefix, k)
-        if min(counts) < 1 or header != expected:
-            raise ValueError(f"{path}: expected {FORMATS[kind]}")
-        rows = [row for row in reader if row]
+    header, *rows = _rows(path) or [[]]
+    header = [h.strip() for h in header]
+    counts = [sum(h.startswith(prefix + "_") for h in header) for prefix in prefixes]
+    expected = list(lead)
+    for prefix, k in zip(prefixes, counts):
+        expected += _labels(prefix, k)
+    if min(counts) < 1 or header != expected:
+        raise ValueError(f"{path}: expected {FORMATS[kind]}")
     if not rows:
         raise ValueError(f"{path}: {kind} file has no data rows")
     if any(len(row) != len(header) for row in rows):
@@ -319,7 +316,7 @@ def save_signal(path, w: InputSequence) -> None:
 
 def load_signal(path) -> InputSequence:
     (D, _), rows = _load_labelled(path, "signal", ("p", "u"))
-    data = _floats(rows)
+    data = np.array(rows, dtype=float)
     return InputSequence(scheduling=data[:, :D], inputs=data[:, D:])
 
 
@@ -331,7 +328,7 @@ def save_outputs(path, outputs) -> None:
 def load_switched(path, D: int) -> SwitchedInput:
     _, rows = _load_labelled(path, "switched", ("u",), lead=("mode",))
     modes = tuple(int(row[0]) for row in rows)
-    return SwitchedInput(D=D, modes=modes, inputs=_floats([row[1:] for row in rows]))
+    return SwitchedInput(D=D, modes=modes, inputs=np.array([row[1:] for row in rows], dtype=float))
 
 
 def save_switched(path, sw: SwitchedInput) -> None:

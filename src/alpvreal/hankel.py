@@ -10,19 +10,20 @@ giving an N(L)*pD x N(M)*mD matrix.
 For a system source the sub-matrix factors exactly through the
 word-indexed observability and reachability factors,
 
-    H_{L,M} = observability_factor(sys, L) @ reachability_factor(sys, M),
+    H_{L,M} = Of @ Rf,   Of = [Ctilde A_v ; |v| <= L],   Rf = [A_v Btilde : |v| <= M],
 
-whose inner dimension is the state dimension n; the observability factor
-is the dual family's reachability factor.  `build_hankel(system)` is the
-only library path that builds the factors.  Every rank decision on a
-system reads `factor_root` instead: an at most n x n triangular K with
-K^T K equal to the factor's n x n Gram matrix, grown one word length at a
-time in O(depth D n^3).  K has the factor's nonzero singular values, and
-a decision on K ranks K itself, with the cutoff of K's own at most n x n
-shape, which does not grow with the number of words.  `realize` ranks the
-depth n-1 roots to decide reachability and observability, and
-`hankel_singular_values` and `hankel_rank` read the spectrum and rank of
-H_{L,M} off the product of two roots.
+with A_v = A_{v_k} ... A_{v_1} the transfer product of v = v_1 ... v_k and
+inner dimension n.  `build_hankel(system)`, the only library path that
+assembles a system's window, closes one run of the A_v on both sides.
+Every rank decision on a system reads `factor_root` instead: an at most
+n x n triangular K with K^T K equal to the Gram matrix Rf Rf^T (or Of^T Of,
+from the transposed family), grown one word length at a time in
+O(depth D n^3).  K has the factor's nonzero singular values, and a decision
+on K ranks K itself, with the cutoff of K's own at most n x n shape, which
+does not grow with the number of words.  `realize` ranks the depth n-1
+roots to decide reachability and observability, and `hankel_singular_values`
+and `hankel_rank` read the spectrum and rank of H_{L,M} off the product of
+two roots.
 """
 
 from __future__ import annotations
@@ -69,23 +70,6 @@ class HankelBlockMatrix:
         return self.data.shape
 
 
-def reachability_factor(sys: ALPVSystem, depth: int) -> np.ndarray:
-    """n x N(depth)*mD matrix whose block column for word v is A_{v_k} ... A_{v_1} Btilde."""
-    P = word_products(sys.A, stacked_input_matrix(sys)[None], depth)
-    return P.transpose(1, 0, 2).reshape(sys.n, P.shape[0] * P.shape[2])
-
-
-def observability_factor(sys: ALPVSystem, depth: int) -> np.ndarray:
-    """N(depth)*pD x n matrix whose block row for word v is Ctilde A_{v_k} ... A_{v_1}.
-
-    Transposed, that block is A_{v_1}^T ... A_{v_k}^T Ctilde^T: the dual family's
-    product for the reversed word, which `word_products` gives from the transposed stacks.
-    """
-    P = word_products(sys.A.transpose(0, 2, 1), stacked_output_matrix(sys).T[None], depth)
-    P = P[_w.reversal_positions(depth, sys.D)].transpose(0, 2, 1)
-    return P.reshape(P.shape[0] * P.shape[1], sys.n)
-
-
 def factor_root(A: np.ndarray, X: np.ndarray, depth: int) -> np.ndarray:
     """Root K of F = [A_{v_k} ... A_{v_1} X : |v| <= depth], meaning K^T K = F F^T.
 
@@ -113,27 +97,35 @@ def factor_root(A: np.ndarray, X: np.ndarray, depth: int) -> np.ndarray:
 
 
 def reachability_root(sys: ALPVSystem, depth: int) -> np.ndarray:
-    """`factor_root` of `reachability_factor(sys, depth)`: K^T K = Rf Rf^T."""
+    """`factor_root` of Rf = [A_v Btilde : |v| <= depth]: K^T K = Rf Rf^T."""
     return factor_root(sys.A, stacked_input_matrix(sys), depth)
 
 
 def observability_root(sys: ALPVSystem, depth: int) -> np.ndarray:
-    """`factor_root` of `observability_factor(sys, depth)` from the dual stacks: K^T K = Of^T Of."""
+    """`factor_root` of Of^T, from the transposed stacks: K^T K = Of^T Of."""
     return factor_root(sys.A.transpose(0, 2, 1), stacked_output_matrix(sys).T, depth)
 
 
 def build_hankel(source, L: int, M: int) -> HankelBlockMatrix:
     """Assemble H_{L,M} from a system, a MarkovTable, or an IOOracle.
 
-    A table source must cover words up to length L + M + 2.  An oracle
-    source is probed once per coefficient and is only sensible at small bounds.
+    A system source closes one run of transfer products A_v, |v| <= max(L, M),
+    with one matrix product per side: Ctilde [A_v, ...] and [A_v; ...] Btilde.
+    A table source must cover words up to length L + M + 2.  An oracle source
+    is probed once per coefficient and is only sensible at small bounds.
     """
     if L < 0 or M < 0:
         raise ValueError(f"word-length bounds must be >= 0, got L={L}, M={M}")
+    D = getattr(source, "D", 1)  # word_blocks refuses any other source with TypeError
     if isinstance(source, ALPVSystem):
-        data = observability_factor(source, L) @ reachability_factor(source, M)
+        n, pD, mD = source.n, source.p * D, source.m * D
+        rows, cols = _w.word_count(L, D), _w.word_count(M, D)
+        P = word_products(source.A, np.eye(n)[None], max(L, M))  # A_v for |v| <= max(L, M)
+        Of = stacked_output_matrix(source) @ P[:rows].transpose(1, 0, 2).reshape(n, rows * n)
+        Rf = P[:cols].reshape(cols * n, n) @ stacked_input_matrix(source)
+        Of = Of.reshape(pD, rows, n).transpose(1, 0, 2).reshape(rows * pD, n)
+        data = Of @ Rf.reshape(cols, n, mD).transpose(1, 0, 2).reshape(n, cols * mD)
     else:
-        D = getattr(source, "D", 1)  # word_blocks refuses any other source with TypeError
         data = word_blocks(source, _w.words_up_to(L, D), _w.words_up_to(M, D), L + M + 2)
     return HankelBlockMatrix(L=L, M=M, D=source.D, m=source.m, p=source.p, data=data)
 

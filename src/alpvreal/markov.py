@@ -36,13 +36,21 @@ from .model import ALPVSystem, InputSequence, simulate
 from .switched import unit_schedule
 
 
+def _check_sizes(D, m: int, p: int) -> None:
+    """D >= 1 (InvalidAlphabet) and m, p >= 1 (DimensionMismatch), as `ALPVSystem` requires."""
+    _w.check_alphabet(D)
+    if min(m, p) < 1:
+        raise DimensionMismatch(f"input and output dimensions must be >= 1, got m={m}, p={p}")
+
+
 @dataclass(frozen=True, eq=False)
 class MarkovTable:
     """Kernel coefficients S(v) for every word with 2 <= |v| <= horizon.
 
     `coeffs` holds them in enumeration order: row r is S(v) for the word at
     0-based position N(1) + r.  `entries` is a derived read-only word -> S view.
-    The constructor checks the (N(horizon) - N(1), p, m) shape of `coeffs`
+    The constructor checks D, m, p >= 1 as `ALPVSystem` does and horizon >= 1
+    (ValueError), the (N(horizon) - N(1), p, m) shape of `coeffs`
     (DimensionMismatch) and that every S(v) is finite (NonFiniteEntry).  It keeps
     its own read-only copy, so neither a write through it nor a later write to the
     caller's array can change a checked table.
@@ -55,6 +63,9 @@ class MarkovTable:
     coeffs: np.ndarray  # (N(horizon) - N(1), p, m)
 
     def __post_init__(self):
+        _check_sizes(self.D, self.m, self.p)
+        if self.horizon < 1:
+            raise ValueError(f"horizon must be >= 1, got {self.horizon}")
         coeffs = np.array(self.coeffs)
         shape = (_w.word_count(self.horizon, self.D) - _w.word_count(1, self.D), self.p, self.m)
         if coeffs.shape != shape:
@@ -85,12 +96,16 @@ class IOOracle:
 
     `fn` maps an InputSequence over R^D x R^m to a length-p output vector;
     a call that returns any other number of values raises DimensionMismatch.
+    D, m and p must be at least 1, as in `ALPVSystem`.
     """
 
     fn: Callable
     D: int
     m: int
     p: int
+
+    def __post_init__(self):
+        _check_sizes(self.D, self.m, self.p)
 
     def __call__(self, w: InputSequence) -> np.ndarray:
         y = np.asarray(self.fn(w), dtype=float).reshape(-1)

@@ -2,7 +2,7 @@
 
 Minimality of an affine LPV system is equivalent to being both reachable
 and observable, and both are decided by the rank of the depth n-1 Hankel
-factor `reachability_factor(sys, n-1)`, whose block column for the word v
+factor Rf = [A_v Btilde : |v| <= n-1], whose block column for the word v
 is A_{v_k} ... A_{v_1} [B_1, ..., B_D], and of the same factor for the dual
 family (A_q^T, C_q^T, B_q^T), which gives observability and its reduction.
 The factor has N(n-1)*mD columns, so it is never built here: what is ranked
@@ -171,7 +171,9 @@ def isomorphism_residual(sys1: ALPVSystem, sys2: ALPVSystem, T) -> float:
     """Worst relative defect of the relations A2_q T = T A1_q, B2_q = T B1_q, C2_q T = C1_q."""
     if sys1.dims != sys2.dims:
         raise DimensionMismatch(f"systems have different dimensions: {sys1.dims} vs {sys2.dims}")
-    T = np.asarray(T, dtype=float)
+    T, n = np.asarray(T, dtype=float), sys1.n
+    if T.shape != (n, n):
+        raise DimensionMismatch(f"T must be {n} x {n} for state dimension n={n}, got {T.shape}")
     norm = lambda X: np.linalg.norm(X, axis=(1, 2))
     pairs = ((sys2.A @ T, T @ sys1.A), (sys2.B, T @ sys1.B), (sys2.C @ T, sys1.C))
     return max(float(np.max(norm(lhs - rhs) / (1.0 + norm(lhs) + norm(rhs)))) for lhs, rhs in pairs)

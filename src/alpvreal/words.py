@@ -7,9 +7,10 @@ the leftmost differing symbol.  For D = 2 the sequence starts
 
     eps, 1, 2, 11, 12, 21, 22, 111, ...
 
-This is the ordering that indexes Hankel block rows and columns; the
-closed-form index below also yields the index arrays for the column shift
-v |-> v q of the realization algorithm and for word reversal.
+This is the ordering that indexes Hankel block rows and columns, and the
+order in which a level-by-level recursion emits the transfer products
+A_v = A_{v_k} ... A_{v_1}; the closed-form index below also yields the
+index array for the column shift v |-> v q of the realization algorithm.
 """
 
 from __future__ import annotations
@@ -86,12 +87,6 @@ def shift_positions(L: int, D: int) -> np.ndarray:
     """(D, N(L)) array of 0-based positions N(|v|) + D offset(v) + q - 1 of v q, |v| <= L."""
     base = np.concatenate([word_count(k, D) + D * np.arange(D**k) for k in range(L + 1)])
     return base[None, :] + np.arange(D)[:, None]
-
-
-def reversal_positions(L: int, D: int) -> np.ndarray:
-    """0-based position of the reversed word, for each word with |v| <= L in order."""
-    levels = [np.arange(D**k).reshape((D,) * k).T.reshape(-1) for k in range(L + 1)]
-    return np.concatenate([word_count(k - 1, D) + r for k, r in enumerate(levels)])
 
 
 def words_up_to(L: int, D: int) -> list:

@@ -14,6 +14,7 @@ from alpvreal import (
     hankel_singular_values,
 )
 from alpvreal import words
+from alpvreal.markov import stacked_input_matrix, stacked_output_matrix, word_products
 
 
 def random_system(rng, n=None, D=None, m=None, p=None) -> ALPVSystem:
@@ -185,3 +186,30 @@ def reference_load_matrix_csv(path) -> np.ndarray:
     if not len(data):
         raise ValueError(f"{path}: empty matrix file")
     return data
+
+
+def reversal_positions(L: int, D: int) -> np.ndarray:
+    """0-based position of the reversed word, for each word with |v| <= L in order."""
+    levels = [np.arange(D**k).reshape((D,) * k).T.reshape(-1) for k in range(L + 1)]
+    return np.concatenate([words.word_count(k - 1, D) + r for k, r in enumerate(levels)])
+
+
+def reachability_factor(sys: ALPVSystem, depth: int) -> np.ndarray:
+    """n x N(depth)*mD matrix whose block column for word v is A_{v_k} ... A_{v_1} Btilde.
+
+    Kept as the test reference for `build_hankel(system)` and the reachability root.
+    """
+    P = word_products(sys.A, stacked_input_matrix(sys)[None], depth)
+    return P.transpose(1, 0, 2).reshape(sys.n, P.shape[0] * P.shape[2])
+
+
+def observability_factor(sys: ALPVSystem, depth: int) -> np.ndarray:
+    """N(depth)*pD x n matrix whose block row for word v is Ctilde A_{v_k} ... A_{v_1}.
+
+    Transposed, that block is A_{v_1}^T ... A_{v_k}^T Ctilde^T: the dual family's
+    product for the reversed word, which `word_products` gives from the transposed stacks.
+    Kept as the test reference for `build_hankel(system)` and the observability root.
+    """
+    P = word_products(sys.A.transpose(0, 2, 1), stacked_output_matrix(sys).T[None], depth)
+    P = P[reversal_positions(depth, sys.D)].transpose(0, 2, 1)
+    return P.reshape(P.shape[0] * P.shape[1], sys.n)

@@ -300,6 +300,21 @@ def test_quoted_hankel_cell_is_usage_error(tmp_path, sigma_star, capsys):
     assert "could not convert string to float: '\"" in capsys.readouterr().err
 
 
+def test_quoted_signal_cell_is_usage_error_and_crlf_loads(tmp_path, sigma_star_path, capsys):
+    """Signal CSVs are split like Hankel CSVs: lines at commas, cells never unquoted."""
+    signal, out = tmp_path / "signal.csv", tmp_path / "y.csv"
+    fileio.save_signal(signal, random_run(np.random.default_rng(3), 2, 1, 4))
+    lines = signal.read_text().splitlines()
+    signal.write_text("\r\n".join(lines) + "\r\n", newline="")
+    assert run(["sim", sigma_star_path, str(signal), "-o", str(out)]) == 0
+    assert len(out.read_text().splitlines()) == 5
+    out.unlink()
+    signal.write_text("\n".join(lines[:2] + ['"0.5",' + lines[2].split(",", 1)[1]] + lines[3:]))
+    assert run(["sim", sigma_star_path, str(signal), "-o", str(out)]) == 2
+    assert "could not convert string to float: '\"0.5\"'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_switched_rows_must_match_header(tmp_path, sigma_star_path, capsys):
     sw_path = tmp_path / "switched.csv"
     sw_path.write_text("mode,u_1,u_2\n1,1.0\n2,0.0\n")

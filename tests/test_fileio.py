@@ -67,9 +67,10 @@ _OBJECTS = st.recursive(
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=200)
-@given(_OBJECTS, st.integers(0, 3))
-def test_dumps_json_matches_the_reference_emitter(obj, indent):
-    assert fileio.dumps_json(obj, indent) == reference_dumps_json(obj, indent)
+@given(_OBJECTS)
+def test_dumps_json_matches_the_reference_emitter(obj):
+    # nested lists and dicts reach every indent the emitter pads with
+    assert fileio.dumps_json(obj) == reference_dumps_json(obj)
 
 
 @pytest.mark.parametrize(

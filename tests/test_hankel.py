@@ -14,14 +14,14 @@ from alpvreal import (
     markov_block,
     markov_table,
     numerical_rank,
-    observability_factor,
-    reachability_factor,
+    observability_root,
+    reachability_root,
     system_oracle,
     word_count,
     words_up_to,
 )
 
-from helpers import random_minimal_system, random_system
+from helpers import observability_factor, random_minimal_system, random_system, reachability_factor
 
 
 def test_fixture_hankel_block_values(sigma_star):
@@ -68,11 +68,18 @@ def test_hankel_unsupported_source_is_type_error():
         build_hankel({"D": 2, "m": 1, "p": 1}, 0, 0)
 
 
-def test_factorization_consistency(random_population):
-    for sys in random_population[:10]:
-        H = build_hankel(sys, 2, 2).data
-        prod = observability_factor(sys, 2) @ reachability_factor(sys, 2)
-        assert np.allclose(H, prod, atol=1e-10 * (1 + np.abs(H).max()))
+def test_factorization_consistency():
+    """One transfer-product run closes both factors: H_{L,M} = Of_L @ Rf_M, also for L != M."""
+    rng = np.random.default_rng(29)
+    for D in (1, 2, 3):
+        for n in range(6):
+            for L, M in ((0, 0), (0, 2), (2, 1), (1, 3), (3, 2)):
+                sys = random_system(rng, n=n, D=D)
+                H = build_hankel(sys, L, M).data
+                ref = observability_factor(sys, L) @ reachability_factor(sys, M)
+                shape = (word_count(L, D) * sys.p * D, word_count(M, D) * sys.m * D)
+                assert H.shape == ref.shape == shape
+                assert np.abs(H - ref).max(initial=0.0) <= 1e-12 * np.abs(ref).max(initial=0.0)
 
 
 def test_ranks_fixture_values(sigma_star, sigma2):
@@ -123,17 +130,16 @@ def test_factored_singular_values_match_assembled():
 
 
 def test_factor_shapes(sigma2):
-    Rf = reachability_factor(sigma2, 2)
-    Of = observability_factor(sigma2, 2)
-    assert Rf.shape == (2, word_count(2, 2) * 1 * 2)
-    assert Of.shape == (word_count(2, 2) * 1 * 2, 2)
+    # the depth-2 factors are 2 x 14 and 14 x 2; their roots are n x n
+    assert reachability_root(sigma2, 2).shape == (2, 2)
+    assert observability_root(sigma2, 2).shape == (2, 2)
 
 
 @pytest.mark.parametrize(
     "call",
     [
-        lambda sys: reachability_factor(sys, -1),
-        lambda sys: observability_factor(sys, -1),
+        lambda sys: reachability_root(sys, -1),
+        lambda sys: observability_root(sys, -1),
         lambda sys: hankel_singular_values(sys, -1, 0),
         lambda sys: hankel_singular_values(sys, 0, -1),
         lambda sys: factored_hankel_rank(sys, 0, -1),

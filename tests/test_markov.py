@@ -5,6 +5,7 @@ from alpvreal import (
     ALPVSystem,
     DimensionMismatch,
     HorizonExceeded,
+    InvalidAlphabet,
     IOOracle,
     MarkovTable,
     NonFiniteEntry,
@@ -176,3 +177,30 @@ def test_overflowing_table_raises():
     # S(1^k) = 1e3^(k-2) first exceeds the float range at k = 105
     with np.errstate(over="ignore"), pytest.raises(NonFiniteEntry, match=f"S\\({'1' * 105}\\)"):
         markov_table(expansive, 120)
+
+
+def _no_output(w):
+    raise AssertionError("an oracle of invalid sizes was called")
+
+
+@pytest.mark.parametrize(
+    "make, error, match",
+    [
+        (lambda: MarkovTable(D=0, m=1, p=1, horizon=2, coeffs=np.zeros((0, 1, 1))),
+         InvalidAlphabet, "alphabet size"),
+        (lambda: MarkovTable(D=2, m=0, p=1, horizon=2, coeffs=np.zeros((4, 1, 0))),
+         DimensionMismatch, "got m=0"),
+        (lambda: MarkovTable(D=2, m=1, p=0, horizon=2, coeffs=np.zeros((4, 0, 1))),
+         DimensionMismatch, "p=0"),
+        (lambda: MarkovTable(D=2, m=1, p=1, horizon=0, coeffs=np.zeros((0, 1, 1))),
+         ValueError, "horizon must be >= 1, got 0"),
+        (lambda: IOOracle(_no_output, D=0, m=1, p=1), InvalidAlphabet, "alphabet size"),
+        (lambda: IOOracle(_no_output, D=2, m=0, p=1), DimensionMismatch, "got m=0"),
+        (lambda: IOOracle(_no_output, D=2, m=1, p=0), DimensionMismatch, "p=0"),
+    ],
+    ids=["table-D", "table-m", "table-p", "table-horizon", "oracle-D", "oracle-m", "oracle-p"],
+)
+def test_sources_reject_sizes_a_system_rejects(make, error, match):
+    """Tables and oracles take D, m, p >= 1 (and a table horizon >= 1) with a system's error types."""
+    with pytest.raises(error, match=match):
+        make()

@@ -50,14 +50,12 @@ from alpvreal import (
     markov_table,
     minimize,
     numerical_rank,
-    observability_factor,
     observability_root,
     obs_reduce,
     pseudoinverse,
     range_basis,
     rank_factorize,
     reach_reduce,
-    reachability_factor,
     reachability_root,
     row_basis,
     simulate,
@@ -69,8 +67,8 @@ from alpvreal import (
 from alpvreal import hankel, linalg, model, realize
 from alpvreal.switched import unit_schedule
 from helpers import (
-    contractive, pad_unobservable, pad_unreachable, random_minimal_system, random_run,
-    random_system, reference_simulate,
+    contractive, observability_factor, pad_unobservable, pad_unreachable, random_minimal_system,
+    random_run, random_system, reachability_factor, reference_simulate,
 )
 
 SEEDED = settings(derandomize=True, database=None, deadline=None, max_examples=30)
@@ -427,17 +425,22 @@ def test_decisions_never_build_extended_matrices(monkeypatch, sigma2):
 
 
 def test_system_decisions_never_build_the_factors(monkeypatch):
-    """At D=3, n=14 a depth-13 factor has 7,174,452 columns; every decision reads roots."""
+    """At D=3, n=14 a depth-13 factor has 7,174,452 columns; every decision reads roots.
 
-    def refuse(sys, depth):
-        raise AssertionError("a decision built a word-indexed Hankel factor")
+    `word_products` is the one recursion that yields word-indexed products, in
+    `build_hankel(system)` among others; with `hankel`'s binding refusing, a
+    decision that builds a factor or assembles the window fails.
+    """
+
+    def refuse(*args):
+        raise AssertionError("a decision built word-indexed products")
 
     rng = np.random.default_rng(0)
     core = random_minimal_system(rng, n=11, D=3, m=1, p=1, sv_gap=1e-2)
     padded = pad_unobservable(pad_unreachable(core, 2, rng), 1, rng)
-    for name in ("reachability_factor", "observability_factor"):
-        monkeypatch.setattr(hankel, name, refuse)
-        monkeypatch.setattr(realize, name, refuse, raising=False)
+    monkeypatch.setattr(hankel, "word_products", refuse)
+    with pytest.raises(AssertionError, match="word-indexed products"):
+        hankel.build_hankel(padded, 0, 0)
     report = analyze(padded)
     assert (report.n, report.reach_rank, report.obs_rank, report.minimal) == (14, 12, 13, False)
     small = minimize(padded)
@@ -446,7 +449,6 @@ def test_system_decisions_never_build_the_factors(monkeypatch):
     assert isomorphism_residual(small, core, T) < 1e-10
     assert factored_hankel_rank(padded, 13, 13) == 11
     assert io_span_dimension(padded, 14) == 11
-    monkeypatch.setattr(hankel, "build_hankel", lambda *args: refuse(None, None))
     assert hankel_rank(padded, 13, 13) == 11
 
 

@@ -20,19 +20,19 @@ from alpvreal import (
     minimize,
     numerical_rank,
     obs_reduce,
-    observability_factor,
     reach_reduce,
-    reachability_factor,
     simulate,
     words_up_to,
 )
 from alpvreal import linalg
 
 from helpers import (
+    observability_factor,
     pad_unobservable,
     pad_unreachable,
     random_minimal_system,
     random_run,
+    reachability_factor,
     transform_system,
 )
 
@@ -253,10 +253,16 @@ def test_find_isomorphism_dimension_mismatch(sigma_star, sigma2):
 
 
 def test_isomorphism_residual_rejects_families_of_different_sizes(sigma1, sigma_star):
-    # unchecked, the stacked relations of D = 1 against D = 2 would broadcast to a number
-    for sys1, sys2 in ((sigma1, sigma_star), (sigma_star, sigma1)):
-        with pytest.raises(DimensionMismatch, match="different dimensions"):
-            isomorphism_residual(sys1, sys2, np.eye(1))
+    # unchecked, the stacked relations of D = 1 against D = 2 would broadcast to a number,
+    # and a T of the wrong size would fail inside matmul
+    cases = (
+        (sigma1, sigma_star, np.eye(1), "different dimensions"),
+        (sigma_star, sigma1, np.eye(1), "different dimensions"),
+        (sigma1, sigma1, np.eye(2), r"^T must be 1 x 1 for state dimension n=1, got \(2, 2\)$"),
+    )
+    for sys1, sys2, T, match in cases:
+        with pytest.raises(DimensionMismatch, match=match):
+            isomorphism_residual(sys1, sys2, T)
 
 
 def test_find_isomorphism_rejects_nonequivalent(sigma_star):

@@ -1,15 +1,18 @@
 """The benchmark's tracer can rebind every package name it wraps.
 
-`perfbench/tracing.py` rebinds module-level names of `alpvreal` by name, so
-deleting or renaming one of them breaks the traced benchmark run.  These tests
-fail on such a change without running the benchmark, and on a CLI that keeps
-its subcommand handlers where a later rebinding cannot reach them.
+`perfbench/tracing.py` rebinds module-level names of `alpvreal` by name, and
+`perfbench/workloads.py` calls package names as `lib.<name>`, so deleting or
+renaming one of them breaks the benchmark run.  These tests fail on such a
+change without running the benchmark, and on a CLI that keeps its subcommand
+handlers where a later rebinding cannot reach them.
 """
 
 import pathlib
+import re
 import subprocess
 import sys
 
+import alpvreal
 from alpvreal import cli, fileio
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -24,6 +27,14 @@ def test_tracer_installs():
         [sys.executable, "-c", INSTALL], cwd=ROOT, capture_output=True, text=True, timeout=60
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_workloads_call_only_package_names():
+    source = (ROOT / "perfbench" / "workloads.py").read_text()
+    assert "import alpvreal as lib" in source
+    names = set(re.findall(r"\blib\.([A-Za-z_]\w*)", source))
+    assert {"build_hankel", "kalman_ho", "simulate"} <= names
+    assert sorted(name for name in names if not hasattr(alpvreal, name)) == []
 
 
 def test_rebound_cli_handler_runs_after_the_parser_exists(tmp_path, sigma_star, monkeypatch):
