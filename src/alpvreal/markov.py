@@ -157,8 +157,6 @@ def markov_table(sys: ALPVSystem, horizon: int) -> MarkovTable:
     `word_products` runs from the stacked B_q; its products are closed with the C_q.
     A coefficient that overflows raises NonFiniteEntry.
     """
-    if horizon < 1:
-        raise ValueError(f"horizon must be >= 1, got {horizon}")
     P = word_products(sys.A, sys.B, horizon - 2) if horizon >= 2 else sys.B[:0]
     coeffs = (sys.C[None] @ P[:, None]).reshape(-1, sys.p, sys.m)
     return MarkovTable(D=sys.D, m=sys.m, p=sys.p, horizon=horizon, coeffs=coeffs)

@@ -64,7 +64,7 @@ from alpvreal import (
     words_up_to,
 )
 
-from alpvreal import hankel, linalg, model, realize
+from alpvreal import hankel, linalg, markov, model, realize
 from alpvreal.switched import unit_schedule
 from helpers import (
     contractive, observability_factor, pad_unobservable, pad_unreachable, random_minimal_system,
@@ -428,8 +428,9 @@ def test_system_decisions_never_build_the_factors(monkeypatch):
     """At D=3, n=14 a depth-13 factor has 7,174,452 columns; every decision reads roots.
 
     `word_products` is the one recursion that yields word-indexed products, in
-    `build_hankel(system)` among others; with `hankel`'s binding refusing, a
-    decision that builds a factor or assembles the window fails.
+    `build_hankel(system)` and `markov_table` among others; with both modules'
+    bindings refusing, and `build_hankel` itself refusing before `hankel_rank`,
+    a decision that builds a factor or assembles the window by any route fails.
     """
 
     def refuse(*args):
@@ -439,6 +440,7 @@ def test_system_decisions_never_build_the_factors(monkeypatch):
     core = random_minimal_system(rng, n=11, D=3, m=1, p=1, sv_gap=1e-2)
     padded = pad_unobservable(pad_unreachable(core, 2, rng), 1, rng)
     monkeypatch.setattr(hankel, "word_products", refuse)
+    monkeypatch.setattr(markov, "word_products", refuse)
     with pytest.raises(AssertionError, match="word-indexed products"):
         hankel.build_hankel(padded, 0, 0)
     report = analyze(padded)
@@ -449,6 +451,7 @@ def test_system_decisions_never_build_the_factors(monkeypatch):
     assert isomorphism_residual(small, core, T) < 1e-10
     assert factored_hankel_rank(padded, 13, 13) == 11
     assert io_span_dimension(padded, 14) == 11
+    monkeypatch.setattr(hankel, "build_hankel", refuse)
     assert hankel_rank(padded, 13, 13) == 11
 
 
