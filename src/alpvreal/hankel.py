@@ -22,8 +22,9 @@ O(depth D n^3).  K has the factor's nonzero singular values, and a decision
 on K ranks K itself, with the cutoff of K's own at most n x n shape, which
 does not grow with the number of words.  `realize` ranks the depth n-1
 roots to decide reachability and observability, and `hankel_singular_values`
-and `hankel_rank` read the spectrum and rank of H_{L,M} off the product of
-two roots.
+and `hankel_rank` read the spectrum and rank of H_{L,M} off one core, the
+product of two roots.  Products that overflow are left to the checks that
+follow them, so an expansive system raises NonFiniteEntry and no warning.
 """
 
 from __future__ import annotations
@@ -34,19 +35,27 @@ import numpy as np
 
 from . import words as _w
 from .errors import DimensionMismatch
-from .linalg import DEFAULT_TOL, ToleranceConfig, numerical_rank
+from .linalg import DEFAULT_TOL, ToleranceConfig, as_matrix, numerical_rank, singular_values
 from .markov import (
-    ALPVSystem, stacked_input_matrix, stacked_output_matrix, word_blocks, word_products,
+    ALPVSystem, _check_sizes, stacked_input_matrix, stacked_output_matrix, word_blocks,
+    word_products,
 )
+
+
+def _check_bounds(L: int, M: int) -> None:
+    if L < 0 or M < 0:
+        raise ValueError(f"word-length bounds must be >= 0, got L={L}, M={M}")
 
 
 @dataclass(frozen=True, eq=False)
 class HankelBlockMatrix:
     """The assembled sub-matrix plus the bounds and dimensions it was built for.
 
-    `data` must be the N(L)*pD x N(M)*mD matrix that L, M, D, m, p (a saved
-    matrix's sidecar) imply, else DimensionMismatch.  It is kept as a read-only
-    view: writes through it raise, but the caller's array is shared.
+    D, m, p must be at least 1 as in `ALPVSystem`, and L, M at least 0
+    (ValueError).  `data` must be the N(L)*pD x N(M)*mD matrix that L, M, D,
+    m, p (a saved matrix's sidecar) imply, else DimensionMismatch.  It is kept
+    as a read-only view: writes through it raise, but the caller's array is
+    shared.
     """
 
     L: int
@@ -57,6 +66,8 @@ class HankelBlockMatrix:
     data: np.ndarray
 
     def __post_init__(self):
+        _check_sizes(self.D, self.m, self.p)
+        _check_bounds(self.L, self.M)
         D = self.D
         shape = (_w.word_count(self.L, D) * self.p * D, _w.word_count(self.M, D) * self.m * D)
         data = np.asarray(self.data).view()  # a view: the caller's array keeps its flags
@@ -79,7 +90,8 @@ def factor_root(A: np.ndarray, X: np.ndarray, depth: int) -> np.ndarray:
     with more rows than n is replaced by the triangular factor of its QR
     decomposition, which keeps K^T K.  K therefore has min(N(depth) c, n)
     rows, the singular values of F, and F's left singular vectors as its
-    right singular vectors.
+    right singular vectors.  An expansive family overflows into a K that is
+    not finite, which the `linalg` call that ranks it rejects.
     """
     if depth < 0:
         raise ValueError(f"word-length bound must be >= 0, got depth={depth}")
@@ -87,12 +99,13 @@ def factor_root(A: np.ndarray, X: np.ndarray, depth: int) -> np.ndarray:
     At = A.transpose(0, 2, 1)
     upper = np.triu(np.ones((n, n)))
     K = X.T
-    for level in range(depth + 1):
-        if level:
-            K = np.concatenate([X.T, (K @ At).reshape(len(A) * len(K), n)])
-        if len(K) > n:
-            # R of mode="r", without its triu call: the upper triangle of the raw reflectors
-            K = np.linalg.qr(K, mode="raw")[0].T[:n] * upper
+    with np.errstate(over="ignore", invalid="ignore"):
+        for level in range(depth + 1):
+            if level:
+                K = np.concatenate([X.T, (K @ At).reshape(len(A) * len(K), n)])
+            if len(K) > n:
+                # R of mode="r", without its triu call: the upper triangle of the raw reflectors
+                K = np.linalg.qr(K, mode="raw")[0].T[:n] * upper
     return K
 
 
@@ -111,55 +124,61 @@ def build_hankel(source, L: int, M: int) -> HankelBlockMatrix:
 
     A system source closes one run of transfer products A_v, |v| <= max(L, M),
     with one matrix product per side: Ctilde [A_v, ...] and [A_v; ...] Btilde.
-    A table source must cover words up to length L + M + 2.  An oracle source
-    is probed once per coefficient and is only sensible at small bounds.
+    A window that overflows raises NonFiniteEntry.  A table source must cover
+    words up to length L + M + 2.  An oracle source is probed once per
+    coefficient and is only sensible at small bounds; a probe that returns a
+    non-finite S(v) raises NonFiniteEntry.
     """
-    if L < 0 or M < 0:
-        raise ValueError(f"word-length bounds must be >= 0, got L={L}, M={M}")
+    _check_bounds(L, M)
     D = getattr(source, "D", 1)  # word_blocks refuses any other source with TypeError
     if isinstance(source, ALPVSystem):
         n, pD, mD = source.n, source.p * D, source.m * D
         rows, cols = _w.word_count(L, D), _w.word_count(M, D)
-        P = word_products(source.A, np.eye(n)[None], max(L, M))  # A_v for |v| <= max(L, M)
-        Of = stacked_output_matrix(source) @ P[:rows].transpose(1, 0, 2).reshape(n, rows * n)
-        Rf = P[:cols].reshape(cols * n, n) @ stacked_input_matrix(source)
-        Of = Of.reshape(pD, rows, n).transpose(1, 0, 2).reshape(rows * pD, n)
-        data = Of @ Rf.reshape(cols, n, mD).transpose(1, 0, 2).reshape(n, cols * mD)
+        with np.errstate(over="ignore", invalid="ignore"):
+            P = word_products(source.A, np.eye(n)[None], max(L, M))  # A_v for |v| <= max(L, M)
+            Of = stacked_output_matrix(source) @ P[:rows].transpose(1, 0, 2).reshape(n, rows * n)
+            Rf = P[:cols].reshape(cols * n, n) @ stacked_input_matrix(source)
+            Of = Of.reshape(pD, rows, n).transpose(1, 0, 2).reshape(rows * pD, n)
+            Rf = Rf.reshape(cols, n, mD).transpose(1, 0, 2).reshape(n, cols * mD)
+            data = Of @ Rf
+            # |H_ij| <= n max|Of| max|Rf|; only a window this bound leaves open pays a pass
+            # over its entries (errstate(over="raise") misses overflows in threaded BLAS)
+            bound = n * np.abs(Of).max(initial=0.0) * np.abs(Rf).max(initial=0.0)
+        if not bound < 1e300:
+            as_matrix(data)
     else:
         data = word_blocks(source, _w.words_up_to(L, D), _w.words_up_to(M, D), L + M + 2)
     return HankelBlockMatrix(L=L, M=M, D=source.D, m=source.m, p=source.p, data=data)
 
 
+def _core(sys: ALPVSystem, L: int, M: int) -> np.ndarray:
+    """The at most n x n core K1 @ K2^T of H_{L,M}, for the roots K1 of Of and K2 of Rf.
+
+    With H = Of @ Rf, Of = Q1 K1 and Rf^T = Q2 K2 (Q1, Q2 with orthonormal
+    columns), so H and the core have the same nonzero singular values.
+    """
+    return observability_root(sys, L) @ reachability_root(sys, M).T
+
+
 def hankel_rank(source, L: int, M: int, tol: ToleranceConfig = DEFAULT_TOL) -> int:
     """Numerical rank of H_{L,M}, the one Hankel-rank entry point.
 
-    A system source is ranked through `factored_hankel_rank`, which never
-    assembles H; a table or oracle source ranks the assembled window.  Each
-    takes the cutoff of the matrix it ranks.  The value certifies the rank
-    of the full (infinite) Hankel matrix only together with the bounds
-    used: it equals the full rank whenever some realization of dimension
-    <= L + 1 exists.
+    A system source ranks the core of H's factors and never assembles H; a
+    table or oracle source ranks the assembled window.  Each takes the
+    cutoff of the matrix it ranks.  The value certifies the rank of the
+    full (infinite) Hankel matrix only together with the bounds used: it
+    equals the full rank whenever some realization of dimension <= L + 1
+    exists.
     """
     if isinstance(source, ALPVSystem):
-        return factored_hankel_rank(source, L, M, tol)
+        return numerical_rank(_core(source, L, M), tol)
     return numerical_rank(build_hankel(source, L, M).data, tol)
 
 
 def hankel_singular_values(sys: ALPVSystem, L: int, M: int) -> np.ndarray:
-    """Nonzero-part singular values of H_{L,M}, from the roots of its factors.
+    """Nonzero-part singular values of H_{L,M}: those of the core of its factors.
 
-    With H = Of @ Rf, Of = Q1 K1 and Rf^T = Q2 K2 for the roots K1 of Of and
-    K2 of Rf (Q1, Q2 with orthonormal columns), the spectrum of H equals that
-    of the at most n x n core K1 @ K2^T; the remaining singular values of H
-    are exactly zero and are not returned.
+    The remaining singular values of H are exactly zero and are not
+    returned.  A system whose core overflows raises NonFiniteEntry.
     """
-    return np.linalg.svd(observability_root(sys, L) @ reachability_root(sys, M).T, compute_uv=False)
-
-
-def factored_hankel_rank(sys: ALPVSystem, L: int, M: int, tol: ToleranceConfig = DEFAULT_TOL) -> int:
-    """Rank of H_{L,M} from the roots of its factors, never building either.
-
-    The `numerical_rank` of the at most n x n core whose singular values
-    `hankel_singular_values` returns, under the core's own cutoff.
-    """
-    return numerical_rank(observability_root(sys, L) @ reachability_root(sys, M).T, tol)
+    return singular_values(_core(sys, L, M))

@@ -15,8 +15,9 @@ through a seeded Gaussian range sketch (Halko, Martinsson & Tropp, "Finding
 structure with randomness", SIAM Review 2011), whose residual is checked
 against a tenth of the rank cutoff; a window of rank n then costs O(ab n)
 instead of a dense SVD.  Every other matrix, and every sketch that the
-residual does not certify, takes the dense SVD.  `numerical_rank` needs no
-singular vectors and always takes the dense values-only SVD.
+residual does not certify, takes the dense SVD.  `numerical_rank` and
+`singular_values` share the dense values-only SVD.  Every route checks its
+matrix with `as_matrix` (NonFiniteEntry); no other module calls the SVD.
 """
 
 from __future__ import annotations
@@ -141,11 +142,15 @@ def _svd(M, tol: ToleranceConfig):
     return U, s, Vt, tol.rank(s, A.shape)
 
 
+def singular_values(M) -> np.ndarray:
+    """Descending singular values of M, the values-only SVD of its tall orientation."""
+    A = as_matrix(M)
+    return np.linalg.svd(A.T if A.shape[0] < A.shape[1] else A, compute_uv=False)
+
+
 def numerical_rank(M, tol: ToleranceConfig = DEFAULT_TOL) -> int:
     """Number of singular values above the shared cutoff."""
-    A = as_matrix(M)
-    s = np.linalg.svd(A.T if A.shape[0] < A.shape[1] else A, compute_uv=False)
-    return tol.rank(s, A.shape)
+    return tol.rank(singular_values(M), np.shape(M))
 
 
 def pseudoinverse(M, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:

@@ -155,10 +155,11 @@ def markov_table(sys: ALPVSystem, horizon: int) -> MarkovTable:
     """All kernel coefficients of a system up to the given word length.
 
     `word_products` runs from the stacked B_q; its products are closed with the C_q.
-    A coefficient that overflows raises NonFiniteEntry.
+    A coefficient that overflows raises NonFiniteEntry, and no warning.
     """
-    P = word_products(sys.A, sys.B, horizon - 2) if horizon >= 2 else sys.B[:0]
-    coeffs = (sys.C[None] @ P[:, None]).reshape(-1, sys.p, sys.m)
+    with np.errstate(over="ignore", invalid="ignore"):
+        P = word_products(sys.A, sys.B, horizon - 2) if horizon >= 2 else sys.B[:0]
+        coeffs = (sys.C[None] @ P[:, None]).reshape(-1, sys.p, sys.m)
     return MarkovTable(D=sys.D, m=sys.m, p=sys.p, horizon=horizon, coeffs=coeffs)
 
 
@@ -192,6 +193,8 @@ def word_blocks(source, row_words, col_words, longest: int) -> np.ndarray:
 
     A table must cover words of length `longest`.  The S(j v_c v_r i) fill one
     (rows*D, cols*D, p, m) array, i and j fastest, which one transpose lays out.
+    An oracle's probes are checked once, as a whole: the first S(v) that is not
+    finite raises NonFiniteEntry.
     """
     if not isinstance(source, (MarkovTable, IOOracle)):
         raise TypeError(f"unsupported Markov source: {type(source).__name__}")
@@ -208,6 +211,11 @@ def word_blocks(source, row_words, col_words, longest: int) -> np.ndarray:
     else:
         S = np.array([[probe_kernel_coeff(source, (j,) + vc + vr + (i,))
                        for vc in col_words for j in letters] for vr in row_words for i in letters])
+        bad = np.argwhere(~np.isfinite(S).all(axis=(2, 3)))  # in probe order
+        if len(bad):
+            (r, i), (c, j) = divmod(bad[0][0], source.D), divmod(bad[0][1], source.D)
+            v = (j + 1,) + col_words[c] + row_words[r] + (i + 1,)
+            raise NonFiniteEntry(f"S({_w.word_to_str(v, source.D)}) is not finite")
     return S.transpose(0, 2, 1, 3).reshape(len(S) * source.p, -1)
 
 

@@ -9,7 +9,8 @@ The factor has N(n-1)*mD columns, so it is never built here: what is ranked
 is its at most n x n root from `hankel.factor_root`, which has the factor's
 singular values and left singular vectors.  Every rank goes through
 `linalg` with the cutoff of the matrix actually ranked, the root, so the
-cutoff does not grow with the number of words.  `extended_reachability`
+cutoff does not grow with the number of words.  A zero-dimensional system
+takes the same path at depth 0, with empty roots.  `extended_reachability`
 (R_{i+1} = [R_i, A_1 R_i, ..., A_D R_i]) spans the same space but repeats
 every word; it is kept only as a test reference.
 
@@ -84,13 +85,11 @@ def analyze(sys: ALPVSystem, tol: ToleranceConfig = DEFAULT_TOL) -> AnalysisRepo
     Each rank is the `numerical_rank` of the factor's at most n x n root,
     which has the factor's singular values; the cutoff is the root's own.
     Depth n-1 is sharp: longer words cannot gain rank.  A zero-dimensional
-    system is trivially minimal.
+    system has 0 x 0 roots (depth 0) and is minimal.
     """
-    n = sys.n
-    if n == 0:
-        return AnalysisReport(0, 0, 0, True, True, True)
-    reach = numerical_rank(reachability_root(sys, n - 1), tol)
-    obs = numerical_rank(observability_root(sys, n - 1), tol)
+    n, depth = sys.n, max(sys.n - 1, 0)
+    reach = numerical_rank(reachability_root(sys, depth), tol)
+    obs = numerical_rank(observability_root(sys, depth), tol)
     return AnalysisReport(
         reach_rank=reach,
         obs_rank=obs,
@@ -137,10 +136,7 @@ def reach_reduce(sys: ALPVSystem, tol: ToleranceConfig = DEFAULT_TOL):
     space is invariant under every A_q and contains every column of every
     B_q, so (V^T A_q V, V^T B_q, C_q V) reproduces the input-output map.
     """
-    n = sys.n
-    if n == 0:
-        return sys, np.zeros((0, 0))
-    V = row_basis(reachability_root(sys, n - 1), tol).T
+    V = row_basis(reachability_root(sys, max(sys.n - 1, 0)), tol).T
     return ALPVSystem(A=V.T @ sys.A @ V, B=V.T @ sys.B, C=sys.C @ V), V
 
 
@@ -205,13 +201,11 @@ def find_isomorphism(
             f"systems have different dimensions: {sys1.dims} vs {sys2.dims}"
         )
     n = sys1.n
-    if n == 0:
-        return np.zeros((0, 0))
     At = np.zeros((sys1.D, 2 * n, 2 * n))
     At[:, :n, :n] = sys2.A.transpose(0, 2, 1)
     At[:, n:, n:] = sys1.A.transpose(0, 2, 1)
     Ct = np.hstack([stacked_output_matrix(sys2), stacked_output_matrix(sys1)]).T
-    K = factor_root(At, Ct, n - 1)
+    K = factor_root(At, Ct, max(n - 1, 0))  # 0 x 0 for n = 0, so T is 0 x 0
     T = pseudoinverse(K[:, :n], tol) @ K[:, n:]
     res = isomorphism_residual(sys1, sys2, T)
     if res > residual_tol:

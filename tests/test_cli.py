@@ -70,6 +70,32 @@ def test_sim_overflow_prints_one_error_line(tmp_path, warning_flags):
     assert len(lines) == 1 and lines[0].startswith("error: sim: NonFiniteEntry: ")
 
 
+# Each run needs products of at least four A_q of the 1e80-scaled system, which overflow.
+OVERFLOW_ARGV = {
+    "markov": ["markov", "{}", "--horizon", "8"],
+    "hankel": ["hankel", "--from-system", "{}", "--L", "4", "--M", "4"],
+    "realize": ["realize", "--from-system", "{}", "--L", "4"],
+    "analyze": ["analyze", "{}"],
+    "minimize": ["minimize", "{}"],
+    "iso": ["iso", "{}", "{}"],
+}
+
+
+@pytest.mark.parametrize("warning_flags", [[], ["-W", "error"]])
+@pytest.mark.parametrize("cmd", sorted(OVERFLOW_ARGV))
+def test_overflow_prints_one_error_line(tmp_path, cmd, warning_flags):
+    base = random_system(np.random.default_rng(3), n=6, D=2, m=1, p=1)
+    system = tmp_path / "huge.json"
+    fileio.save_system(system, ALPVSystem(A=base.A * 1e80, B=base.B, C=base.C))
+    out = tmp_path / "out"
+    argv = [arg.format(system) for arg in OVERFLOW_ARGV[cmd]]
+    proc = run_module(*argv, "-o", str(out), interpreter_flags=warning_flags)
+    assert proc.returncode == 1
+    assert not out.exists()
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"error: {cmd}: NonFiniteEntry: ")
+
+
 def test_analyze_stdout_json(sigma_star_path, capsys):
     assert run(["analyze", sigma_star_path]) == 0
     report = json.loads(capsys.readouterr().out)

@@ -6,6 +6,9 @@ from alpvreal import (
     DimensionMismatch,
     HankelBlockMatrix,
     HorizonExceeded,
+    InvalidAlphabet,
+    IOOracle,
+    NonFiniteEntry,
     build_hankel,
     factored_hankel_rank,
     hankel_rank,
@@ -166,3 +169,52 @@ def test_hankel_data_is_a_read_only_view(sigma2):
         H.data[0, 0] = 1.0
     with pytest.raises(ValueError, match="read-only"):
         build_hankel(sigma2, 1, 2).data[0, 0] = 1.0
+
+
+@pytest.mark.parametrize(
+    "sizes, error, match",
+    [
+        (dict(L=0, M=1, D=2, m=0, p=1, data=np.zeros((2, 0))), DimensionMismatch, "m=0, p=1"),
+        (dict(L=0, M=1, D=2, m=1, p=0, data=np.zeros((0, 6))), DimensionMismatch, "m=1, p=0"),
+        (dict(L=0, M=0, D=0, m=1, p=1, data=np.zeros((0, 0))), InvalidAlphabet, "got 0"),
+        (dict(L=-1, M=0, D=2, m=1, p=1, data=np.zeros((0, 2))), ValueError, "got L=-1, M=0"),
+        (dict(L=0, M=-1, D=2, m=1, p=1, data=np.zeros((2, 0))), ValueError, "got L=0, M=-1"),
+    ],
+    ids=["m=0", "p=0", "D=0", "L=-1", "M=-1"],
+)
+def test_hankel_block_matrix_checks_its_sizes(sizes, error, match):
+    with pytest.raises(error, match=match):
+        HankelBlockMatrix(**sizes)
+
+
+@pytest.mark.parametrize(
+    "bad, m, call, word",
+    # at (1, 1), D=2 the probes run over row word, i, column word, j, then the m
+    # input columns; from probe `call` on, every response is `bad`
+    [(np.nan, 1, 1, "11"), (np.inf, 1, 7, "12"), (-np.inf, 2, 4, "21"),
+     (np.nan, 1, 18, "2211"), (np.nan, 1, 36, "2222")],
+)
+def test_oracle_window_names_the_first_non_finite_coefficient(bad, m, call, word):
+    calls = []
+
+    def fn(w):
+        calls.append(w)
+        return [bad if len(calls) >= call else 1.0]
+
+    oracle = IOOracle(fn=fn, D=2, m=m, p=1)
+    with pytest.raises(NonFiniteEntry, match=rf"^S\({word}\) is not finite$"):
+        build_hankel(oracle, 1, 1)
+    assert len(calls) == 36 * m  # one check after the whole window
+
+
+def test_overflowing_system_window_and_core_raise():
+    sys = ALPVSystem(A=[[[1e200]]], B=[[[1e200]]], C=[[[1.0]]])
+    for call in (build_hankel, hankel_rank, hankel_singular_values):
+        with pytest.raises(NonFiniteEntry, match="NaN or Inf"):
+            call(sys, 3, 3)
+
+
+def test_large_factors_with_a_finite_window_do_not_raise():
+    # |Of| |Rf| bounds the window by 1e400, but Of and Rf meet only in zeros
+    sys = ALPVSystem(A=[np.zeros((2, 2))], B=[[[0.0], [1e200]]], C=[[[1e200, 0.0]]])
+    assert np.array_equal(build_hankel(sys, 1, 1).data, np.zeros((2, 2)))

@@ -1,4 +1,5 @@
 import ast
+import re
 import tracemalloc
 from pathlib import Path
 
@@ -200,4 +201,16 @@ def test_only_linalg_applies_the_cutoff():
             if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
                     and node.func.attr in ("rank", "cutoff")):
                 offenders.append(f"{path.name}:{node.lineno}")
+    assert offenders == []
+
+
+def test_only_linalg_calls_the_svd():
+    """Every singular value of the package comes from linalg's one helper, behind `as_matrix`."""
+    offenders = []
+    for path in sorted(Path(linalg.__file__).parent.glob("*.py")):
+        if path.name == "linalg.py":
+            continue
+        for lineno, line in enumerate(path.read_text().splitlines(), 1):
+            if re.search(r"\bnp\.linalg\.svd\b", line):
+                offenders.append(f"{path.name}:{lineno}")
     assert offenders == []

@@ -13,9 +13,10 @@ runs of up to 3000 steps.  The rank tests and reductions, which work on
 the n x n roots of the Hankel factors, are checked against the extended
 matrices of the branching recursion on random systems with planted
 unreachable and unobservable states, and the roots' spectra against the dense
-factors and Hankel matrices.  Low-rank matrices whose shorter side reaches 64
-take the range-sketch route of the SVD helper and are checked against the
-dense rank rule.
+factors and Hankel matrices; a seeded corpus of 500 such systems checks every
+rank, reduced order and realized order against those references.  Low-rank
+matrices whose shorter side reaches 64 take the range-sketch route of the SVD
+helper and are checked against the dense rank rule.
 """
 
 import math
@@ -45,6 +46,7 @@ from alpvreal import (
     hankel_singular_values,
     io_span_dimension,
     isomorphism_residual,
+    kalman_ho,
     kernel_coeff,
     markov_block,
     markov_table,
@@ -406,6 +408,45 @@ def test_reductions_span_the_extended_matrices(sys):
     O = range_basis(extended_observability(sys, sys.n - 1).T)
     assert np.allclose(V @ V.T, R @ R.T, rtol=0, atol=1e-8)
     assert np.allclose(W.T @ W, O @ O.T, rtol=0, atol=1e-8)
+
+
+def _verdict_corpus(count, seed):
+    """Seeded (core order r, system) pairs.
+
+    Each core has D <= 3, m, p <= 2 and n <= 4 (n = 0 for every 25th), and at
+    most two unreachable or unobservable states in all are planted on it.
+    """
+    rng = np.random.default_rng(seed)
+    for k in range(count):
+        core = random_system(rng, n=0 if k % 25 == 0 else None)
+        planted = int(rng.integers(0, 3))
+        unreachable = int(rng.integers(0, planted + 1))
+        padded = pad_unobservable(pad_unreachable(core, unreachable, rng), planted - unreachable, rng)
+        yield core.n, padded
+
+
+def test_verdict_corpus_matches_the_references():
+    """500 systems: every rank, reduced order and realized order against a brute-force reference.
+
+    `analyze` against the extended matrices at depth n-1, `minimize` against
+    the rank of the table Hankel window at the planted core order r, which
+    some realization of dimension r certifies, and `kalman_ho` on the systems
+    found minimal against their own order.
+    """
+    minimal = 0
+    for r, sys in _verdict_corpus(500, seed=2024):
+        n, depth = sys.n, max(sys.n - 1, 0)
+        report = analyze(sys)
+        reach = numerical_rank(extended_reachability(sys, depth))
+        obs = numerical_rank(extended_observability(sys, depth))
+        assert (report.reach_rank, report.obs_rank) == (reach, obs), sys
+        assert report.minimal == (reach == obs == n)
+        order = hankel_rank(markov_table(sys, 2 * r), r - 1, r - 1) if r else 0
+        assert minimize(sys).n == order, sys
+        if report.minimal:
+            minimal += 1
+            assert kalman_ho(build_hankel(sys, depth, depth + 1)).n == n, sys
+    assert minimal >= 100
 
 
 def test_decisions_never_build_extended_matrices(monkeypatch, sigma2):

@@ -1,9 +1,12 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from alpvreal import (
     DEFAULT_TOL,
     ALPVSystem,
+    AnalysisReport,
     DimensionMismatch,
     NotIsomorphic,
     ShapeMismatch,
@@ -14,6 +17,7 @@ from alpvreal import (
     factored_hankel_rank,
     find_isomorphism,
     hankel_rank,
+    hankel_singular_values,
     isomorphism_residual,
     kalman_ho,
     markov_block,
@@ -97,9 +101,26 @@ def test_analyze_planted_defects(sigma_star):
 
 
 def test_analyze_zero_dimensional():
-    sys = ALPVSystem(A=[np.zeros((0, 0))], B=[np.zeros((0, 1))], C=[np.zeros((1, 0))])
-    report = analyze(sys)
-    assert report.minimal and report.n == 0
+    for D, m, p in itertools.product((1, 2, 3), (1, 2), (1, 2)):
+        sys = ALPVSystem(A=np.zeros((D, 0, 0)), B=np.zeros((D, 0, m)), C=np.zeros((D, p, 0)))
+        report = analyze(sys)
+        assert report.minimal and report.n == 0
+        assert report == AnalysisReport(0, 0, 0, True, True, True)
+        for reduce in (reach_reduce, obs_reduce):
+            reduced, basis = reduce(sys)
+            assert reduced.dims == sys.dims and basis.shape == (0, 0)
+        assert minimize(sys).dims == sys.dims
+        assert find_isomorphism(sys, sys).shape == (0, 0)
+        assert hankel_rank(sys, 1, 2) == 0
+        assert hankel_singular_values(sys, 1, 2).shape == (0,)
+
+
+def test_find_isomorphism_rejects_a_singular_transformation():
+    # the second state is neither reachable nor observable, so the T that
+    # satisfies every relation does not map it anywhere
+    s = ALPVSystem(A=[[[0.5, 0.0], [0.0, 0.3]]], B=[[[1.0], [0.0]]], C=[[[1.0, 0.0]]])
+    with pytest.raises(NotIsomorphic, match="singular"):
+        find_isomorphism(s, s)
 
 
 def test_kalman_ho_rejects_wrong_column_bound(sigma_star):
