@@ -13,7 +13,6 @@ from alpvreal import (
     ALPVSystem,
     SwitchedInput,
     analyze,
-    embed_switched_input,
     markov_block,
     simulate,
     switched_output,
@@ -21,14 +20,14 @@ from alpvreal import (
 
 sys1 = ALPVSystem(A=[[[0.5]], [[0.0]]], B=[[[1.0]], [[3.0]]], C=[[[1.0]], [[2.0]]])
 
-# a switched run: mode word 1 2 1, one impulse at time zero
+# a switched run: mode word 1 2 1, one impulse at time zero; it is the
+# scheduled run whose rows are the unit vectors of its modes
 sw = SwitchedInput(D=2, modes=(1, 2, 1), inputs=[[1.0], [0.0], [0.0]])
-embedded = embed_switched_input(sw)
-print("embedded scheduling rows:")
-print(embedded.scheduling)
+print("unit scheduling rows:")
+print(sw.scheduling)
 
 y_switched = switched_output(sys1, sw)
-y_scheduled = simulate(sys1, [0.0], embedded).final_output
+y_scheduled = simulate(sys1, [0.0], sw).final_output
 print("switched output:", y_switched, "| via the scheduled run:", y_scheduled)
 
 # switched probes read off the same Markov parameters the products give

@@ -80,7 +80,7 @@ from .realize import (
     obs_reduce,
     reach_reduce,
 )
-from .switched import SwitchedInput, embed_switched_input, switched_output
+from .switched import SwitchedInput, switched_output
 from .ioeq import (
     AffineIOEquation,
     EquationCheckReport,

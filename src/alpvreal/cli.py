@@ -21,7 +21,6 @@ from .linalg import ToleranceConfig
 from .markov import markov_table
 from .model import simulate
 from .realize import analyze, find_isomorphism, kalman_ho, minimize
-from .switched import embed_switched_input
 
 
 def _load(loader, path, kind):
@@ -104,7 +103,7 @@ def cmd_ioeq_check(args) -> None:
 def cmd_switched_sim(args) -> None:
     system = _load(fileio.load_system, args.system, "system")
     sw = _load(lambda path: fileio.load_switched(path, system.D), args.switched, "switched input")
-    _save_outputs(args, system, embed_switched_input(sw))
+    _save_outputs(args, system, sw)
 
 
 def _tol_option(help_text="relative singular-value tolerance for rank decisions"):

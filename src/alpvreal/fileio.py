@@ -136,6 +136,14 @@ def _sizes(data: dict, *names) -> list:
     return sizes
 
 
+def _array(value, shape) -> np.ndarray:
+    """A JSON array as floats, nested exactly as `shape`; an empty one only has to be empty."""
+    a = np.array(value, dtype=float)
+    if a.shape != shape and not a.size == 0 == np.prod(shape):
+        raise ValueError(f"expected an array of shape {shape}, got {a.shape}")
+    return a.reshape(shape)
+
+
 def matrix_csv(matrix) -> str:
     """A matrix as CSV text: one line per row, 17-significant-digit entries."""
     rows = np.atleast_2d(matrix)
@@ -206,13 +214,9 @@ def system_to_dict(sys: ALPVSystem) -> dict:
 def system_from_dict(data: dict) -> ALPVSystem:
     try:
         D, n, m, p = _sizes(data, "D", "n", "m", "p")
-        A = [np.array(M, dtype=float).reshape(n, n) for M in data["A"]]
-        B = [np.array(M, dtype=float).reshape(n, m) for M in data["B"]]
-        C = [np.array(M, dtype=float).reshape(p, n) for M in data["C"]]
+        A, B, C = (_array(data[k], s) for k, s in zip("ABC", ((D, n, n), (D, n, m), (D, p, n))))
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed system object: {exc}") from exc
-    if len(A) != D or len(B) != D or len(C) != D:
-        raise ValueError(f"expected {D} matrices per family")
     return ALPVSystem(A=A, B=B, C=C)
 
 
@@ -239,9 +243,7 @@ def table_from_dict(data: dict) -> MarkovTable:
         for i in [i for i, row in enumerate(rows) if row < 0]:
             row = _w.word_to_index(_w.word_from_str(keys[i], D), D) - _w.word_count(1, D) - 1
             rows[i] = row if 0 <= row < len(labels) else -1
-        S = np.array([item["S"] for item in items], dtype=float)
-        if S.size != len(items) * p * m:
-            raise ValueError(f"every S must be a {p} x {m} matrix")
+        S = _array([item["S"] for item in items], (len(items), p, m))
     except (AttributeError, KeyError, TypeError, ValueError, InvalidWord) as exc:
         raise ValueError(f"malformed Markov table: {exc}") from exc
     rows = np.array(rows, dtype=int)
@@ -252,7 +254,7 @@ def table_from_dict(data: dict) -> MarkovTable:
             f"({len(labels)} entries), got {len(items)} covering {covered}"
         )
     coeffs = np.empty((len(labels), p, m))
-    coeffs[rows] = S.reshape(-1, p, m)
+    coeffs[rows] = S
     return MarkovTable(D=D, m=m, p=p, horizon=horizon, coeffs=coeffs)
 
 
@@ -354,8 +356,12 @@ def _poly_from_list(terms, order: int, D: int) -> SchedulingPoly:
             parts = name.split("_")
             if len(parts) != 3 or parts[0] != "P":
                 raise ValueError(f"bad variable name {name!r}, expected P_<i>_<j>")
-            exps[(int(parts[1]), int(parts[2]))] = int(e)
-        parsed.append((float(term["coeff"]), exps))
+            if type(e) is not int:  # JSON integers only: not 2.0, "2" or true
+                raise ValueError(f"exponent of {name} must be an integer, got {e!r}")
+            exps[(int(parts[1]), int(parts[2]))] = e
+        if type(term["coeff"]) not in (int, float):
+            raise ValueError(f"coeff must be a number, got {term['coeff']!r}")
+        parsed.append((term["coeff"], exps))
     return SchedulingPoly.from_terms(parsed, order=order, D=D)
 
 

@@ -37,7 +37,7 @@ from . import words as _w
 from .errors import DimensionMismatch
 from .linalg import DEFAULT_TOL, ToleranceConfig, as_matrix, numerical_rank, singular_values
 from .markov import (
-    ALPVSystem, _check_sizes, stacked_input_matrix, stacked_output_matrix, word_blocks,
+    ALPVSystem, _alphabet, _check_sizes, stacked_input_matrix, stacked_output_matrix, word_blocks,
     word_products,
 )
 
@@ -127,10 +127,10 @@ def build_hankel(source, L: int, M: int) -> HankelBlockMatrix:
     A window that overflows raises NonFiniteEntry.  A table source must cover
     words up to length L + M + 2.  An oracle source is probed once per
     coefficient and is only sensible at small bounds; a probe that returns a
-    non-finite S(v) raises NonFiniteEntry.
+    non-finite S(v) raises NonFiniteEntry.  Any other source raises TypeError.
     """
     _check_bounds(L, M)
-    D = getattr(source, "D", 1)  # word_blocks refuses any other source with TypeError
+    D = _alphabet(source)
     if isinstance(source, ALPVSystem):
         n, pD, mD = source.n, source.p * D, source.m * D
         rows, cols = _w.word_count(L, D), _w.word_count(M, D)

@@ -35,11 +35,11 @@ from .model import ALPVSystem, InputSequence, simulate
 
 
 def _canonical_key(exps) -> tuple:
-    items = tuple(sorted(((int(i), int(j)), int(e)) for (i, j), e in exps.items() if e))
-    for (i, j), e in items:
-        if e < 0:
-            raise ValueError(f"exponent of P[{i},{j}] must be >= 0, got {e}")
-    return items
+    """Sorted ((i, j), e) pairs with e != 0; i, j, e integral (as in `check_word`) and e >= 0."""
+    for (i, j), e in exps.items():
+        if any(int(x) != x for x in (i, j, e)) or e < 0:
+            raise ValueError(f"P[{i!r},{j!r}]^{e!r}: need integers, exponent >= 0")
+    return tuple(sorted(((int(i), int(j)), int(e)) for (i, j), e in exps.items() if e))
 
 
 @dataclass(frozen=True, eq=False)

@@ -36,6 +36,22 @@ from .model import ALPVSystem, InputSequence, simulate
 from .switched import unit_schedule
 
 
+def _check_finite(S: np.ndarray, word_at, D: int) -> np.ndarray:
+    """Return S; NonFiniteEntry names S(word_at(r)) for the first p x m block r not finite."""
+    finite = np.isfinite(S).all(axis=(-2, -1)).ravel()
+    if not finite.all():
+        v = word_at(int(np.argmin(finite)))
+        raise NonFiniteEntry(f"S({_w.word_to_str(v, D)}) is not finite")
+    return S
+
+
+def _alphabet(source) -> int:
+    """The D of a system, a MarkovTable or an IOOracle; TypeError for any other source."""
+    if not isinstance(source, (ALPVSystem, MarkovTable, IOOracle)):
+        raise TypeError(f"unsupported Markov source: {type(source).__name__}")
+    return source.D
+
+
 def _check_sizes(D, m: int, p: int) -> None:
     """D >= 1 (InvalidAlphabet) and m, p >= 1 (DimensionMismatch), as `ALPVSystem` requires."""
     _w.check_alphabet(D)
@@ -66,14 +82,11 @@ class MarkovTable:
         _check_sizes(self.D, self.m, self.p)
         if self.horizon < 1:
             raise ValueError(f"horizon must be >= 1, got {self.horizon}")
-        coeffs = np.array(self.coeffs)
-        shape = (_w.word_count(self.horizon, self.D) - _w.word_count(1, self.D), self.p, self.m)
+        coeffs, first = np.array(self.coeffs), _w.word_count(1, self.D)
+        shape = (_w.word_count(self.horizon, self.D) - first, self.p, self.m)
         if coeffs.shape != shape:
             raise DimensionMismatch(f"coeffs has shape {coeffs.shape}, expected {shape}")
-        finite = np.isfinite(coeffs).all(axis=(1, 2))
-        if not finite.all():
-            v = _w.index_to_word(_w.word_count(1, self.D) + int(np.argmin(finite)) + 1, self.D)
-            raise NonFiniteEntry(f"S({_w.word_to_str(v, self.D)}) is not finite")
+        _check_finite(coeffs, lambda r: _w.index_to_word(first + r + 1, self.D), self.D)
         coeffs.flags.writeable = False
         object.__setattr__(self, "coeffs", coeffs)
 
@@ -125,14 +138,15 @@ def system_oracle(sys: ALPVSystem) -> IOOracle:
 
 
 def kernel_coeff(sys: ALPVSystem, v) -> np.ndarray:
-    """S(v) of a system: the product C_{q_t} A_{q_{t-1}} ... A_{q_1} B_{q_0}."""
+    """S(v) = C_{q_t} A_{q_{t-1}} ... A_{q_1} B_{q_0} of a system; NonFiniteEntry on overflow."""
     v = _w.check_word(v, sys.D)
     if len(v) < 2:
         raise WordTooShort(f"kernel coefficients need |v| >= 2, got {len(v)}")
-    P = sys.B[v[0] - 1]
-    for q in v[1:-1]:
-        P = sys.A[q - 1] @ P
-    return sys.C[v[-1] - 1] @ P
+    with np.errstate(over="ignore", invalid="ignore"):
+        P = sys.B[v[0] - 1]
+        for q in v[1:-1]:
+            P = sys.A[q - 1] @ P
+        return _check_finite(sys.C[v[-1] - 1] @ P, lambda _: v, sys.D)
 
 
 def word_products(A3: np.ndarray, P0: np.ndarray, depth: int) -> np.ndarray:
@@ -178,13 +192,19 @@ def markov_block(source, v) -> np.ndarray:
 
     `source` may be a system (product formula), a MarkovTable (one gather)
     or an IOOracle (probes); a table must cover words of length |v| + 2.
+    Other sources raise TypeError; an S(j v i) that is not finite, NonFiniteEntry.
     """
-    v = _w.check_word(v, source.D)
+    D = _alphabet(source)
+    v = _w.check_word(v, D)
     if isinstance(source, ALPVSystem):
-        P = stacked_input_matrix(source)
-        for q in v:
-            P = source.A[q - 1] @ P
-        return stacked_output_matrix(source) @ P
+        with np.errstate(over="ignore", invalid="ignore"):
+            P = stacked_input_matrix(source)
+            for q in v:
+                P = source.A[q - 1] @ P
+            M = stacked_output_matrix(source) @ P
+        words = [(j,) + v + (i,) for i in range(1, D + 1) for j in range(1, D + 1)]
+        _check_finite(M.reshape(D, source.p, D, source.m).swapaxes(1, 2), words.__getitem__, D)
+        return M
     return word_blocks(source, [()], [v], len(v) + 2)
 
 
@@ -196,8 +216,6 @@ def word_blocks(source, row_words, col_words, longest: int) -> np.ndarray:
     An oracle's probes are checked once, as a whole: the first S(v) that is not
     finite raises NonFiniteEntry.
     """
-    if not isinstance(source, (MarkovTable, IOOracle)):
-        raise TypeError(f"unsupported Markov source: {type(source).__name__}")
     letters = range(1, source.D + 1)
     if isinstance(source, MarkovTable):
         if longest > source.horizon:
@@ -209,13 +227,11 @@ def word_blocks(source, row_words, col_words, longest: int) -> np.ndarray:
         scale = source.D ** np.array([len(v) for v in tails])
         S = source.coeffs[np.outer(scale, heads) + pos(tails)[:, None] - _w.word_count(1, source.D)]
     else:
-        S = np.array([[probe_kernel_coeff(source, (j,) + vc + vr + (i,))
-                       for vc in col_words for j in letters] for vr in row_words for i in letters])
-        bad = np.argwhere(~np.isfinite(S).all(axis=(2, 3)))  # in probe order
-        if len(bad):
-            (r, i), (c, j) = divmod(bad[0][0], source.D), divmod(bad[0][1], source.D)
-            v = (j + 1,) + col_words[c] + row_words[r] + (i + 1,)
-            raise NonFiniteEntry(f"S({_w.word_to_str(v, source.D)}) is not finite")
+        words = lambda: ((j,) + vc + vr + (i,)  # probe order; listed only to name a failure
+                         for vr in row_words for i in letters for vc in col_words for j in letters)
+        S = np.array([_unchecked_probe(source, v) for v in words()])
+        _check_finite(S, lambda r: [*words()][r], source.D)
+        S = S.reshape(len(row_words) * source.D, -1, source.p, source.m)
     return S.transpose(0, 2, 1, 3).reshape(len(S) * source.p, -1)
 
 
@@ -225,8 +241,13 @@ def probe_kernel_coeff(oracle: IOOracle, v) -> np.ndarray:
     Column l of S(v) is the oracle response to the switched run whose
     scheduling vectors are e_{q_0}, ..., e_{q_t} and whose only nonzero
     input is e_l at time 0.  Exact for any map with a convolution
-    representation; no step sizes or differencing involved.
+    representation; no step sizes or differencing involved.  A response
+    that is not finite raises NonFiniteEntry.
     """
+    return _check_finite(_unchecked_probe(oracle, v), lambda _: v, oracle.D)
+
+
+def _unchecked_probe(oracle: IOOracle, v) -> np.ndarray:
     sched = unit_schedule(v, oracle.D)
     if len(sched) < 2:
         raise WordTooShort(f"kernel coefficients need |v| >= 2, got {len(sched)}")

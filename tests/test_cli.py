@@ -513,3 +513,43 @@ def test_equation_term_of_wrong_type_is_usage_error(tmp_path, sigma1, edit, caps
     assert run(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and "malformed equation object" in captured.err
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda eq: eq["Q"][1][0]["exps"].update(P_0_1="1"),
+        lambda eq: eq["Q"][1][0]["exps"].update(P_0_1=1.0),
+        lambda eq: eq["Q"][1][0]["exps"].update(P_0_1=True),
+        lambda eq: eq["Q"][1][0].update(coeff=True),
+        lambda eq: eq["Q"][1][0].update(coeff="-0.6"),
+    ],
+    ids=["exponent-string", "exponent-float", "exponent-bool", "coeff-bool", "coeff-string"],
+)
+def test_equation_exponent_or_coefficient_of_wrong_json_type_is_usage_error(
+    tmp_path, sigma1, edit, capsys
+):
+    sys_path = tmp_path / "sigma1.json"
+    fileio.save_system(sys_path, sigma1)
+    eq = fileio.equation_to_dict(make_eq1(-0.6))
+    edit(eq)
+    assert run(["ioeq-check", _write_json(tmp_path / "eq.json", eq), str(sys_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "malformed equation object" in captured.err
+
+
+def test_transposed_system_matrix_is_usage_error(tmp_path, capsys):
+    system = {"schema": "alpv-1", "D": 1, "n": 2, "m": 3, "p": 1, "A": [[[1, 0], [0, 1]]],
+              "B": [[[1, 2], [3, 4], [5, 6]]], "C": [[[1, 1]]]}
+    assert run(["analyze", _write_json(tmp_path / "sys.json", system)]) == 2
+    assert "malformed system object: expected an array of shape" in capsys.readouterr().err
+
+
+def test_transposed_table_coefficient_is_usage_error(tmp_path, capsys):
+    table = {"schema": "alpv-1", "D": 1, "m": 3, "p": 2, "horizon": 2,
+             "entries": [{"word": "11", "S": [[1, 2], [3, 4], [5, 6]]}]}
+    argv = ["hankel", "--from-table", _write_json(tmp_path / "t.json", table),
+            "--L", "0", "--M", "0", "-o", str(tmp_path / "H.csv")]
+    assert run(argv) == 2
+    assert "malformed Markov table: expected an array of shape" in capsys.readouterr().err
+    assert not (tmp_path / "H.csv").exists()

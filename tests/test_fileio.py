@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from alpvreal import (
+    ALPVSystem,
     InputSequence,
     MarkovTable,
     SwitchedInput,
@@ -349,3 +350,29 @@ def test_atomic_write_leaves_no_temp_files(tmp_path):
     path = tmp_path / "out.json"
     fileio.write_text(path, "{}\n")
     assert [f.name for f in tmp_path.iterdir()] == ["out.json"]
+
+
+def test_system_arrays_must_nest_as_their_declared_sizes():
+    data = {"schema": "alpv-1", "D": 1, "n": 2, "m": 3, "p": 1, "A": [[[1, 0], [0, 1]]],
+            "B": [[[1, 2], [3, 4], [5, 6]]], "C": [[[1, 1]]]}  # B_1 transposed
+    with pytest.raises(ValueError, match=r"expected an array of shape \(1, 2, 3\), got \(1, 3, 2\)"):
+        fileio.system_from_dict(data)
+    data["B"] = [[[1, 2, 3], [4, 5, 6]]]
+    assert np.array_equal(fileio.system_from_dict(data).B[0], [[1, 2, 3], [4, 5, 6]])
+
+
+def test_table_coefficients_must_nest_as_p_by_m():
+    entry = {"word": "11", "S": [[1, 2], [3, 4], [5, 6]]}  # a 2 x 3 S, transposed
+    data = {"schema": "alpv-1", "D": 1, "m": 3, "p": 2, "horizon": 2, "entries": [entry]}
+    with pytest.raises(ValueError, match=r"expected an array of shape \(1, 2, 3\), got \(1, 3, 2\)"):
+        fileio.table_from_dict(data)
+    entry["S"] = [[1, 2, 3], [4, 5, 6]]
+    assert np.array_equal(fileio.table_from_dict(data).coeffs[0], [[1, 2, 3], [4, 5, 6]])
+
+
+@pytest.mark.parametrize("D, m, p", [(1, 1, 1), (2, 1, 2), (3, 2, 1)])
+def test_zero_state_system_roundtrip(tmp_path, D, m, p):
+    empty = ALPVSystem(A=np.zeros((D, 0, 0)), B=np.zeros((D, 0, m)), C=np.zeros((D, p, 0)))
+    path = tmp_path / "sys.json"
+    fileio.save_system(path, empty)
+    assert fileio.load_system(path).dims == (D, 0, m, p)

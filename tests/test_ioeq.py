@@ -185,3 +185,17 @@ def test_make_eq1_matches_file_spec(eq1):
     assert eq1.output_coeffs[0].monomials == {(): 1.0}
     assert eq1.max_abs_coeff() == 1.0
     assert make_eq1(-0.5).output_coeffs[1].monomials == {(((0, 1), 1),): -0.5}
+
+
+@pytest.mark.parametrize(
+    "exps", [{(0, 1): 1.7}, {(0.5, 1): 1}, {(0, 1.5): 1}, {(0, 1): "2"}, {(0, 1): -1}],
+    ids=["exponent", "shift", "coordinate", "string", "negative"],
+)
+def test_poly_rejects_exponents_and_variables_that_are_not_integers(exps):
+    with pytest.raises(ValueError, match="need integers, exponent >= 0"):
+        SchedulingPoly.from_terms([(1.0, exps)], 1, 2)
+
+
+def test_poly_accepts_integral_floats_as_integers():
+    poly = SchedulingPoly.from_terms([(1.0, {(0.0, 2.0): 2.0})], 1, 2)
+    assert poly.monomials == {(((0, 2), 2),): 1.0}

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,7 @@ from alpvreal import (
     WordTooShort,
     build_hankel,
     convolution_output,
+    hankel_rank,
     kernel_coeff,
     markov_block,
     markov_table,
@@ -204,3 +207,48 @@ def test_sources_reject_sizes_a_system_rejects(make, error, match):
     """Tables and oracles take D, m, p >= 1 (and a table horizon >= 1) with a system's error types."""
     with pytest.raises(error, match=match):
         make()
+
+
+def test_overflowing_system_coefficients_raise_without_a_warning():
+    sys = ALPVSystem(A=[[[1e200]]], B=[[[1.0]]], C=[[[1.0]]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteEntry, match=r"^S\(1111\) is not finite$"):
+            markov_block(sys, (1, 1))
+        with pytest.raises(NonFiniteEntry, match=r"^S\(1111\) is not finite$"):
+            kernel_coeff(sys, (1, 1, 1, 1))
+
+
+def test_every_route_names_the_same_first_overflowing_coefficient():
+    # only B_2 is nonzero and only A_2 is large, so S(q0 q1 q2 q3) overflows iff q0 = q1 = q2 = 2
+    sys = ALPVSystem(A=[[[1.0]], [[1e200]]], B=[[[0.0]], [[1.0]]], C=[[[1.0]], [[1.0]]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for route in (
+            lambda: kernel_coeff(sys, (2, 2, 2, 1)),
+            lambda: markov_block(sys, (2, 2)),
+            lambda: markov_table(sys, 4),
+        ):
+            with pytest.raises(NonFiniteEntry, match=r"^S\(2221\) is not finite$"):
+                route()
+        assert np.array_equal(markov_block(sys, (1, 2)), [[0.0, 1e200], [0.0, 1e200]])
+
+
+def test_probes_of_a_non_finite_map_raise():
+    oracle = IOOracle(fn=lambda w: [np.nan], D=2, m=1, p=1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteEntry, match=r"^S\(12\) is not finite$"):
+            probe_kernel_coeff(oracle, (1, 2))
+        with pytest.raises(NonFiniteEntry, match=r"^S\(111\) is not finite$"):
+            markov_block(oracle, (1,))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [lambda s: markov_block(s, (1,)), lambda s: build_hankel(s, 1, 1), lambda s: hankel_rank(s, 1, 1)],
+    ids=["markov_block", "build_hankel", "hankel_rank"],
+)
+def test_unsupported_source_is_one_type_error(call):
+    with pytest.raises(TypeError, match="^unsupported Markov source: str$"):
+        call("x")

@@ -4,10 +4,10 @@ import pytest
 from alpvreal import (
     ALPVSystem,
     DimensionMismatch,
+    InputSequence,
     InvalidWord,
     SwitchedInput,
     analyze,
-    embed_switched_input,
     markov_block,
     switched_output,
     words_up_to,
@@ -16,11 +16,11 @@ from alpvreal.switched import unit_schedule
 
 
 def test_embed_unit_vectors():
-    sw = SwitchedInput(D=2, modes=(1, 2), inputs=[[4.0], [5.0]])
-    seq = embed_switched_input(sw)
+    seq = SwitchedInput(D=2, modes=(1, 2), inputs=[[4.0], [5.0]])
+    assert isinstance(seq, InputSequence)
     assert np.allclose(seq.scheduling, [[1.0, 0.0], [0.0, 1.0]])
     assert np.allclose(seq.inputs, [[4.0], [5.0]])
-    single = embed_switched_input(SwitchedInput(D=3, modes=(1,), inputs=[[0.0]]))
+    single = SwitchedInput(D=3, modes=(1,), inputs=[[0.0]])
     assert np.allclose(single.scheduling, [[1.0, 0.0, 0.0]])
 
 
@@ -30,7 +30,7 @@ def test_embed_rows_are_the_unit_schedule(D):
     for length in (1, 2, 7, 64, 2000):
         modes = tuple(int(q) for q in rng.integers(1, D + 1, length))
         sw = SwitchedInput(D=D, modes=modes, inputs=np.zeros((length, 1)))
-        assert np.array_equal(embed_switched_input(sw).scheduling, unit_schedule(modes, D))
+        assert np.array_equal(sw.scheduling, unit_schedule(modes, D))
 
 
 @pytest.mark.parametrize("modes, inputs", [((1,), [1.0, 2.0]), ((1, 2), np.zeros((2, 1, 1)))])
@@ -41,7 +41,7 @@ def test_switched_input_rejects_inputs_that_are_not_2d(modes, inputs):
 
 def test_embed_rejects_bad_mode():
     with pytest.raises(InvalidWord):
-        embed_switched_input(SwitchedInput(D=2, modes=(3,), inputs=[[0.0]]))
+        SwitchedInput(D=2, modes=(3,), inputs=[[0.0]])
 
 
 @pytest.mark.parametrize("mode", [1.7, 5])
