@@ -137,8 +137,22 @@ def _sizes(data: dict, *names) -> list:
 
 
 def _array(value, shape) -> np.ndarray:
-    """A JSON array as floats, nested exactly as `shape`; an empty one only has to be empty."""
-    a = np.array(value, dtype=float)
+    """A JSON array of numbers as floats, nested exactly as `shape`; an empty one only has to be empty.
+
+    A string entry such as "0.5", which numpy would parse, a null, an array
+    of booleans, or an entry beyond the float range raises ValueError.  A
+    boolean among numbers is still read as 0 or 1 (numpy converts it before
+    any check sees it).
+    """
+    a = np.array(value)
+    if a.dtype.kind not in "iuf":  # strings, booleans, nulls, or integers beyond int64
+        bad = [x for x in np.array(value, dtype=object).flat if type(x) not in (int, float)]
+        if bad:
+            raise ValueError(f"expected JSON numbers, got {bad[0]!r}")
+    try:
+        a = a.astype(float, copy=False)
+    except OverflowError as exc:
+        raise ValueError(f"entry outside the float range: {exc}") from None
     if a.shape != shape and not a.size == 0 == np.prod(shape):
         raise ValueError(f"expected an array of shape {shape}, got {a.shape}")
     return a.reshape(shape)

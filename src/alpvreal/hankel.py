@@ -14,7 +14,9 @@ word-indexed observability and reachability factors,
 
 with A_v = A_{v_k} ... A_{v_1} the transfer product of v = v_1 ... v_k and
 inner dimension n.  `build_hankel(system)`, the only library path that
-assembles a system's window, closes one run of the A_v on both sides.
+assembles a system's window, closes one run of the A_v on both sides and
+keeps (Of, Rf) on the window as its `factors`, from which `kalman_ho`
+rank-factorizes the window without an SVD of it.
 Every rank decision on a system reads `factor_root` instead: an at most
 n x n triangular K with K^T K equal to the Gram matrix Rf Rf^T (or Of^T Of,
 from the transposed family), grown one word length at a time in
@@ -29,7 +31,7 @@ follow them, so an expansive system raises NonFiniteEntry and no warning.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -55,7 +57,10 @@ class HankelBlockMatrix:
     (ValueError).  `data` must be the N(L)*pD x N(M)*mD matrix that L, M, D,
     m, p (a saved matrix's sidecar) imply, else DimensionMismatch.  It is kept
     as a read-only view: writes through it raise, but the caller's array is
-    shared.
+    shared.  `factors` is the pair (Of, Rf) with data = Of @ Rf; only
+    `build_hankel(system)` sets it, so a window built from given data, a
+    file, a table or an oracle has None and no factors that could disagree
+    with its data.
     """
 
     L: int
@@ -64,6 +69,7 @@ class HankelBlockMatrix:
     m: int
     p: int
     data: np.ndarray
+    factors: tuple | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         _check_sizes(self.D, self.m, self.p)
@@ -123,7 +129,8 @@ def build_hankel(source, L: int, M: int) -> HankelBlockMatrix:
     """Assemble H_{L,M} from a system, a MarkovTable, or an IOOracle.
 
     A system source closes one run of transfer products A_v, |v| <= max(L, M),
-    with one matrix product per side: Ctilde [A_v, ...] and [A_v; ...] Btilde.
+    with one matrix product per side: Ctilde [A_v, ...] and [A_v; ...] Btilde,
+    and keeps the two factors (Of, Rf) as the window's `factors`, read-only.
     A window that overflows raises NonFiniteEntry.  A table source must cover
     words up to length L + M + 2.  An oracle source is probed once per
     coefficient and is only sensible at small bounds; a probe that returns a
@@ -131,6 +138,7 @@ def build_hankel(source, L: int, M: int) -> HankelBlockMatrix:
     """
     _check_bounds(L, M)
     D = _alphabet(source)
+    factors = None
     if isinstance(source, ALPVSystem):
         n, pD, mD = source.n, source.p * D, source.m * D
         rows, cols = _w.word_count(L, D), _w.word_count(M, D)
@@ -146,9 +154,13 @@ def build_hankel(source, L: int, M: int) -> HankelBlockMatrix:
             bound = n * np.abs(Of).max(initial=0.0) * np.abs(Rf).max(initial=0.0)
         if not bound < 1e300:
             as_matrix(data)
+        Of.flags.writeable = Rf.flags.writeable = False
+        factors = (Of, Rf)
     else:
         data = word_blocks(source, _w.words_up_to(L, D), _w.words_up_to(M, D), L + M + 2)
-    return HankelBlockMatrix(L=L, M=M, D=source.D, m=source.m, p=source.p, data=data)
+    H = HankelBlockMatrix(L=L, M=M, D=source.D, m=source.m, p=source.p, data=data)
+    object.__setattr__(H, "factors", factors)
+    return H
 
 
 def _core(sys: ALPVSystem, L: int, M: int) -> np.ndarray:

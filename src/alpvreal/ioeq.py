@@ -37,7 +37,11 @@ from .model import ALPVSystem, InputSequence, simulate
 def _canonical_key(exps) -> tuple:
     """Sorted ((i, j), e) pairs with e != 0; i, j, e integral (as in `check_word`) and e >= 0."""
     for (i, j), e in exps.items():
-        if any(int(x) != x for x in (i, j, e)) or e < 0:
+        try:
+            integral = all(int(x) == x for x in (i, j, e))
+        except (OverflowError, TypeError, ValueError):  # NaN, an infinity, not a number
+            integral = False
+        if not integral or e < 0:
             raise ValueError(f"P[{i!r},{j!r}]^{e!r}: need integers, exponent >= 0")
     return tuple(sorted(((int(i), int(j)), int(e)) for (i, j), e in exps.items() if e))
 

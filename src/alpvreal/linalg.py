@@ -15,9 +15,13 @@ through a seeded Gaussian range sketch (Halko, Martinsson & Tropp, "Finding
 structure with randomness", SIAM Review 2011), whose residual is checked
 against a tenth of the rank cutoff; a window of rank n then costs O(ab n)
 instead of a dense SVD.  Every other matrix, and every sketch that the
-residual does not certify, takes the dense SVD.  `numerical_rank` and
-`singular_values` share the dense values-only SVD.  Every route checks its
-matrix with `as_matrix` (NonFiniteEntry); no other module calls the SVD.
+residual does not certify, takes the dense SVD.  A window whose factors
+Of @ Rf are known (a system's, from `hankel.build_hankel`) skips both:
+`factored_rank_factorize` takes the SVD of the at most n x b core of the
+factors and still decides the rank under the window's a x b cutoff.
+`numerical_rank` and `singular_values` share the dense values-only SVD.
+Every route checks its matrices with `as_matrix` (NonFiniteEntry); no other
+module calls the SVD.
 """
 
 from __future__ import annotations
@@ -91,8 +95,6 @@ def _sketched_svd(T, shape, tol: ToleranceConfig):
     most).  Returns None when no width is certified.
     """
     b = T.shape[1]
-    if b < 64:  # no width k >= 8 has 8k <= b
-        return None
     rng = np.random.default_rng(0)  # a fixed seed keeps every result deterministic
     k = 8
     while 8 * k <= b:
@@ -136,7 +138,8 @@ def _svd(M, tol: ToleranceConfig):
     A = as_matrix(M)
     wide = A.shape[0] < A.shape[1]
     T = A.T if wide else A
-    U, s, Vt = _sketched_svd(T, A.shape, tol) or np.linalg.svd(T, full_matrices=False)
+    sketched = _sketched_svd(T, A.shape, tol) if T.shape[1] >= 64 else None  # else no k has 8k <= b
+    U, s, Vt = sketched or np.linalg.svd(T, full_matrices=False)
     if wide:
         U, Vt = Vt.T, U.T
     return U, s, Vt, tol.rank(s, A.shape)
@@ -173,6 +176,27 @@ def rank_factorize(M, tol: ToleranceConfig = DEFAULT_TOL):
     U, s, Vt, r = _svd(M, tol)
     root = np.sqrt(s[:r])
     return U[:, :r] * root, root[:, None] * Vt[:r, :], r
+
+
+def factored_rank_factorize(Of, Rf, tol: ToleranceConfig = DEFAULT_TOL):
+    """`rank_factorize` of M = Of @ Rf from its factors, without forming or sketching M.
+
+    With the QR decomposition Of = Q Rl (Q orthonormal columns) and the SVD
+    U S V^T of the at most n x b core Rl @ Rf, M = (Q U) S V^T is an SVD of
+    the a x b matrix M, so ``O = Q U_r sqrt(S_r)`` and ``R = sqrt(S_r) V_r^T``
+    are its balanced factors.  The rank r is decided under the cutoff of
+    M's own a x b shape, as for M itself.  Costs O((a + b) n^2) for an inner
+    dimension n.  A core that overflows raises NonFiniteEntry, also when M
+    itself is finite.
+    """
+    Of, Rf = as_matrix(Of), as_matrix(Rf)
+    Q, Rl = np.linalg.qr(Of)
+    with np.errstate(over="ignore", invalid="ignore"):
+        core = Rl @ Rf
+    V, s, Ut = np.linalg.svd(as_matrix(core).T, full_matrices=False)  # the core's tall orientation
+    r = tol.rank(s, (Of.shape[0], Rf.shape[1]))
+    root = np.sqrt(s[:r])
+    return Q @ (Ut[:r].T * root), root[:, None] * V[:, :r].T, r
 
 
 def range_basis(M, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:

@@ -17,9 +17,13 @@ every word; it is kept only as a test reference.
 `kalman_ho` recovers a state-space family from a finite Hankel sub-matrix
 H_{L,L+1}: rank-factorize H = O R, read [B_1..B_D] off the first mD
 columns of R and [C_1;..;C_D] off the first pD rows of O, and solve for
-each A_q from the column shift v |-> v q of the word enumeration.  The
-factorization of an a x b window of rank n goes through the certified
-range sketch of `linalg` and costs O(ab n) rather than a dense SVD.  When
+each A_q from the column shift v |-> v q of the word enumeration.  A
+window built from a system carries its factors H = Of Rf (inner dimension
+the system's n), and is factored from them in O((a + b) n^2) with no pass
+over its a x b entries; any other a x b window of rank r (from data, a
+file, a table or an oracle) goes through the certified range sketch of
+`linalg` in O(ab r), or a dense SVD when its shorter side is below 64.
+Both decide the rank under the window's own a x b cutoff.  When
 rank H_{L,L} already equals the rank of the full Hankel matrix (guaranteed
 as soon as some realization of dimension <= L+1 exists), the result is a
 minimal realization of the underlying map.
@@ -42,6 +46,7 @@ from .hankel import HankelBlockMatrix, factor_root, observability_root, reachabi
 from .linalg import (
     DEFAULT_TOL,
     ToleranceConfig,
+    factored_rank_factorize,
     numerical_rank,
     pseudoinverse,
     range_basis,  # not called here; perfbench/tracing.py rebinds realize.range_basis by name
@@ -105,18 +110,27 @@ def kalman_ho(H: HankelBlockMatrix, tol: ToleranceConfig = DEFAULT_TOL) -> ALPVS
 
     The column bound must be exactly L + 1: block column j of the shifted
     factor R_q is the block column of R at the position of the word v_j q,
-    which must itself lie within the column enumeration.  `rank_factorize`
-    finds the rank n through a certified range sketch once the window's
-    shorter side reaches 64 entries, in O(ab n) for an a x b window; its
-    rank is the dense SVD's unless a singular value of H lies within 10% of
-    the cutoff.  The shift solve pseudo-inverts the n x N(L)mD block of R.
+    which must itself lie within the column enumeration.  The rank
+    factorization H = O R takes one of two routes, both under the cutoff of
+    H's own a x b shape.  A window from `build_hankel(system)` keeps its
+    factors (Of, Rf), and `linalg.factored_rank_factorize` reads O and R off
+    the QR of Of and the SVD of the at most n_sys x b core, in
+    O((a + b) n_sys^2) for a system of dimension n_sys, never touching H.
+    Every other window (`factors` None) goes through `rank_factorize`: a
+    certified range sketch once its shorter side reaches 64 entries, in
+    O(ab n), whose rank is the dense SVD's unless a singular value of H lies
+    within 10% of the cutoff, and a dense SVD below that.  The shift solve
+    pseudo-inverts the n x N(L)mD block of R.
     """
     if H.M != H.L + 1:
         raise ShapeMismatch(
             f"Hankel column bound must be L+1: got L={H.L}, M={H.M}"
         )
     D, m, p, L = H.D, H.m, H.p, H.L
-    O, R, n = rank_factorize(H.data, tol)
+    if H.factors is None:
+        O, R, n = rank_factorize(H.data, tol)
+    else:
+        O, R, n = factored_rank_factorize(*H.factors, tol)
     n_rows, mD = _w.word_count(L, D), m * D
     Rbar_pinv = pseudoinverse(R[:, : n_rows * mD], tol)
     R3 = R.reshape(n, _w.word_count(L + 1, D), mD)

@@ -32,11 +32,18 @@ def check_alphabet(D: int) -> int:
 
 
 def check_word(w, D: int) -> Word:
-    """Validate symbols against 1..D and return the word as a tuple."""
+    """Validate symbols against 1..D and return the word as a tuple.
+
+    A symbol is valid when it equals an integer in 1..D; NaN, an infinity
+    and anything `int` refuses raise InvalidWord like any other symbol.
+    """
     check_alphabet(D)
     out = []
     for q in w:
-        qi = int(q)
+        try:
+            qi = int(q)
+        except (OverflowError, TypeError, ValueError):  # NaN, an infinity, not a number
+            qi = 0  # outside 1..D
         if qi != q or not 1 <= qi <= D:
             raise InvalidWord(f"symbol {q!r} outside alphabet 1..{D}")
         out.append(qi)

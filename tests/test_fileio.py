@@ -16,7 +16,7 @@ from alpvreal import (
     markov_table,
     words_up_to,
 )
-from alpvreal import fileio, words
+from alpvreal import cli, fileio, words
 
 from conftest import make_eq1
 from helpers import (
@@ -376,3 +376,42 @@ def test_zero_state_system_roundtrip(tmp_path, D, m, p):
     path = tmp_path / "sys.json"
     fileio.save_system(path, empty)
     assert fileio.load_system(path).dims == (D, 0, m, p)
+
+
+@pytest.mark.parametrize(
+    "entry, shown",
+    [("0.5", "'0.5'"), ("nan", "'nan'"), (None, "None"), (True, "True")],
+    ids=["string", "nan-string", "null", "all-boolean"],
+)
+def test_system_entries_must_be_json_numbers(tmp_path, sigma2, entry, shown):
+    data = fileio.system_to_dict(sigma2)
+    if entry is True:  # numpy reads a boolean among numbers as 0 or 1; a stack of them is refused
+        data["A"] = [[[True, False], [False, True]]] * sigma2.D
+    else:
+        data["A"][0][0][0] = entry
+    path = tmp_path / "sys.json"
+    path.write_text(json.dumps(data))
+    with pytest.raises(ValueError, match=rf"^malformed system object: expected JSON numbers, got {shown}$"):
+        fileio.load_system(path)
+    assert cli.run(["analyze", str(path)]) == 2
+
+
+def test_table_entries_must_be_json_numbers(tmp_path, sigma_star):
+    data = table_to_dict(markov_table(sigma_star, 3))
+    data["entries"][-1]["S"] = [["1"]]
+    path = tmp_path / "table.json"
+    path.write_text(fileio.dumps_json(data))
+    with pytest.raises(ValueError, match="malformed Markov table: expected JSON numbers, got '1'$"):
+        fileio.load_table(path)
+    out = tmp_path / "hankel.csv"
+    assert cli.run(["hankel", "--from-table", str(path), "--L", "0", "--M", "1", "-o", str(out)]) == 2
+    assert not out.exists()
+
+
+def test_integers_beyond_int64_load_and_beyond_the_float_range_are_refused():
+    data = {"schema": "alpv-1", "D": 1, "n": 1, "m": 1, "p": 1,
+            "A": [[[10**30]]], "B": [[[1]]], "C": [[[1]]]}
+    assert fileio.system_from_dict(data).A[0, 0, 0] == 1e30
+    data["A"] = [[[10**400]]]
+    with pytest.raises(ValueError, match="outside the float range"):
+        fileio.system_from_dict(data)

@@ -24,6 +24,8 @@ from alpvreal import (
     words_up_to,
 )
 
+from alpvreal import fileio
+
 from helpers import observability_factor, random_minimal_system, random_system, reachability_factor
 
 
@@ -169,6 +171,28 @@ def test_hankel_data_is_a_read_only_view(sigma2):
         H.data[0, 0] = 1.0
     with pytest.raises(ValueError, match="read-only"):
         build_hankel(sigma2, 1, 2).data[0, 0] = 1.0
+
+
+def test_only_system_windows_carry_their_factors(tmp_path, sigma2):
+    H = build_hankel(sigma2, 1, 2)
+    Of, Rf = H.factors
+    assert Of.shape == (6, 2) and Rf.shape == (2, 14)
+    assert np.allclose(Of @ Rf, H.data, rtol=1e-14, atol=0)
+    for factor in (Of, Rf):
+        with pytest.raises(ValueError, match="read-only"):
+            factor[0, 0] = 1.0
+    assert "factors" not in repr(H)
+    path = tmp_path / "H.csv"
+    fileio.save_hankel(path, H)
+    windows = [
+        HankelBlockMatrix(L=1, M=2, D=2, m=1, p=1, data=H.data),
+        fileio.load_hankel(path),
+        build_hankel(markov_table(sigma2, 5), 1, 2),
+        build_hankel(system_oracle(sigma2), 1, 2),
+    ]
+    assert [W.factors for W in windows] == [None] * 4
+    with pytest.raises(TypeError):
+        HankelBlockMatrix(L=1, M=2, D=2, m=1, p=1, data=H.data, factors=H.factors)
 
 
 @pytest.mark.parametrize(

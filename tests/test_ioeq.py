@@ -188,8 +188,11 @@ def test_make_eq1_matches_file_spec(eq1):
 
 
 @pytest.mark.parametrize(
-    "exps", [{(0, 1): 1.7}, {(0.5, 1): 1}, {(0, 1.5): 1}, {(0, 1): "2"}, {(0, 1): -1}],
-    ids=["exponent", "shift", "coordinate", "string", "negative"],
+    "exps",
+    [{(0, 1): 1.7}, {(0.5, 1): 1}, {(0, 1.5): 1}, {(0, 1): "2"}, {(0, 1): -1},
+     {(0, 1): float("inf")}, {(0, 1): float("nan")}, {(float("inf"), 1): 1}, {(0, float("nan")): 1}],
+    ids=["exponent", "shift", "coordinate", "string", "negative",
+         "inf-exponent", "nan-exponent", "inf-shift", "nan-coordinate"],
 )
 def test_poly_rejects_exponents_and_variables_that_are_not_integers(exps):
     with pytest.raises(ValueError, match="need integers, exponent >= 0"):

@@ -16,7 +16,9 @@ unreachable and unobservable states, and the roots' spectra against the dense
 factors and Hankel matrices; a seeded corpus of 500 such systems checks every
 rank, reduced order and realized order against those references.  Low-rank
 matrices whose shorter side reaches 64 take the range-sketch route of the SVD
-helper and are checked against the dense rank rule.
+helper and are checked against the dense rank rule.  Kalman-Ho from a system
+window's factors is checked against the same window given as data, which
+takes the sketch or the dense SVD.
 """
 
 import math
@@ -296,7 +298,8 @@ def test_extended_observability_matches_recursion(sys, depth):
 @given(st.integers(0, 2**32 - 1), st.integers(0, 6), st.integers(0, 6), st.integers(0, 6))
 def test_linalg_shapes_and_products(seed, rows, cols, inner):
     rng = np.random.default_rng(seed)
-    M = rng.normal(size=(rows, inner)) @ rng.normal(size=(inner, cols))
+    Of, Rf = rng.normal(size=(rows, inner)), rng.normal(size=(inner, cols))
+    M = Of @ Rf
     r = min(rows, cols, inner)
     assert numerical_rank(M) == r
 
@@ -304,9 +307,9 @@ def test_linalg_shapes_and_products(seed, rows, cols, inner):
     assert P.shape == (cols, rows)
     assert np.allclose(M @ P @ M, M) and np.allclose(P @ M @ P, P)
 
-    O, R, rank = rank_factorize(M)
-    assert rank == r and O.shape == (rows, r) and R.shape == (r, cols)
-    assert np.allclose(O @ R, M)
+    for O, R, rank in (rank_factorize(M), linalg.factored_rank_factorize(Of, Rf)):
+        assert rank == r and O.shape == (rows, r) and R.shape == (r, cols)
+        assert np.allclose(O @ R, M)
 
     V = range_basis(M)
     assert V.shape == (rows, r)
@@ -370,6 +373,60 @@ def test_sketch_certifies_when_a_width_above_the_rank_fits(M):
         width *= 2
     certified = linalg._sketched_svd(T, M.shape, DEFAULT_TOL) is not None
     assert certified == (8 * width <= T.shape[1])
+
+
+def realizable_window(kind, seed):
+    """(system, L, minimal source) of one kind, for a window H_{L,L+1} built from the system.
+
+    Sizes are drawn from `seed`: D <= 3, m, p <= 2 and cores of n <= 4.
+    "minimal" sources at L = n-1; "padded" cores with 0-2 unreachable and
+    0-2 unobservable states at any L < core order, so also below the rank
+    plateau; "tall" windows of p = 3 > m = 1 at D <= 2; "empty" systems of
+    n = 0; and "large" windows at D = 3, L = 3, whose shorter side is at
+    least 120.
+    """
+    rng = np.random.default_rng(seed)
+    D, n, m, p = (int(rng.integers(1, hi)) for hi in (4, 5, 3, 3))
+    if kind == "padded":
+        core = random_system(rng, D=D, n=n, m=m, p=p)
+        k, j = (int(x) for x in rng.integers(0, 3, 2))
+        return pad_unobservable(pad_unreachable(core, k, rng), j, rng), int(rng.integers(0, n)), False
+    if kind == "empty":
+        return random_system(rng, D=D, n=0, m=m, p=p), int(rng.integers(0, 3)), True
+    if kind == "tall":
+        sys = random_minimal_system(rng, n=min(n, 3), D=min(D, 2), m=1, p=3)
+        return sys, sys.n - 1, True
+    if kind == "large":
+        return random_minimal_system(rng, n=n, D=3, m=m, p=p), 3, True
+    return random_minimal_system(rng, n=n, D=D, m=m, p=p), n - 1, True
+
+
+@pytest.mark.parametrize("kind", ["minimal", "padded", "tall", "empty", "large"])
+@settings(SEEDED, max_examples=10)
+@given(st.integers(0, 2**32 - 1))
+def test_factored_and_window_realizations_agree(kind, seed):
+    """`kalman_ho` from a system window's factors against the same window given as data.
+
+    The data-only copy has no factors and is realized through `rank_factorize`
+    (its range sketch once the shorter side reaches 64, the dense SVD below).
+    Both routes give the rank of the window under the window's own cutoff and
+    the same Markov parameters within the C03 tolerance, and on a minimal
+    source the source's own, with realizations related by an isomorphism.
+    """
+    sys, L, minimal = realizable_window(kind, seed)
+    H = build_hankel(sys, L, L + 1)
+    given = HankelBlockMatrix(L=L, M=L + 1, D=sys.D, m=sys.m, p=sys.p, data=H.data.copy())
+    assert H.factors is not None and given.factors is None
+    factored, sketched = kalman_ho(H), kalman_ho(given)
+    assert factored.n == sketched.n == numerical_rank(H.data)
+    scale = max(1.0, float(np.abs(H.data).max(initial=0.0)))
+    W = build_hankel(factored, L, L + 1).data
+    assert np.abs(W - build_hankel(sketched, L, L + 1).data).max(initial=0.0) <= 1e-8 * scale
+    if minimal:
+        assert factored.n == sys.n
+        assert np.abs(W - H.data).max(initial=0.0) <= 1e-8 * scale
+        T = find_isomorphism(factored, sketched)
+        assert isomorphism_residual(factored, sketched, T) < 1e-7
 
 
 @SEEDED

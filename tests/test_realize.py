@@ -1,4 +1,5 @@
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -8,6 +9,8 @@ from alpvreal import (
     ALPVSystem,
     AnalysisReport,
     DimensionMismatch,
+    HankelBlockMatrix,
+    NonFiniteEntry,
     NotIsomorphic,
     ShapeMismatch,
     analyze,
@@ -28,7 +31,7 @@ from alpvreal import (
     simulate,
     words_up_to,
 )
-from alpvreal import linalg
+from alpvreal import linalg, realize
 
 from helpers import (
     observability_factor,
@@ -319,12 +322,56 @@ def markov_deviation(sys1, sys2, depth):
 
 @pytest.mark.parametrize("n, m, seed", [(5, 1, 51), (6, 1, 61), (4, 2, 42)])
 def test_kalman_ho_on_sketched_windows(n, m, seed):
+    """The window as data takes the range sketch; the system's window, its factors."""
     sys = random_minimal_system(np.random.default_rng(seed), n=n, D=3, m=m, p=m)
     H = build_hankel(sys, n - 1, n)
     assert linalg._sketched_svd(H.data.T, H.shape, DEFAULT_TOL) is not None
+    given = HankelBlockMatrix(L=n - 1, M=n, D=3, m=m, p=m, data=H.data.copy())
+    for realized in (kalman_ho(given), kalman_ho(H)):
+        assert realized.n == n
+        dev, top = markov_deviation(sys, realized, n)
+        assert dev <= 1e-8 * max(1.0, top)
+        T = find_isomorphism(sys, realized)
+        assert isomorphism_residual(sys, realized, T) < 1e-7
+
+
+@pytest.mark.parametrize(
+    "n, D, m, p, pad, seed",
+    [(6, 3, 1, 1, 0, 61), (4, 3, 2, 2, 2, 42), (5, 2, 1, 2, 3, 52), (3, 1, 2, 1, 1, 31)],
+)
+def test_system_windows_are_realized_from_their_factors(monkeypatch, n, D, m, p, pad, seed):
+    """`kalman_ho(build_hankel(system))` never sketches or decomposes the window.
+
+    Its order is the rank of the window under the window's own cutoff: the
+    dense values-only rank, computed before the sketch and the
+    full-window factorization are made to refuse.
+    """
+    rng = np.random.default_rng(seed)
+    core = random_minimal_system(rng, n=n, D=D, m=m, p=p)
+    sys = pad_unobservable(pad_unreachable(core, pad - pad // 2, rng), pad // 2, rng)
+    H = build_hankel(sys, n - 1, n)
+    rank = numerical_rank(H.data)
+
+    def refuse(*args):
+        raise AssertionError("the window was factored whole")
+
+    monkeypatch.setattr(linalg, "_sketched_svd", refuse)
+    monkeypatch.setattr(realize, "rank_factorize", refuse)
     realized = kalman_ho(H)
-    assert realized.n == n
-    dev, top = markov_deviation(sys, realized, n)
+    assert realized.n == rank == n
+    dev, top = markov_deviation(core, realized, n)
     assert dev <= 1e-8 * max(1.0, top)
-    T = find_isomorphism(sys, realized)
-    assert isomorphism_residual(sys, realized, T) < 1e-7
+    T = find_isomorphism(core, realized)
+    assert isomorphism_residual(core, realized, T) < 1e-7
+    with pytest.raises(AssertionError, match="factored whole"):
+        kalman_ho(HankelBlockMatrix(L=n - 1, M=n, D=D, m=m, p=p, data=H.data))
+
+
+def test_factors_whose_core_overflows_raise():
+    # the window's entries reach 1e308 and stay finite, but Q^T Of Rf sums 4 of them
+    H = build_hankel(ALPVSystem(A=[np.eye(1)], B=[[[1e150]]], C=[[[1e158]]]), 3, 4)
+    assert np.isfinite(H.data).all()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteEntry, match="NaN or Inf"):
+            kalman_ho(H)

@@ -44,7 +44,7 @@ def test_embed_rejects_bad_mode():
         SwitchedInput(D=2, modes=(3,), inputs=[[0.0]])
 
 
-@pytest.mark.parametrize("mode", [1.7, 5])
+@pytest.mark.parametrize("mode", [1.7, 5, float("inf"), -float("inf"), float("nan")])
 def test_switched_input_rejects_bad_mode_at_construction(mode):
     with pytest.raises(InvalidWord, match=f"symbol {mode!r} outside alphabet 1..2"):
         SwitchedInput(D=2, modes=(mode, 2), inputs=[[0.0], [0.0]])

@@ -48,3 +48,31 @@ def test_rebound_cli_handler_runs_after_the_parser_exists(tmp_path, sigma_star, 
     assert cli.run(argv) == 0
     assert ran == ["markov"]
     assert cli.build_parser() is cli.build_parser()
+
+
+def test_traced_kalman_ho_realizes_a_system_window():
+    """A system window is realized from its factors with the tracer installed.
+
+    The tracer reads `np.shape(args[0])` of every call through `realize`'s
+    bindings of the linalg wrappers, so a factored route that passed its
+    factors as one tuple through any of those names would fail here.
+    """
+    code = "; ".join([
+        'import sys; sys.path[:0] = ["src", "perfbench"]; import tracing',
+        "rec = tracing.Recorder(); tracing.install(rec)",
+        "import alpvreal as lib",
+        "sys_ = lib.ALPVSystem(A=[[[0.0, 1.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]],"
+        " B=[[[1.0], [0.0]], [[0.0], [0.0]]], C=[[[1.0, 0.0]], [[0.0, 1.0]]])",
+        "H = lib.build_hankel(sys_, 1, 2)",
+        "assert H.factors is not None",
+        "realized = lib.kalman_ho(H)",
+        "names = sorted({span[0] for span in rec.spans})",
+        "print(realized.n, rec.counts['linalg.svd_flops_computed'] > 0, *names)",
+    ])
+    proc = subprocess.run(
+        [sys.executable, "-c", code], cwd=ROOT, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == [
+        "2", "True", "hankel.build_hankel", "linalg.svd", "realize.kalman_ho",
+    ]

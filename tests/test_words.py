@@ -13,6 +13,7 @@ from alpvreal import (
     word_to_str,
     words_up_to,
 )
+from alpvreal.words import check_word
 
 
 def brute_enumeration(L, D):
@@ -55,6 +56,12 @@ def test_word_to_index_rejects_bad_symbols():
         word_to_index((0,), 2)
     with pytest.raises(InvalidWord):
         word_to_index((3,), 2)
+
+
+@pytest.mark.parametrize("symbol", [float("inf"), -float("inf"), float("nan"), 1.5, None, "1"])
+def test_check_word_rejects_symbols_that_are_not_integers(symbol):
+    with pytest.raises(InvalidWord, match="outside alphabet 1..2"):
+        check_word((1, symbol), 2)
 
 
 def test_roundtrip_and_order_against_brute_force():
