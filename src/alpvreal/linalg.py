@@ -26,6 +26,7 @@ module calls the SVD.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,7 +43,9 @@ class ToleranceConfig:
     A singular value counts toward the rank iff it exceeds
     ``max(ABS_FLOOR, rel_eps * max(rows, cols) * sigma_max)``; a shape with
     ``rel_eps * max(rows, cols) >= 1`` would discard every singular value
-    and raises ValueError.
+    and raises ValueError.  A sigma_max that is not finite, which a finite
+    matrix with entries near the float64 limit gives when its norm
+    overflows, raises NonFiniteEntry instead of making the cutoff infinite.
     """
 
     rel_eps: float = 1e-10
@@ -56,6 +59,9 @@ class ToleranceConfig:
             raise ValueError(f"rel_eps {self.rel_eps} times the largest dimension of a {shape[0]}"
                              f" x {shape[1]} matrix is >= 1: no singular value can count")
         smax = float(singular_values[0]) if len(singular_values) else 0.0
+        if not math.isfinite(smax):
+            raise NonFiniteEntry(f"the largest singular value of a {shape[0]} x {shape[1]} matrix"
+                                 " is not finite (overflow)")
         return max(ABS_FLOOR, self.rel_eps * max(shape) * smax)
 
     def rank(self, singular_values, shape) -> int:

@@ -32,8 +32,8 @@ import numpy as np
 
 from . import words as _w
 from .errors import DimensionMismatch, HorizonExceeded, NonFiniteEntry, WordTooShort
-from .model import ALPVSystem, InputSequence, simulate
-from .switched import unit_schedule
+from .model import ALPVSystem, InputSequence, _final_output
+from .model import simulate  # noqa: F401  (perfbench/tracing.py rebinds markov.simulate)
 
 
 def _check_finite(S: np.ndarray, word_at, D: int) -> np.ndarray:
@@ -128,11 +128,17 @@ class IOOracle:
 
 
 def system_oracle(sys: ALPVSystem) -> IOOracle:
-    """The zero-initial-state input-output map of a system, as an oracle."""
+    """The zero-initial-state input-output map of a system, as an oracle.
+
+    A call returns y(T) of its run, the number `simulate(sys, 0, w).final_output`
+    gives, bit for bit, without forming the earlier outputs or the step after T.
+    It raises NonFiniteEntry exactly when one of the states x(0), ..., x(T) or
+    y(T) is not finite; an overflow of x(T+1) alone is not reported.
+    """
     x0 = np.zeros(sys.n)
 
     def fn(w: InputSequence) -> np.ndarray:
-        return simulate(sys, x0, w).final_output
+        return _final_output(sys, x0, w)
 
     return IOOracle(fn=fn, D=sys.D, m=sys.m, p=sys.p)
 
@@ -227,10 +233,9 @@ def word_blocks(source, row_words, col_words, longest: int) -> np.ndarray:
         scale = source.D ** np.array([len(v) for v in tails])
         S = source.coeffs[np.outer(scale, heads) + pos(tails)[:, None] - _w.word_count(1, source.D)]
     else:
-        words = lambda: ((j,) + vc + vr + (i,)  # probe order; listed only to name a failure
-                         for vr in row_words for i in letters for vc in col_words for j in letters)
-        S = np.array([_unchecked_probe(source, v) for v in words()])
-        _check_finite(S, lambda r: [*words()][r], source.D)
+        words = [(j,) + vc + vr + (i,)  # probe order
+                 for vr in row_words for i in letters for vc in col_words for j in letters]
+        S = _check_finite(_probe(source, words), words.__getitem__, source.D)
         S = S.reshape(len(row_words) * source.D, -1, source.p, source.m)
     return S.transpose(0, 2, 1, 3).reshape(len(S) * source.p, -1)
 
@@ -244,16 +249,40 @@ def probe_kernel_coeff(oracle: IOOracle, v) -> np.ndarray:
     representation; no step sizes or differencing involved.  A response
     that is not finite raises NonFiniteEntry.
     """
-    return _check_finite(_unchecked_probe(oracle, v), lambda _: v, oracle.D)
+    v = tuple(v)
+    return _check_finite(_probe(oracle, [v]), lambda _: v, oracle.D)[0]
 
 
-def _unchecked_probe(oracle: IOOracle, v) -> np.ndarray:
-    sched = unit_schedule(v, oracle.D)
-    if len(sched) < 2:
-        raise WordTooShort(f"kernel coefficients need |v| >= 2, got {len(sched)}")
-    S = np.empty((oracle.p, oracle.m))
-    for l in range(oracle.m):
-        u = np.zeros((len(sched), oracle.m))
-        u[0, l] = 1.0
-        S[:, l] = oracle(InputSequence(scheduling=sched, inputs=u))
+def _probe(oracle: IOOracle, words) -> np.ndarray:
+    """S(v) of every word of a list by unit-vector probing, as (len(words), p, m).
+
+    The symbols of all words are checked at once (InvalidWord names the first
+    bad one), then their lengths (WordTooShort), before any probe runs.  Words
+    of one length share one gather of unit scheduling rows and one set of m
+    unit inputs, as read-only arrays of zeros and ones that need none of
+    `InputSequence`'s checks.  The oracle is called word by word and, within a
+    word, input column by input column, once per probe, repeats included.
+    Nothing is checked for finiteness here.
+    """
+    D, m = oracle.D, oracle.m
+    lengths = np.fromiter(map(len, words), np.intp, len(words))
+    symbols = _w._check_mode_array([q for v in words for q in v], D)
+    if len(words) and lengths.min() < 2:
+        raise WordTooShort(f"kernel coefficients need |v| >= 2, got {lengths[lengths < 2][0]}")
+    starts = np.cumsum(lengths) - lengths
+    unit, columns = np.eye(D), np.arange(m)
+    runs, slot = {}, np.empty(len(words), np.intp)  # word r is row slot[r] of its length's runs
+    for k in set(lengths.tolist()):
+        at = np.flatnonzero(lengths == k)
+        slot[at] = np.arange(len(at))
+        sched = unit[symbols[starts[at, None] + np.arange(k)] - 1]  # (words, k, D)
+        u = np.zeros((m, k, m))
+        u[columns, 0, columns] = 1.0  # u[l]: input e_l at time 0, zero after
+        sched.flags.writeable = u.flags.writeable = False
+        runs[k] = sched, u
+    S = np.empty((len(words), oracle.p, m))
+    for r, (k, i) in enumerate(zip(lengths.tolist(), slot.tolist())):
+        sched, u = runs[k]
+        for l in range(m):
+            S[r, :, l] = oracle(InputSequence._unchecked(sched[i], u[l]))
     return S

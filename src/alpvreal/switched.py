@@ -15,7 +15,8 @@ import numpy as np
 
 from . import words as _w
 from .errors import DimensionMismatch
-from .model import ALPVSystem, InputSequence, simulate
+from .model import ALPVSystem, InputSequence, _final_output
+from .model import simulate  # noqa: F401  (perfbench/tracing.py rebinds switched.simulate)
 
 
 @dataclass(frozen=True, eq=False, init=False)
@@ -26,29 +27,19 @@ class SwitchedInput(InputSequence):
 
     def __init__(self, D: int, modes, inputs):
         D = _w.check_alphabet(D)
-        modes = _w.check_word(modes, D)
+        idx = _w._check_mode_array(modes, D)
         u = np.asarray(inputs, dtype=float)
         if u.ndim != 2:
             raise DimensionMismatch(f"inputs must be 2-d (steps x dim); got ndim {u.ndim}")
-        sched = np.zeros((len(modes), D))
-        sched[np.arange(len(modes)), np.fromiter(modes, np.intp, len(modes)) - 1] = 1.0
-        object.__setattr__(self, "modes", modes)
-        super().__init__(scheduling=sched, inputs=u)
-
-
-def unit_schedule(modes, D: int) -> np.ndarray:
-    """The scheduling rows e_{q_0}, ..., e_{q_t} of a mode word over 1..D.
-
-    The word is checked here, and its rows are set one by one, which beats
-    numpy indexing on the short words that probing asks for.
-    """
-    modes = _w.check_word(modes, D)
-    sched = np.zeros((len(modes), D))
-    for t, q in enumerate(modes):
-        sched[t, q - 1] = 1.0
-    return sched
+        object.__setattr__(self, "modes", tuple(idx.tolist()))
+        super().__init__(scheduling=np.eye(D)[idx - 1], inputs=u)
 
 
 def switched_output(sys: ALPVSystem, sw: SwitchedInput) -> np.ndarray:
-    """Final output of the switched run from the zero initial state."""
-    return simulate(sys, np.zeros(sys.n), sw).final_output
+    """Final output of the switched run from the zero initial state.
+
+    The same number, bit for bit, as `simulate(sys, 0, sw).final_output`, but
+    the run stops at its last state: only y(T) is formed, and NonFiniteEntry
+    is raised when a state up to x(T) or y(T) is not finite.
+    """
+    return _final_output(sys, np.zeros(sys.n), sw)

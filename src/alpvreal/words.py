@@ -50,6 +50,28 @@ def check_word(w, D: int) -> Word:
     return tuple(out)
 
 
+def _check_mode_array(modes, D: int) -> np.ndarray:
+    """`check_word` of a mode word as one numpy test; returns its symbols as an intp array.
+
+    A 1-d integer or float array whose entries are integral and lie in 1..D
+    passes at once.  Anything else, and any word that fails the test, takes
+    `check_word`'s loop, so InvalidWord names the first bad symbol just as
+    there.  Meant for long words and for many words checked together; a
+    short word is checked faster by `check_word` itself.
+    """
+    D = check_alphabet(D)
+    try:
+        a = np.asarray(modes)
+    except (OverflowError, TypeError, ValueError):  # ragged or huge: the loop decides
+        a = None
+    if a is not None and a.ndim == 1 and a.dtype.kind in "iuf":
+        # min and max propagate NaN, and an infinity fails the range
+        in_range = not a.size or (a.min() >= 1 and a.max() <= D)
+        if in_range and (a.dtype.kind != "f" or (a == a.round()).all()):
+            return a.astype(np.intp)
+    return np.array(check_word(modes, D), dtype=np.intp)
+
+
 def word_count(L: int, D: int) -> int:
     """N(L) = number of words of length at most L, i.e. sum_{j=0..L} D^j."""
     check_alphabet(D)

@@ -7,11 +7,14 @@ import numpy as np
 
 from alpvreal import (
     ALPVSystem,
+    EquationCheckReport,
     InputSequence,
     SchedulingPoly,
     SimulationResult,
     analyze,
+    equation_residual,
     hankel_singular_values,
+    simulate,
 )
 from alpvreal import words
 from alpvreal.markov import stacked_input_matrix, stacked_output_matrix, word_products
@@ -74,6 +77,40 @@ def reference_simulate(sys: ALPVSystem, x0, w: InputSequence) -> SimulationResul
         x = np.tensordot(pt, sys.A, axes=1) @ x + np.tensordot(pt, sys.B, axes=1) @ w.inputs[t]
         states[t + 1] = x
     return SimulationResult(states=states, outputs=outputs)
+
+
+def unit_schedule(modes, D: int) -> np.ndarray:
+    """The scheduling rows e_{q_0}, ..., e_{q_t} of a mode word over 1..D, set one by one.
+
+    The reference for the rows `SwitchedInput` gathers; the word is checked by
+    `words.check_word`.
+    """
+    modes = words.check_word(modes, D)
+    sched = np.zeros((len(modes), D))
+    for t, q in enumerate(modes):
+        sched[t, q - 1] = 1.0
+    return sched
+
+
+def reference_check_equation(eq, sys: ALPVSystem, trials=100, seed=42, tol=1e-10):
+    """`check_equation` one trial at a time: draw a run, simulate it, take its residual.
+
+    The trials come from the same rng stream in the same order (length,
+    scheduling, inputs); it checks none of the arguments.
+    """
+    rng = np.random.default_rng(seed)
+    max_res = max_y = 0.0
+    for _ in range(trials):
+        length = int(rng.integers(eq.order + 2, eq.order + 7))
+        w = InputSequence(
+            scheduling=rng.uniform(-1.0, 1.0, (length, sys.D)),
+            inputs=rng.uniform(-1.0, 1.0, (length, sys.m)),
+        )
+        out = simulate(sys, np.zeros(sys.n), w).outputs[:, 0]
+        max_res = max(max_res, abs(float(equation_residual(eq, w, out))))
+        max_y = max(max_y, float(np.max(np.abs(out))))
+    max_res /= eq.max_abs_coeff()
+    return EquationCheckReport(satisfied=bool(max_res <= tol * (1.0 + max_y)), max_residual=max_res)
 
 
 def input_from_pairs(pairs) -> InputSequence:

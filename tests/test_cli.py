@@ -553,3 +553,13 @@ def test_transposed_table_coefficient_is_usage_error(tmp_path, capsys):
     assert run(argv) == 2
     assert "malformed Markov table: expected an array of shape" in capsys.readouterr().err
     assert not (tmp_path / "H.csv").exists()
+
+
+def test_realize_of_a_window_whose_largest_singular_value_overflows_exits_1(tmp_path, capsys):
+    system = ALPVSystem(A=[[[1.0]]], B=[[[1e150]]], C=[[[1e158]]])
+    fileio.save_hankel(tmp_path / "H.csv", build_hankel(system, 3, 4))
+    argv = ["realize", "--from-hankel", str(tmp_path / "H.csv"), "-o", str(tmp_path / "r.json")]
+    assert run(argv) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: realize: NonFiniteEntry: ")
+    assert not (tmp_path / "r.json").exists()

@@ -19,7 +19,7 @@ from alpvreal import (
 )
 
 from conftest import make_eq1
-from helpers import random_run, scaled_poly
+from helpers import random_run, random_system, reference_check_equation, scaled_poly
 
 
 def test_poly_evaluate_examples():
@@ -202,3 +202,60 @@ def test_poly_rejects_exponents_and_variables_that_are_not_integers(exps):
 def test_poly_accepts_integral_floats_as_integers():
     poly = SchedulingPoly.from_terms([(1.0, {(0.0, 2.0): 2.0})], 1, 2)
     assert poly.monomials == {(((0, 2), 2),): 1.0}
+
+
+def _monomial(*variables):
+    """Exponents of the product of the variables P[i, j] named, repeats counted."""
+    exps = {}
+    for var in variables:
+        exps[var] = exps.get(var, 0) + 1
+    return exps
+
+
+def _scalar_state_equation(a, b, c, q1_scale=1.0):
+    """The order-1 equation c(1) Y_0 - c(0) a(1) Y_1 - c(0) c(1) b(1) U_1 = 0.
+
+    It holds on the scalar-state family (a_q, b_q, c_q), D = len(a), with
+    a(i) = sum_q a_q P[i, q] and likewise b, c; scaling the Y_1 coefficient
+    by anything but 1 gives an equation the map violates.
+    """
+    D = len(a)
+    letters = range(1, D + 1)
+    q0 = [(c[q - 1], _monomial((1, q))) for q in letters]
+    q1 = [(-q1_scale * c[q - 1] * a[r - 1], _monomial((0, q), (1, r)))
+          for q in letters for r in letters]
+    l11 = [(-c[q - 1] * c[r - 1] * b[s - 1], _monomial((0, q), (1, r), (1, s)))
+           for q in letters for r in letters for s in letters]
+    poly = lambda terms: SchedulingPoly.from_terms(terms, 1, D)
+    return AffineIOEquation(order=1, m=1, D=D, output_coeffs=(poly(q0), poly(q1)),
+                            input_coeffs=((poly(l11),),))
+
+
+@pytest.mark.parametrize("trials", [1, 7, 100])
+@pytest.mark.parametrize("exact", [True, False])
+@pytest.mark.parametrize("D", [1, 2, 3])
+def test_batched_check_equation_matches_the_per_trial_reference(D, exact, trials):
+    rng = np.random.default_rng(10 * D + trials)
+    a, b, c = (rng.uniform(0.2, 1.0, D) * rng.choice([-1.0, 1.0], D) for _ in range(3))
+    sys = ALPVSystem(A=[[[x]] for x in a], B=[[[x]] for x in b], C=[[[x]] for x in c])
+    eq = _scalar_state_equation(a, b, c, 1.0 if exact else 1.2)
+    for seed in range(4):
+        got = check_equation(eq, sys, trials=trials, seed=seed)
+        ref = reference_check_equation(eq, sys, trials=trials, seed=seed)
+        assert got.satisfied == ref.satisfied == exact
+        assert got.max_residual == pytest.approx(ref.max_residual, rel=1e-12, abs=0.0)
+
+
+def test_batched_check_equation_matches_the_per_trial_reference_on_a_wider_state():
+    # An order-2 equation the n = 3 map does not satisfy: large residuals, runs of 4..8 steps.
+    rng = np.random.default_rng(23)
+    sys = random_system(rng, n=3, D=2, m=2, p=1)
+    poly = lambda: SchedulingPoly.from_terms(
+        [(rng.uniform(-1, 1), {(i, j): 1}) for i in range(3) for j in (1, 2)], 2, 2)
+    eq = AffineIOEquation(order=2, m=2, D=2, output_coeffs=(poly(), poly(), poly()),
+                          input_coeffs=((poly(), poly()), (poly(), poly())))
+    for trials in (1, 50):
+        got = check_equation(eq, sys, trials=trials, seed=trials)
+        ref = reference_check_equation(eq, sys, trials=trials, seed=trials)
+        assert not got.satisfied and not ref.satisfied
+        assert got.max_residual == pytest.approx(ref.max_residual, rel=1e-12, abs=0.0)

@@ -44,6 +44,15 @@ def test_rank_nonfinite_rejected():
         rank_factorize(np.ones(3))  # not 2-d
 
 
+
+@pytest.mark.parametrize("route", [numerical_rank, pseudoinverse, rank_factorize, range_basis])
+def test_finite_matrix_whose_largest_singular_value_overflows_raises(route):
+    # Every entry is finite, but sigma_1 = 2e308 is not: no cutoff can be taken from it.
+    with pytest.raises(NonFiniteEntry, match="largest singular value of a 2 x 2 matrix"):
+        route(np.full((2, 2), 1e308))
+    with pytest.raises(NonFiniteEntry):
+        DEFAULT_TOL.rank(np.array([np.inf, 1.0]), (2, 2))
+
 def test_finiteness_check_needs_no_entry_sized_temporary():
     for bad in (np.nan, np.inf, -np.inf):
         M = np.ones((3, 4))

@@ -8,6 +8,7 @@ from alpvreal import (
     DimensionMismatch,
     HorizonExceeded,
     InvalidAlphabet,
+    InputSequence,
     IOOracle,
     MarkovTable,
     NonFiniteEntry,
@@ -19,6 +20,7 @@ from alpvreal import (
     markov_block,
     markov_table,
     probe_kernel_coeff,
+    simulate,
     system_oracle,
     word_count,
     word_to_index,
@@ -252,3 +254,75 @@ def test_probes_of_a_non_finite_map_raise():
 def test_unsupported_source_is_one_type_error(call):
     with pytest.raises(TypeError, match="^unsupported Markov source: str$"):
         call("x")
+
+
+
+def _recording_oracle(D, m):
+    """A zero map with p = 1 that records each probe as (mode word, input column)."""
+    calls = []
+
+    def fn(w):
+        modes = w.scheduling.argmax(axis=1)
+        assert np.array_equal(w.scheduling, np.eye(D)[modes])  # unit scheduling rows
+        (l,) = np.flatnonzero(w.inputs[0])
+        assert w.inputs[0, l] == 1.0 and not w.inputs[1:].any()  # e_l at time 0 only
+        calls.append(("".join(str(q + 1) for q in modes), int(l)))
+        return [0.0]
+
+    return IOOracle(fn=fn, D=D, m=m, p=1), calls
+
+
+def test_oracle_windows_probe_in_word_then_column_order():
+    # H_{0,1}, D = 2, m = 2: for row word vr = eps, each last letter i, each
+    # column word vc in eps, 1, 2 and each first letter j, probe j vc vr i on
+    # input column 0, then 1.  Every probe runs once per cell, repeats included.
+    oracle, calls = _recording_oracle(D=2, m=2)
+    build_hankel(oracle, 0, 1)
+    words = "11 21 111 211 121 221 12 22 112 212 122 222".split()
+    assert calls == [(v, l) for v in words for l in (0, 1)]
+
+
+def test_oracle_window_repeats_probes_of_equal_concatenations():
+    oracle, calls = _recording_oracle(D=2, m=1)
+    build_hankel(oracle, 1, 1)
+    assert len(calls) == (word_count(1, 2) * 2) ** 2 == 36
+    # 9 cells of 4 probes; the middles vc vr = 1 and 2 each come from two cells
+    assert len(set(calls)) == 7 * 4
+    assert calls[:6] == [("11", 0), ("21", 0), ("111", 0), ("211", 0), ("121", 0), ("221", 0)]
+
+
+def test_oracle_markov_block_probes_in_word_then_column_order():
+    oracle, calls = _recording_oracle(D=2, m=2)
+    markov_block(oracle, (2, 1))
+    words = "1211 2211 1212 2212".split()
+    assert calls == [(v, l) for v in words for l in (0, 1)]
+    calls.clear()
+    probe_kernel_coeff(oracle, (2, 1, 1))
+    assert calls == [("211", 0), ("211", 1)]
+
+
+def test_probe_runs_are_read_only():
+    seen = []
+    oracle = IOOracle(fn=lambda w: seen.append(w) or [0.0], D=2, m=1, p=1)
+    build_hankel(oracle, 0, 1)
+    for w in seen:
+        with pytest.raises(ValueError, match="read-only"):
+            w.inputs[0, 0] = 2.0
+        with pytest.raises(ValueError, match="read-only"):
+            w.scheduling[0, 0] = 2.0
+
+
+def test_system_oracle_raises_exactly_when_a_state_up_to_T_or_y_T_is_not_finite():
+    # x(1) = 1, x(2) = 1e200, x(3) = inf on the run (e_1, 1), (e_1, 0), (e_1, 0).
+    w = InputSequence(scheduling=np.ones((3, 1)), inputs=[[1.0], [0.0], [0.0]])
+    grows = ALPVSystem(A=[[[1e200]]], B=[[[1.0]]], C=[[[1.0]]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert system_oracle(grows)(w) == [1e200]  # only x(T+1) overflows
+        with pytest.raises(NonFiniteEntry):
+            simulate(grows, [0.0], w)
+        with pytest.raises(NonFiniteEntry):  # y(2) = 1e400
+            system_oracle(ALPVSystem(A=[[[1e200]]], B=[[[1.0]]], C=[[[1e200]]]))(w)
+        longer = InputSequence(scheduling=np.ones((4, 1)), inputs=np.eye(4, 1))
+        with pytest.raises(NonFiniteEntry):  # x(3) = inf, y(3) = inf
+            system_oracle(grows)(longer)

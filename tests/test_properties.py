@@ -9,11 +9,13 @@ cuts long blocks into segments, is checked against the per-step recursion of
 after a ragged head, under every segment length of runs up to 300 steps (one,
 two or many segments), and on runs that cross block boundaries with one
 segment per block (n = 128) and with segments (n = 16); `switched_output` on
-runs of up to 3000 steps.  The rank tests and reductions, which work on
-the n x n roots of the Hankel factors, are checked against the extended
-matrices of the branching recursion on random systems with planted
-unreachable and unobservable states, and the roots' spectra against the dense
-factors and Hankel matrices; a seeded corpus of 500 such systems checks every
+runs of up to 3000 steps.  `system_oracle` and `switched_output` give
+`simulate`'s final output bit for bit on unit-scheduling runs (n = 0 and runs
+of 1 to 300 steps included) and to 1e-12 on free scheduling runs.  The rank
+tests and reductions, which work on the n x n roots of the Hankel factors,
+are checked against the extended matrices of the branching recursion on
+random systems with planted unreachable and unobservable states, and the
+roots' spectra against the dense factors and Hankel matrices; a seeded corpus of 500 such systems checks every
 rank, reduced order and realized order against those references.  Low-rank
 matrices whose shorter side reaches 64 take the range-sketch route of the SVD
 helper and are checked against the dense rank rule.  Kalman-Ho from a system
@@ -69,10 +71,9 @@ from alpvreal import (
 )
 
 from alpvreal import hankel, linalg, markov, model, realize
-from alpvreal.switched import unit_schedule
 from helpers import (
     contractive, observability_factor, pad_unobservable, pad_unreachable, random_minimal_system,
-    random_run, random_system, reachability_factor, reference_simulate,
+    random_run, random_system, reachability_factor, reference_simulate, unit_schedule,
 )
 
 SEEDED = settings(derandomize=True, database=None, deadline=None, max_examples=30)
@@ -256,6 +257,41 @@ def test_long_switched_runs_match_the_per_step_recursion(sys, seed, steps):
     w = InputSequence(scheduling=unit_schedule(modes, sys.D), inputs=sw.inputs)
     ref = reference_simulate(sys, np.zeros(sys.n), w).outputs[-1]
     assert np.all(np.abs(switched_output(sys, sw) - ref) <= 1e-12 * (1 + np.abs(ref)))
+
+
+def _final_output_routes(sys, seed, steps):
+    """Assert that the oracle and `switched_output` give simulate's final output on seeded runs.
+
+    On the unit-scheduling runs (a SwitchedInput, and the same rows as a plain
+    InputSequence) they must agree bit for bit; on a run with free scheduling
+    vectors, to 1e-12 relative.
+    """
+    rng = np.random.default_rng(seed)
+    oracle, x0 = system_oracle(sys), np.zeros(sys.n)
+    modes = tuple(int(q) for q in rng.integers(1, sys.D + 1, steps))
+    sw = SwitchedInput(D=sys.D, modes=modes, inputs=rng.uniform(-1, 1, (steps, sys.m)))
+    unit = InputSequence(scheduling=unit_schedule(modes, sys.D), inputs=sw.inputs)
+    y = simulate(sys, x0, sw).final_output
+    assert np.array_equal(simulate(sys, x0, unit).final_output, y)
+    for route in (switched_output(sys, sw), oracle(sw), oracle(unit)):
+        assert np.array_equal(route, y)
+    w = random_run(rng, sys.D, sys.m, steps)
+    ref = simulate(sys, x0, w).final_output
+    assert np.all(np.abs(oracle(w) - ref) <= 1e-12 * (1 + np.abs(ref)))
+
+
+@SEEDED
+@given(systems(max_n=8), st.integers(0, 2**32 - 1), st.sampled_from([1, 2, 3, 5, 8, 64, 65, 300]))
+def test_oracle_and_switched_output_give_the_final_output_of_simulate(sys, seed, steps):
+    _final_output_routes(contractive(sys), seed, steps)
+
+
+@pytest.mark.parametrize("steps", [1, 2, 64, 300])
+def test_final_output_routes_of_an_empty_state_space(steps):
+    sys = ALPVSystem(A=np.zeros((2, 0, 0)), B=np.zeros((2, 0, 1)), C=np.zeros((2, 1, 0)))
+    _final_output_routes(sys, steps, steps)
+    sw = SwitchedInput(D=2, modes=(1,) * steps, inputs=np.ones((steps, 1)))
+    assert np.array_equal(switched_output(sys, sw), [0.0])
 
 
 @SEEDED

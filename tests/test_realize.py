@@ -375,3 +375,16 @@ def test_factors_whose_core_overflows_raise():
         warnings.simplefilter("error")
         with pytest.raises(NonFiniteEntry, match="NaN or Inf"):
             kalman_ho(H)
+
+
+def overflowing_window():
+    """A rank-1 window given as data whose entries reach 1e308 and whose sigma_1 overflows."""
+    sys = ALPVSystem(A=[[[1.0]]], B=[[[1e150]]], C=[[[1e158]]])
+    return HankelBlockMatrix(L=3, M=4, D=1, m=1, p=1, data=build_hankel(sys, 3, 4).data)
+
+
+def test_kalman_ho_of_a_window_whose_largest_singular_value_overflows_raises():
+    H = overflowing_window()
+    assert np.isfinite(H.data).all() and H.factors is None
+    with pytest.raises(NonFiniteEntry, match="largest singular value .* is not finite"):
+        kalman_ho(H)

@@ -12,7 +12,7 @@ from alpvreal import (
     switched_output,
     words_up_to,
 )
-from alpvreal.switched import unit_schedule
+from helpers import unit_schedule
 
 
 def test_embed_unit_vectors():

@@ -76,3 +76,29 @@ def test_traced_kalman_ho_realizes_a_system_window():
     assert proc.stdout.split() == [
         "2", "True", "hankel.build_hankel", "linalg.svd", "realize.kalman_ho",
     ]
+
+
+def test_traced_blackbox_ops_probe_through_the_callback():
+    """One `Identify` and one `Equation` op of the benchmark pass their checks when traced.
+
+    The tracer counts every probe that reaches the benchmark's callback and
+    every distinct run among them, so a window whose probes repeat must show
+    more calls than distinct runs: a library that memoized probes, or that
+    bypassed the callback, would fail here.
+    """
+    code = "; ".join([
+        'import sys; sys.path[:0] = ["src", "perfbench"]; import tracing',
+        "rec = tracing.Recorder(); tracing.install(rec)",
+        "import inputs, workloads",
+        "items = inputs.build('blackbox', 1)",
+        "ops = [workloads.Identify(items[0]), workloads.Equation(items[-1])]",
+        "[op.check(op.run()) for op in ops]",
+        "summary = rec.summary(1)",
+        "print(summary['markov.oracle.calls'], summary['markov.oracle.distinct'])",
+    ])
+    proc = subprocess.run(
+        [sys.executable, "-c", code], cwd=ROOT, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    calls, distinct = map(float, proc.stdout.split())
+    assert calls > distinct > 0

@@ -1,5 +1,7 @@
 import itertools
+import re
 
+import numpy as np
 import pytest
 
 from alpvreal import (
@@ -13,7 +15,7 @@ from alpvreal import (
     word_to_str,
     words_up_to,
 )
-from alpvreal.words import check_word
+from alpvreal.words import _check_mode_array, check_word
 
 
 def brute_enumeration(L, D):
@@ -62,6 +64,30 @@ def test_word_to_index_rejects_bad_symbols():
 def test_check_word_rejects_symbols_that_are_not_integers(symbol):
     with pytest.raises(InvalidWord, match="outside alphabet 1..2"):
         check_word((1, symbol), 2)
+
+
+@pytest.mark.parametrize(
+    "modes",
+    [(1, 3, 2), [3.0, 1.0], np.array([2, 2, 1]), np.array([1.0, 3.0]), np.array([1, 2], np.uint8),
+     (True, 1), ()],
+    ids=["tuple", "float-list", "int-array", "float-array", "uint8-array", "bool", "empty"],
+)
+def test_mode_array_is_the_checked_word(modes):
+    idx = _check_mode_array(modes, 3)
+    assert idx.dtype == np.intp and tuple(idx.tolist()) == check_word(modes, 3)
+
+
+@pytest.mark.parametrize(
+    "modes",
+    [(1, 4, 0), (1, 2.5), [1, float("nan")], np.array([1.0, np.inf]), np.array([0, 1]),
+     (1, "2"), ((1, 2), 3)],
+    ids=["range", "fraction", "nan", "inf", "zero", "string", "nested"],
+)
+def test_mode_array_fails_as_check_word_does(modes):
+    with pytest.raises(InvalidWord) as expected:
+        check_word(modes, 3)
+    with pytest.raises(InvalidWord, match=f"^{re.escape(str(expected.value))}$"):
+        _check_mode_array(modes, 3)
 
 
 def test_roundtrip_and_order_against_brute_force():
