@@ -261,7 +261,7 @@ def table_from_dict(data: dict) -> MarkovTable:
     except (AttributeError, KeyError, TypeError, ValueError, InvalidWord) as exc:
         raise ValueError(f"malformed Markov table: {exc}") from exc
     rows = np.array(rows, dtype=int)
-    covered = np.unique(rows[rows >= 0]).size
+    covered = np.count_nonzero(np.bincount(rows[rows >= 0]))
     if len(items) != len(labels) or covered != len(labels):
         raise ValueError(
             f"table must cover each word of length 2..{horizon} once "
@@ -318,7 +318,7 @@ def load_hankel(path) -> HankelBlockMatrix:
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed Hankel sidecar: {exc}") from exc
     try:
-        return HankelBlockMatrix(L=L, M=M, D=D, m=m, p=p, data=data)
+        return HankelBlockMatrix._adopt(data, L=L, M=M, D=D, m=m, p=p)
     except DimensionMismatch as exc:
         raise ValueError(str(exc)) from exc
 

@@ -55,10 +55,12 @@ class HankelBlockMatrix:
 
     D, m, p must be at least 1 as in `ALPVSystem`, and L, M at least 0
     (ValueError).  `data` must be the N(L)*pD x N(M)*mD matrix that L, M, D,
-    m, p (a saved matrix's sidecar) imply, else DimensionMismatch.  It is kept
-    as a read-only view: writes through it raise, but the caller's array is
-    shared.  `factors` is the pair (Of, Rf) with data = Of @ Rf; only
-    `build_hankel(system)` sets it, so a window built from given data, a
+    m, p (a saved matrix's sidecar) imply, else DimensionMismatch.  The
+    constructor keeps its own read-only copy, so neither a write through it
+    nor a later write to the caller's array can change a checked window;
+    `build_hankel` and `load_hankel` hand over the arrays they build, uncopied,
+    through `_adopt`.  `factors` is the pair (Of, Rf) with data = Of @ Rf;
+    only `build_hankel(system)` sets it, so a window built from given data, a
     file, a table or an oracle has None and no factors that could disagree
     with its data.
     """
@@ -72,15 +74,27 @@ class HankelBlockMatrix:
     factors: tuple | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "data", np.array(self.data))
+        self._check()
+
+    @classmethod
+    def _adopt(cls, data: np.ndarray, factors=None, **sizes) -> "HankelBlockMatrix":
+        """The window over an array the package has just built, kept without a copy."""
+        H = object.__new__(cls)
+        H.__dict__.update(sizes, data=data, factors=factors)
+        H._check()
+        return H
+
+    def _check(self) -> None:
         _check_sizes(self.D, self.m, self.p)
         _check_bounds(self.L, self.M)
         D = self.D
         shape = (_w.word_count(self.L, D) * self.p * D, _w.word_count(self.M, D) * self.m * D)
-        data = np.asarray(self.data).view()  # a view: the caller's array keeps its flags
-        if data.shape != shape:
-            raise DimensionMismatch(f"Hankel data is {data.shape} but the sidecar implies {shape}")
-        data.flags.writeable = False
-        object.__setattr__(self, "data", data)
+        if self.data.shape != shape:
+            raise DimensionMismatch(
+                f"Hankel data is {self.data.shape} but the sidecar implies {shape}"
+            )
+        self.data.flags.writeable = False
 
     @property
     def shape(self):
@@ -158,9 +172,7 @@ def build_hankel(source, L: int, M: int) -> HankelBlockMatrix:
         factors = (Of, Rf)
     else:
         data = word_blocks(source, _w.words_up_to(L, D), _w.words_up_to(M, D), L + M + 2)
-    H = HankelBlockMatrix(L=L, M=M, D=source.D, m=source.m, p=source.p, data=data)
-    object.__setattr__(H, "factors", factors)
-    return H
+    return HankelBlockMatrix._adopt(data, factors, L=L, M=M, D=D, m=source.m, p=source.p)
 
 
 def _core(sys: ALPVSystem, L: int, M: int) -> np.ndarray:

@@ -31,7 +31,7 @@ from .errors import (
 )
 from .hankel import hankel_rank
 from .linalg import DEFAULT_TOL, ToleranceConfig
-from .model import ALPVSystem, InputSequence, _batch_outputs
+from .model import ALPVSystem, InputSequence, _trajectory
 from .model import simulate  # noqa: F401  (perfbench/tracing.py rebinds ioeq.simulate)
 
 
@@ -215,9 +215,10 @@ def check_equation(
     are required.
 
     Every trial is drawn first, from one rng stream in the order length,
-    scheduling, inputs, trial by trial; the trials of each length then run
-    from the zero state side by side as one batch.  A state up to the last
-    one of a run, or an output, that is not finite raises NonFiniteEntry.
+    scheduling, inputs, trial by trial; the trials of each length are then
+    stacked and run from the zero state side by side, as one call of the
+    trajectory routine that `simulate` runs.  A state up to the last one of a
+    run, or an output, that is not finite raises NonFiniteEntry.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
@@ -243,8 +244,9 @@ def check_equation(
     max_y = 0.0
     for length in sorted({w.length for w in runs}):
         group = [w for w in runs if w.length == length]
-        outputs = _batch_outputs(
+        outputs = _trajectory(
             sys,
+            np.zeros((length + 1, len(group), sys.n)),
             np.stack([w.scheduling for w in group], axis=1),
             np.stack([w.inputs for w in group], axis=1),
         )[:, :, 0]

@@ -32,7 +32,7 @@ import numpy as np
 
 from . import words as _w
 from .errors import DimensionMismatch, HorizonExceeded, NonFiniteEntry, WordTooShort
-from .model import ALPVSystem, InputSequence, _final_output
+from .model import ALPVSystem, InputSequence, _run
 from .model import simulate  # noqa: F401  (perfbench/tracing.py rebinds markov.simulate)
 
 
@@ -130,15 +130,15 @@ class IOOracle:
 def system_oracle(sys: ALPVSystem) -> IOOracle:
     """The zero-initial-state input-output map of a system, as an oracle.
 
-    A call returns y(T) of its run, the number `simulate(sys, 0, w).final_output`
-    gives, bit for bit, without forming the earlier outputs or the step after T.
-    It raises NonFiniteEntry exactly when one of the states x(0), ..., x(T) or
-    y(T) is not finite; an overflow of x(T+1) alone is not reported.
+    A call returns y(T), the last output of the trajectory `simulate(sys, 0, w)`
+    forms, so the two agree bit for bit, without the step after T.  It raises
+    NonFiniteEntry exactly when a state x(0..T) or an output y(0..T) is not
+    finite; an overflow of x(T+1) alone is not reported.
     """
     x0 = np.zeros(sys.n)
 
     def fn(w: InputSequence) -> np.ndarray:
-        return _final_output(sys, x0, w)
+        return _run(sys, x0, w)[1][-1]
 
     return IOOracle(fn=fn, D=sys.D, m=sys.m, p=sys.p)
 

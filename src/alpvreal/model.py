@@ -174,6 +174,7 @@ _BLOCK_ENTRIES = 1 << 18
 # a transfer step cost more than the Python step it saves (1.05x at n = 20).
 _SHORTEST_SEGMENTED = 64
 _WIDEST_SEGMENTED = 20
+_NOT_FINITE = "trajectory is not finite (non-finite x0 or overflow)"
 
 
 @dataclass(frozen=True, eq=False)
@@ -250,55 +251,57 @@ def _advance_in_segments(At: np.ndarray, rows: np.ndarray, seg: int) -> None:
     _scan(A_grid, starts, Y_grid)
 
 
-def _advance(sys: ALPVSystem, states: np.ndarray, sched: np.ndarray, inputs: np.ndarray,
-             steps: int) -> None:
-    """Take the first `steps` steps of a run from states[0], into states[1 : steps + 1].
+def _trajectory(sys: ALPVSystem, states: np.ndarray, sched: np.ndarray,
+                inputs: np.ndarray) -> np.ndarray:
+    """Take runs through steps 0..T-1 from states[0]; return their outputs y(0)..y(T).
 
-    One run passes sched (L, D), inputs (L, m) and states (L+1, n) with
-    L >= steps.  R runs of one length pass (L, R, D), (L, R, m) and
-    (L+1, R, n) and advance side by side, one stacked product per step.  The
-    scheduling contractions are taken outside the step loop: the input terms
-    B(p(t)) u(t) of all L rows go to states[1:] from one matrix product, so
-    rows past `steps` keep theirs, and the matrices A(p(t)) of a block of
-    steps come from one product with the flattened A stack.  Blocks are
-    bounded so that their matrices hold about `_BLOCK_ENTRIES` numbers.  A
-    block of one run with at least 64 steps and at most 20 states advances in
-    segments (`_advance_in_segments`); every other block advances one product
-    per step through `_scan`.  Nothing is checked here: the caller holds the
-    errstate and tests finiteness.
+    One run passes sched (T+1, D), inputs (T+1, m) and states (T+2, n) and
+    gets outputs (T+1, p).  R runs of one length pass (T+1, R, D), (T+1, R, m)
+    and (T+2, R, n), get (T+1, R, p), and advance side by side, one stacked
+    product per step.  On return states[t] = x(t) for t <= T, and states[T+1]
+    holds only the input term B(p(T)) u(T) of the step after T, which is not
+    taken.  The scheduling contractions are taken outside the step loop: the
+    input terms B(p(t)) u(t) of all rows go to states[1:] from one matrix
+    product, the matrices A(p(t)) of a block of steps come from one product
+    with the flattened A stack, and every output from one product with the C
+    stack.  Blocks are bounded so that their matrices hold about
+    `_BLOCK_ENTRIES` numbers.  A block of one run with at least 64 steps and
+    at most 20 states advances in segments (`_advance_in_segments`); every
+    other block advances one product per step through `_scan`.  It raises
+    NonFiniteEntry unless every state x(0..T) and every output is finite.
     """
-    D, n, m = sys.B.shape
-    runs = sched.shape[1:-1]  # () for one run, (R,) for R runs
-    # states[t+1] starts as B(p(t)) u(t) = (p(t) (x) u(t)) [B_1 ... B_D]^T ...
-    pu = np.einsum("...q,...j->...qj", sched, inputs).reshape(-1, D * m)
-    states[1:] = (pu @ sys.B.transpose(0, 2, 1).reshape(D * m, n)).reshape(states[1:].shape)
-    # ... and step t adds A(p(t)) x(t).
-    A_flat = sys.A.reshape(D, n * n)
-    block = max(1, _BLOCK_ENTRIES // max(1, n * n * math.prod(runs)))
-    for start in range(0, steps, block):
-        stop = min(start + block, steps)
-        At = (sched[start:stop].reshape(-1, D) @ A_flat).reshape(stop - start, *runs, n, n)
-        if runs:
-            _scan(At, states[start][..., None], states[start + 1 : stop + 1][..., None])
-            continue
-        seg = _segment_length(stop - start, n)
-        if seg < stop - start:
-            _advance_in_segments(At, states[start : stop + 1], seg)
-        else:
-            _scan(At, states[start], states[start + 1 : stop + 1])
-
-
-def _outputs(sys: ALPVSystem, sched: np.ndarray, X: np.ndarray) -> np.ndarray:
-    """y = sum_q p_q C_q x for the matching rows of sched (..., D) and states X (..., n)."""
     D, p, n = sys.C.shape
-    P = sched.reshape(-1, D)
-    # every C_q x from one product
-    Cx = X.reshape(len(P), n) @ sys.C.transpose(2, 0, 1).reshape(n, D * p)
-    return np.einsum("tq,tqi->ti", P, Cx.reshape(-1, D, p)).reshape(*X.shape[:-1], p)
+    m = sys.m
+    runs = sched.shape[1:-1]  # () for one run, (R,) for R runs
+    with np.errstate(over="ignore", invalid="ignore"):
+        # states[t+1] starts as B(p(t)) u(t) = (p(t) (x) u(t)) [B_1 ... B_D]^T ...
+        pu = np.einsum("...q,...j->...qj", sched, inputs).reshape(-1, D * m)
+        states[1:] = (pu @ sys.B.transpose(0, 2, 1).reshape(D * m, n)).reshape(states[1:].shape)
+        # ... and step t adds A(p(t)) x(t).
+        A_flat = sys.A.reshape(D, n * n)
+        steps = len(sched) - 1
+        block = max(1, _BLOCK_ENTRIES // max(1, n * n * math.prod(runs)))
+        for start in range(0, steps, block):
+            stop = min(start + block, steps)
+            At = (sched[start:stop].reshape(-1, D) @ A_flat).reshape(stop - start, *runs, n, n)
+            if runs:
+                _scan(At, states[start][..., None], states[start + 1 : stop + 1][..., None])
+                continue
+            seg = _segment_length(stop - start, n)
+            if seg < stop - start:
+                _advance_in_segments(At, states[start : stop + 1], seg)
+            else:
+                _scan(At, states[start], states[start + 1 : stop + 1])
+        # y(t) = sum_q p_q(t) C_q x(t), with every C_q x(t) from one product
+        Cx = states[:-1].reshape(len(pu), n) @ sys.C.transpose(2, 0, 1).reshape(n, D * p)
+        outputs = np.einsum("...q,...qi->...i", sched, Cx.reshape(*sched.shape, p))
+    if not (np.isfinite(states[:-1]).all() and np.isfinite(outputs).all()):
+        raise NonFiniteEntry(_NOT_FINITE)
+    return outputs
 
 
-def _initial_states(sys: ALPVSystem, x0, w: InputSequence) -> np.ndarray:
-    """A (T+2, n) state array for the run w with x0 in row 0; checks w and x0 against sys."""
+def _run(sys: ALPVSystem, x0, w: InputSequence):
+    """States (T+2, n) and outputs (T+1, p) of `_trajectory` on the run w from x0, checked."""
     D, n, m = sys.B.shape
     if w.D != D:
         raise DimensionMismatch(f"sequence has D={w.D}, system has D={D}")
@@ -309,55 +312,7 @@ def _initial_states(sys: ALPVSystem, x0, w: InputSequence) -> np.ndarray:
         raise DimensionMismatch(f"initial state has dim {x.shape[0]}, system has n={n}")
     states = np.empty((w.length + 1, n))
     states[0] = x
-    return states
-
-
-def _close_final(sys: ALPVSystem, states: np.ndarray, w: InputSequence) -> np.ndarray:
-    """Fill states[:-1] with x(0)..x(T) of the run w from states[0]; return y(T).
-
-    The step after T is not taken: states[-1] holds only its input term
-    B(p(T)) u(T).  y(T) = C(p(T)) x(T) is the only output formed (by
-    `_outputs`, on one row).  Nothing is checked here.
-    """
-    _advance(sys, states, w.scheduling, w.inputs, w.length - 1)
-    return _outputs(sys, w.scheduling[-1:], states[-2:-1])[0]
-
-
-def _check_trajectory(states: np.ndarray, outputs: np.ndarray) -> None:
-    """NonFiniteEntry unless every state and output formed is finite."""
-    if not (np.isfinite(states).all() and np.isfinite(outputs).all()):
-        raise NonFiniteEntry("trajectory is not finite (non-finite x0 or overflow)")
-
-
-def _final_output(sys: ALPVSystem, x0, w: InputSequence) -> np.ndarray:
-    """y(T) of the run w = (p(0),u(0))..(p(T),u(T)) from x0, as `simulate(sys, x0, w).final_output`.
-
-    It forms x(0)..x(T) as `simulate` does, bit for bit, and then only
-    y(T) = C(p(T)) x(T): no earlier output and not the step after T.  It
-    raises NonFiniteEntry exactly when one of x(0), ..., x(T) or y(T) is not
-    finite, so an overflow in x(T+1) alone, which `simulate` reports, passes.
-    """
-    states = _initial_states(sys, x0, w)
-    with np.errstate(over="ignore", invalid="ignore"):
-        y = _close_final(sys, states, w)
-    _check_trajectory(states[:-1], y)
-    return y
-
-
-def _batch_outputs(sys: ALPVSystem, sched: np.ndarray, inputs: np.ndarray) -> np.ndarray:
-    """Outputs y(0)..y(T) of R runs of one length from the zero state, as (T+1, R, p).
-
-    sched (T+1, R, D) and inputs (T+1, R, m) hold run r in column r; the runs
-    advance side by side, the step after T is not taken, and the outputs
-    agree with R calls of `simulate` to round-off.  NonFiniteEntry when any
-    state x(0..T) or output of any run is not finite.
-    """
-    states = np.zeros((len(sched) + 1, sched.shape[1], sys.n))
-    with np.errstate(over="ignore", invalid="ignore"):
-        _advance(sys, states, sched, inputs, len(sched) - 1)
-        outputs = _outputs(sys, sched, states[:-1])
-    _check_trajectory(states[:-1], outputs)
-    return outputs
+    return states, _trajectory(sys, states, w.scheduling, w.inputs)
 
 
 def simulate(sys: ALPVSystem, x0, w: InputSequence) -> SimulationResult:
@@ -372,10 +327,9 @@ def simulate(sys: ALPVSystem, x0, w: InputSequence) -> SimulationResult:
     state or output, from x0 or from overflow, raises NonFiniteEntry, exactly
     when the step-by-step recursion is not finite.
 
-    A run is the final-output run of `_final_output` (x(0)..x(T) and y(T), the
-    same numbers bit for bit) plus the step after T, one more `_scan` step,
-    and the outputs before T, from one matrix product.  The scheduling
-    contractions are taken outside the step loop (`_advance`).
+    A run is `_trajectory`'s x(0..T) and y(0..T), the numbers every final
+    output of `system_oracle` and `switched_output` is read from, plus the
+    step after T.
 
     The recursion is affine in the state: across steps s..t it is
     x(t) = Phi x(s) + r with the transfer Phi = A(p(t-1)) ... A(p(s)).  A block
@@ -391,17 +345,13 @@ def simulate(sys: ALPVSystem, x0, w: InputSequence) -> SimulationResult:
     memory is O(block n^2 + T D max(m, p) + T n), never O(T n^2): the
     transfers take O((L / seg) n^2).
     """
-    D, n, _, p = sys.dims
-    states = _initial_states(sys, x0, w)
-    outputs = np.empty((w.length, p))
-    # Overflow is reported once, as NonFiniteEntry, by the check below.
+    D, n = sys.D, sys.n
+    states, outputs = _run(sys, x0, w)
+    # The step after T: states[-1] already holds its input term.
     with np.errstate(over="ignore", invalid="ignore"):
-        outputs[-1] = _close_final(sys, states, w)
-        # The step after T: states[-1] already holds its input term.
-        A_T = (w.scheduling[-1:] @ sys.A.reshape(D, n * n)).reshape(1, n, n)
-        _scan(A_T, states[-2], states[-1:])
-        outputs[:-1] = _outputs(sys, w.scheduling[:-1], states[:-2])
-    _check_trajectory(states, outputs)
+        states[-1] += (w.scheduling[-1] @ sys.A.reshape(D, n * n)).reshape(n, n) @ states[-2]
+    if not np.isfinite(states[-1]).all():
+        raise NonFiniteEntry(_NOT_FINITE)
     return SimulationResult(states=states, outputs=outputs)
 
 

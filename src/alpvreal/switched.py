@@ -15,7 +15,7 @@ import numpy as np
 
 from . import words as _w
 from .errors import DimensionMismatch
-from .model import ALPVSystem, InputSequence, _final_output
+from .model import ALPVSystem, InputSequence, _run
 from .model import simulate  # noqa: F401  (perfbench/tracing.py rebinds switched.simulate)
 
 
@@ -38,8 +38,8 @@ class SwitchedInput(InputSequence):
 def switched_output(sys: ALPVSystem, sw: SwitchedInput) -> np.ndarray:
     """Final output of the switched run from the zero initial state.
 
-    The same number, bit for bit, as `simulate(sys, 0, sw).final_output`, but
-    the run stops at its last state: only y(T) is formed, and NonFiniteEntry
-    is raised when a state up to x(T) or y(T) is not finite.
+    The last output of the trajectory `simulate(sys, 0, sw)` forms, so the
+    same number bit for bit, without the step after T: NonFiniteEntry is
+    raised when a state up to x(T) or an output is not finite.
     """
-    return _final_output(sys, np.zeros(sys.n), sw)
+    return _run(sys, np.zeros(sys.n), sw)[1][-1]

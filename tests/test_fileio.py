@@ -1,4 +1,8 @@
 import json
+import os
+import pathlib
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -124,6 +128,21 @@ def test_table_rejects_incomplete(tmp_path, sigma_star):
     path.write_text(fileio.dumps_json(data))
     with pytest.raises(ValueError):
         fileio.load_table(path)
+
+
+def test_loading_a_table_does_not_import_numpy_ma(tmp_path, sigma_star):
+    """`numpy.ma` costs about 13 ms to import; counting the covered rows must not need it."""
+    path = tmp_path / "table.json"
+    fileio.save_table(path, markov_table(sigma_star, 4))
+    code = (
+        "import sys; from alpvreal import fileio; "
+        f"fileio.load_table({str(path)!r}); assert 'numpy.ma' not in sys.modules"
+    )
+    env = {**os.environ, "PYTHONPATH": str(pathlib.Path(fileio.__file__).parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 def _enumerated(table):

@@ -14,6 +14,7 @@ from alpvreal import (
     hankel_rank,
     hankel_singular_values,
     kalman_ho,
+    kernel_coeff,
     markov_block,
     markov_table,
     numerical_rank,
@@ -163,10 +164,14 @@ def test_hankel_block_matrix_checks_its_shape():
         HankelBlockMatrix(L=0, M=1, D=2, m=1, p=1, data=np.ones(12))
 
 
-def test_hankel_data_is_a_read_only_view(sigma2):
+def test_hankel_data_is_a_read_only_copy(sigma2):
     data = build_hankel(sigma2, 1, 2).data.copy()
     H = HankelBlockMatrix(L=1, M=2, D=2, m=1, p=1, data=data)
-    assert np.shares_memory(H.data, data) and data.flags.writeable
+    assert not np.shares_memory(H.data, data) and data.flags.writeable
+    data[0, 0] = 5.0  # a later write to the caller's array does not reach the window
+    realized = kalman_ho(H)
+    assert realized.n == 2
+    assert np.allclose(kernel_coeff(realized, (1, 1)), [[1.0]], rtol=1e-12, atol=1e-12)
     with pytest.raises(ValueError, match="read-only"):
         H.data[0, 0] = 1.0
     with pytest.raises(ValueError, match="read-only"):

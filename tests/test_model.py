@@ -124,6 +124,20 @@ def test_simulate_overflow_raises_only_nonfinite_entry(gain, schedule):
             simulate(sys, [0.0], w)
 
 
+def test_a_batch_raises_when_one_run_overflows():
+    # Run 1 reaches x(3) = 1e400 from x(0) = 1e100; the others stay finite.
+    sys = ALPVSystem(A=[[[1e100]]], B=[[[1.0]]], C=[[[1.0]]])
+    sched, inputs = np.ones((4, 3, 1)), np.zeros((4, 3, 1))
+    states = np.zeros((5, 3, 1))
+    states[0, :, 0] = [0.0, 1e100, 1e-300]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteEntry):
+            model._trajectory(sys, states, sched, inputs)
+        states[0, 1, 0] = 1.0  # now only x(4), the step after T, would overflow
+        assert model._trajectory(sys, states, sched, inputs)[-1, 1, 0] == 1e300
+
+
 def test_simulate_memory_stays_far_below_a_stack_of_step_matrices():
     rng = np.random.default_rng(64)
     n, steps = 64, 5000

@@ -9,7 +9,9 @@ cuts long blocks into segments, is checked against the per-step recursion of
 after a ragged head, under every segment length of runs up to 300 steps (one,
 two or many segments), and on runs that cross block boundaries with one
 segment per block (n = 128) and with segments (n = 16); `switched_output` on
-runs of up to 3000 steps.  `system_oracle` and `switched_output` give
+runs of up to 3000 steps; batches of 1 to 5 runs of one length from distinct
+start states (n = 0 included) against each run's own `simulate`.
+`system_oracle` and `switched_output` give
 `simulate`'s final output bit for bit on unit-scheduling runs (n = 0 and runs
 of 1 to 300 steps included) and to 1e-12 on free scheduling runs.  The rank
 tests and reductions, which work on the n x n roots of the Hankel factors,
@@ -190,14 +192,35 @@ def assert_matches_reference_simulation(sys, x0, w):
         assert np.all(np.abs(got - expected) <= 1e-12 * (1 + np.abs(expected)))
 
 
+def assert_batch_matches_simulate(sys, rng, runs, length):
+    """R runs of one length from R start states, stacked through `model._trajectory`.
+
+    Each run's states x(0..T) and outputs must match its own `simulate` to
+    1e-12 relative; a batch oracle would build on this entry point.
+    """
+    X0 = rng.uniform(-1, 1, (runs, sys.n))
+    ws = [random_run(rng, sys.D, sys.m, length) for _ in range(runs)]
+    states = np.empty((length + 1, runs, sys.n))
+    states[0] = X0
+    outputs = model._trajectory(
+        sys, states, np.stack([w.scheduling for w in ws], 1), np.stack([w.inputs for w in ws], 1)
+    )
+    assert outputs.shape == (length, runs, sys.p)
+    for r, w in enumerate(ws):
+        res = simulate(sys, X0[r], w)
+        for got, expected in ((states[:-1, r], res.states[:-1]), (outputs[:, r], res.outputs)):
+            assert np.all(np.abs(got - expected) <= 1e-12 * (1 + np.abs(expected)))
+
+
 @SEEDED
-@given(systems(max_n=5), st.integers(0, 2**32 - 1), st.integers(2, 40))
-def test_simulate_matches_the_per_step_recursion(sys, seed, steps):
+@given(systems(max_n=5), st.integers(0, 2**32 - 1), st.integers(2, 40), st.integers(1, 5))
+def test_simulate_matches_the_per_step_recursion(sys, seed, steps, runs):
     sys = contractive(sys)
     rng = np.random.default_rng(seed)
     for length in (1, steps):
         w = random_run(rng, sys.D, sys.m, length)
         assert_matches_reference_simulation(sys, rng.uniform(-1, 1, sys.n), w)
+        assert_batch_matches_simulate(sys, rng, runs, length)
 
 
 def test_simulate_matches_the_per_step_recursion_across_step_blocks():
@@ -292,6 +315,8 @@ def test_final_output_routes_of_an_empty_state_space(steps):
     _final_output_routes(sys, steps, steps)
     sw = SwitchedInput(D=2, modes=(1,) * steps, inputs=np.ones((steps, 1)))
     assert np.array_equal(switched_output(sys, sw), [0.0])
+    for runs in range(1, 6):
+        assert_batch_matches_simulate(sys, np.random.default_rng(runs), runs, steps)
 
 
 @SEEDED
