@@ -136,19 +136,24 @@ def _sizes(data: dict, *names) -> list:
     return sizes
 
 
+def _numbers(value, context: str = "") -> None:
+    """ValueError, after `context`, naming the first entry of a nested array that is no number."""
+    bad = [x for x in np.array(value, dtype=object).flat if type(x) not in (int, float)]
+    if bad:
+        raise ValueError(f"{context}expected JSON numbers, got {bad[0]!r}")
+
+
 def _array(value, shape) -> np.ndarray:
     """A JSON array of numbers as floats, nested exactly as `shape`; an empty one only has to be empty.
 
     A string entry such as "0.5", which numpy would parse, a null, an array
     of booleans, or an entry beyond the float range raises ValueError.  A
-    boolean among numbers is still read as 0 or 1 (numpy converts it before
-    any check sees it).
+    boolean among numbers passes here, as 0 or 1 (numpy converts it before
+    any check sees it); `load_system` and `load_table` refuse it in a file.
     """
     a = np.array(value)
     if a.dtype.kind not in "iuf":  # strings, booleans, nulls, or integers beyond int64
-        bad = [x for x in np.array(value, dtype=object).flat if type(x) not in (int, float)]
-        if bad:
-            raise ValueError(f"expected JSON numbers, got {bad[0]!r}")
+        _numbers(value)
     try:
         a = a.astype(float, copy=False)
     except OverflowError as exc:
@@ -238,9 +243,27 @@ def save_system(path, sys: ALPVSystem) -> None:
     write_text(path, dumps_json(system_to_dict(sys)) + "\n")
 
 
-def load_system(path) -> ALPVSystem:
+def _read_json(path):
+    """A JSON file's value, and whether its text may hold a boolean.
+
+    Only such a file pays the per-entry scan of its numeric arrays for a
+    boolean among numbers, which `_array` cannot see.  Every `true` holds a
+    "u" and every `false` an "f", letters that no number and no key of the
+    system and table formats contains; a one-letter search runs at memory
+    speed, about 50 times faster than one for the words.
+    """
     with open(path) as handle:
-        return system_from_dict(json.load(handle))
+        text = handle.read()
+    return json.loads(text), "u" in text or "f" in text
+
+
+def load_system(path) -> ALPVSystem:
+    data, booleans = _read_json(path)
+    sys = system_from_dict(data)
+    if booleans:
+        for k in "ABC":
+            _numbers(data[k], "malformed system object: ")
+    return sys
 
 
 # -- Markov tables -----------------------------------------------------------
@@ -293,8 +316,11 @@ def save_table(path, table: MarkovTable) -> None:
 
 
 def load_table(path) -> MarkovTable:
-    with open(path) as handle:
-        return table_from_dict(json.load(handle))
+    data, booleans = _read_json(path)
+    table = table_from_dict(data)
+    if booleans:
+        _numbers([item["S"] for item in data["entries"]], "malformed Markov table: ")
+    return table
 
 
 # -- Hankel dumps ------------------------------------------------------------

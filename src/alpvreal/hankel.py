@@ -13,10 +13,12 @@ word-indexed observability and reachability factors,
     H_{L,M} = Of @ Rf,   Of = [Ctilde A_v ; |v| <= L],   Rf = [A_v Btilde : |v| <= M],
 
 with A_v = A_{v_k} ... A_{v_1} the transfer product of v = v_1 ... v_k and
-inner dimension n.  `build_hankel(system)`, the only library path that
-assembles a system's window, closes one run of the A_v on both sides and
-keeps (Of, Rf) on the window as its `factors`, from which `kalman_ho`
-rank-factorizes the window without an SVD of it.
+inner dimension n.  `build_hankel(system)` closes one run of the A_v on both
+sides and keeps only (Of, Rf), the window's `factors`, in O((a + b) n)
+memory for an a x b window: its `data` is the product Of @ Rf, assembled on
+first read and cached.  `kalman_ho` rank-factorizes such a window from its
+factors, so realizing a system's window never assembles it; only reading
+`.data` (saving the window, for one) does.
 Every rank decision on a system reads `factor_root` instead: an at most
 n x n triangular K with K^T K equal to the Gram matrix Rf Rf^T (or Of^T Of,
 from the transposed family), grown one word length at a time in
@@ -51,18 +53,20 @@ def _check_bounds(L: int, M: int) -> None:
 
 @dataclass(frozen=True, eq=False)
 class HankelBlockMatrix:
-    """The assembled sub-matrix plus the bounds and dimensions it was built for.
+    """A Hankel sub-matrix plus the bounds and dimensions it was built for.
 
     D, m, p must be at least 1 as in `ALPVSystem`, and L, M at least 0
     (ValueError).  `data` must be the N(L)*pD x N(M)*mD matrix that L, M, D,
-    m, p (a saved matrix's sidecar) imply, else DimensionMismatch.  The
-    constructor keeps its own read-only copy, so neither a write through it
-    nor a later write to the caller's array can change a checked window;
-    `build_hankel` and `load_hankel` hand over the arrays they build, uncopied,
-    through `_adopt`.  `factors` is the pair (Of, Rf) with data = Of @ Rf;
-    only `build_hankel(system)` sets it, so a window built from given data, a
-    file, a table or an oracle has None and no factors that could disagree
-    with its data.
+    m, p (a saved matrix's sidecar) imply, else DimensionMismatch; `shape`
+    is read from the sizes.  The constructor keeps its own read-only copy,
+    so neither a write through it nor a later write to the caller's array
+    can change a checked window; `load_hankel` and the table and oracle
+    routes of `build_hankel` hand over the arrays they build, uncopied,
+    through `_adopt`.  A window from `build_hankel(system)` holds only its
+    read-only `factors` (Of, Rf): its `data` is Of @ Rf, assembled on the
+    first read, read-only, and the same array on every later read.  Every
+    other window has `factors` None and no factors that could disagree with
+    its data.
     """
 
     L: int
@@ -70,7 +74,7 @@ class HankelBlockMatrix:
     D: int
     m: int
     p: int
-    data: np.ndarray
+    data: np.ndarray = field(repr=False)
     factors: tuple | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
@@ -78,27 +82,45 @@ class HankelBlockMatrix:
         self._check()
 
     @classmethod
-    def _adopt(cls, data: np.ndarray, factors=None, **sizes) -> "HankelBlockMatrix":
-        """The window over an array the package has just built, kept without a copy."""
+    def _adopt(cls, data=None, factors=None, **sizes) -> "HankelBlockMatrix":
+        """The window over an array the package has just built, kept without a copy.
+
+        Given `factors` and no `data`, the window is left unassembled.
+        """
         H = object.__new__(cls)
-        H.__dict__.update(sizes, data=data, factors=factors)
+        H.__dict__.update(sizes, factors=factors)
+        if data is not None:
+            H.__dict__["data"] = data
         H._check()
         return H
+
+    def __getattr__(self, name):
+        # reached only for an attribute not in __dict__: the data of a factored window
+        if name != "data" or self.factors is None:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        Of, Rf = self.factors
+        with np.errstate(over="ignore", invalid="ignore"):  # build_hankel has checked the product
+            data = Of @ Rf
+        data.flags.writeable = False
+        self.__dict__["data"] = data
+        return data
 
     def _check(self) -> None:
         _check_sizes(self.D, self.m, self.p)
         _check_bounds(self.L, self.M)
-        D = self.D
-        shape = (_w.word_count(self.L, D) * self.p * D, _w.word_count(self.M, D) * self.m * D)
-        if self.data.shape != shape:
+        data = self.__dict__.get("data")
+        if data is None:
+            return
+        if data.shape != self.shape:
             raise DimensionMismatch(
-                f"Hankel data is {self.data.shape} but the sidecar implies {shape}"
+                f"Hankel data is {data.shape} but the sidecar implies {self.shape}"
             )
-        self.data.flags.writeable = False
+        data.flags.writeable = False
 
     @property
     def shape(self):
-        return self.data.shape
+        D = self.D
+        return (_w.word_count(self.L, D) * self.p * D, _w.word_count(self.M, D) * self.m * D)
 
 
 def factor_root(A: np.ndarray, X: np.ndarray, depth: int) -> np.ndarray:
@@ -144,35 +166,37 @@ def build_hankel(source, L: int, M: int) -> HankelBlockMatrix:
 
     A system source closes one run of transfer products A_v, |v| <= max(L, M),
     with one matrix product per side: Ctilde [A_v, ...] and [A_v; ...] Btilde,
-    and keeps the two factors (Of, Rf) as the window's `factors`, read-only.
-    A window that overflows raises NonFiniteEntry.  A table source must cover
-    words up to length L + M + 2.  An oracle source is probed once per
-    coefficient and is only sensible at small bounds; a probe that returns a
-    non-finite S(v) raises NonFiniteEntry.  Any other source raises TypeError.
+    and keeps the two factors (Of, Rf) as the window's `factors`, read-only,
+    without assembling the window.  A window that overflows raises
+    NonFiniteEntry here: its entries are bounded by n max|Of| max|Rf|, and
+    only a window this bound leaves open is assembled (once, and kept) and
+    checked.  A table source must cover words up to length L + M + 2.  An
+    oracle source is probed once per coefficient and is only sensible at
+    small bounds; a probe that returns a non-finite S(v) raises
+    NonFiniteEntry.  Any other source raises TypeError.
     """
     _check_bounds(L, M)
     D = _alphabet(source)
-    factors = None
-    if isinstance(source, ALPVSystem):
-        n, pD, mD = source.n, source.p * D, source.m * D
-        rows, cols = _w.word_count(L, D), _w.word_count(M, D)
-        with np.errstate(over="ignore", invalid="ignore"):
-            P = word_products(source.A, np.eye(n)[None], max(L, M))  # A_v for |v| <= max(L, M)
-            Of = stacked_output_matrix(source) @ P[:rows].transpose(1, 0, 2).reshape(n, rows * n)
-            Rf = P[:cols].reshape(cols * n, n) @ stacked_input_matrix(source)
-            Of = Of.reshape(pD, rows, n).transpose(1, 0, 2).reshape(rows * pD, n)
-            Rf = Rf.reshape(cols, n, mD).transpose(1, 0, 2).reshape(n, cols * mD)
-            data = Of @ Rf
-            # |H_ij| <= n max|Of| max|Rf|; only a window this bound leaves open pays a pass
-            # over its entries (errstate(over="raise") misses overflows in threaded BLAS)
-            bound = n * np.abs(Of).max(initial=0.0) * np.abs(Rf).max(initial=0.0)
-        if not bound < 1e300:
-            as_matrix(data)
-        Of.flags.writeable = Rf.flags.writeable = False
-        factors = (Of, Rf)
-    else:
+    sizes = dict(L=L, M=M, D=D, m=source.m, p=source.p)
+    if not isinstance(source, ALPVSystem):
         data = word_blocks(source, _w.words_up_to(L, D), _w.words_up_to(M, D), L + M + 2)
-    return HankelBlockMatrix._adopt(data, factors, L=L, M=M, D=D, m=source.m, p=source.p)
+        return HankelBlockMatrix._adopt(data, **sizes)
+    n, pD, mD = source.n, source.p * D, source.m * D
+    rows, cols = _w.word_count(L, D), _w.word_count(M, D)
+    with np.errstate(over="ignore", invalid="ignore"):
+        P = word_products(source.A, np.eye(n)[None], max(L, M))  # A_v for |v| <= max(L, M)
+        Of = stacked_output_matrix(source) @ P[:rows].transpose(1, 0, 2).reshape(n, rows * n)
+        Rf = P[:cols].reshape(cols * n, n) @ stacked_input_matrix(source)
+        Of = Of.reshape(pD, rows, n).transpose(1, 0, 2).reshape(rows * pD, n)
+        Rf = Rf.reshape(cols, n, mD).transpose(1, 0, 2).reshape(n, cols * mD)
+        bound = n * np.abs(Of).max(initial=0.0) * np.abs(Rf).max(initial=0.0)
+    Of.flags.writeable = Rf.flags.writeable = False
+    H = HankelBlockMatrix._adopt(factors=(Of, Rf), **sizes)
+    if not bound < 1e300:
+        # |H_ij| <= n max|Of| max|Rf|; only a window this bound leaves open pays a pass
+        # over its entries (errstate(over="raise") misses overflows in threaded BLAS)
+        as_matrix(H.data)
+    return H
 
 
 def _core(sys: ALPVSystem, L: int, M: int) -> np.ndarray:

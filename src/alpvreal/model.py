@@ -20,7 +20,10 @@ set to the whole space.
 Every `ALPVSystem` is checked once, when it is built: an ill-formed family
 raises there, so no function that takes a system checks it again.  It keeps
 one read-only copy of the family, the stacks A (D,n,n), B (D,n,m), C (D,p,n),
-which neither the caller's arrays nor an in-place write can change.
+which neither the caller's arrays nor an in-place write can change.  The
+check is one copy and one shape and finiteness test per family; the
+matrix-by-matrix loop runs only to name what is wrong with a family that
+fails it.
 """
 
 from __future__ import annotations
@@ -43,12 +46,14 @@ class ALPVSystem:
     """Matrix family of a discrete-time affine LPV system.
 
     The constructor takes D matrices each for A, B and C, of shapes n x n,
-    n x m and p x n, and coerces them to 2-d float arrays.  It raises
-    InvalidAlphabet for D < 1, DimensionMismatch naming the first misshapen
-    matrix (or m < 1, p < 1, or families of different lengths) and
-    NonFiniteEntry naming the first matrix with a NaN or Inf entry.  It
-    keeps only their stacks: A[q-1] is a read-only view of A_q, and likewise
-    for B and C.
+    n x m and p x n, as lists or as 3-d stacks, and coerces them to 2-d
+    float arrays.  It raises InvalidAlphabet for D < 1, DimensionMismatch
+    naming the first misshapen matrix (or m < 1, p < 1, or families of
+    different lengths) and NonFiniteEntry naming the first matrix with a
+    NaN or Inf entry.  Each family is copied and tested in one pass; only a
+    family that fails is taken apart matrix by matrix to name the culprit.
+    It keeps only their stacks: A[q-1] is a read-only view of A_q, and
+    likewise for B and C.
     """
 
     A: np.ndarray  # (D, n, n)
@@ -56,6 +61,18 @@ class ALPVSystem:
     C: np.ndarray  # (D, p, n)
 
     def __post_init__(self):
+        try:  # one copy and one test per family; the per-matrix loop only names a culprit
+            stacks = [np.array(getattr(self, name), dtype=float) for name in "ABC"]
+        except (OverflowError, TypeError, ValueError):  # ragged, or not numbers
+            stacks = None
+        if stacks is None or not _well_formed(*stacks):
+            stacks = self._checked_stacks()
+        for name, stack in zip("ABC", stacks):
+            stack.flags.writeable = False
+            object.__setattr__(self, name, stack)
+
+    def _checked_stacks(self) -> list:
+        """The stacks, checked matrix by matrix; raises naming the first ill-formed matrix."""
         families = {
             name: tuple(np.atleast_2d(np.asarray(M, dtype=float)) for M in getattr(self, name))
             for name in "ABC"
@@ -81,10 +98,7 @@ class ALPVSystem:
                     )
                 if not np.isfinite(M).all():
                     raise NonFiniteEntry(f"{name}[{q}] contains NaN or Inf entries")
-        for name, family in families.items():
-            stack = np.stack(family)
-            stack.flags.writeable = False
-            object.__setattr__(self, name, stack)
+        return [np.stack(family) for family in families.values()]
 
     @property
     def D(self) -> int:
@@ -106,6 +120,18 @@ class ALPVSystem:
     def dims(self):
         """(D, n, m, p)."""
         return (self.D, self.n, self.m, self.p)
+
+
+def _well_formed(A: np.ndarray, B: np.ndarray, C: np.ndarray) -> bool:
+    """Whether the stacks have shapes (D, n, n), (D, n, m), (D, p, n), D, m, p >= 1, all finite."""
+    if not A.ndim == B.ndim == C.ndim == 3:
+        return False
+    (D, n, n2), m, p = A.shape, B.shape[2], C.shape[1]
+    return (
+        D >= 1 and n == n2 and m >= 1 and p >= 1
+        and B.shape == (D, n, m) and C.shape == (D, p, n)
+        and np.isfinite(A).all() and np.isfinite(B).all() and np.isfinite(C).all()
+    )
 
 
 def dual(sys: ALPVSystem) -> ALPVSystem:

@@ -18,9 +18,9 @@ every word; it is kept only as a test reference.
 H_{L,L+1}: rank-factorize H = O R, read [B_1..B_D] off the first mD
 columns of R and [C_1;..;C_D] off the first pD rows of O, and solve for
 each A_q from the column shift v |-> v q of the word enumeration.  A
-window built from a system carries its factors H = Of Rf (inner dimension
-the system's n), and is factored from them in O((a + b) n^2) with no pass
-over its a x b entries; any other a x b window of rank r (from data, a
+window built from a system holds only its factors H = Of Rf (inner
+dimension the system's n), and is factored from them in O((a + b) n^2)
+without ever being assembled; any other a x b window of rank r (from data, a
 file, a table or an oracle) goes through the certified range sketch of
 `linalg` in O(ab r), or a dense SVD when its shorter side is below 64.
 Both decide the rank under the window's own a x b cutoff.  When

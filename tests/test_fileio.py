@@ -399,14 +399,16 @@ def test_zero_state_system_roundtrip(tmp_path, D, m, p):
 
 @pytest.mark.parametrize(
     "entry, shown",
-    [("0.5", "'0.5'"), ("nan", "'nan'"), (None, "None"), (True, "True")],
-    ids=["string", "nan-string", "null", "all-boolean"],
+    [("0.5", "'0.5'"), ("nan", "'nan'"), (None, "None"), ("all", "True"), (True, "True"),
+     (False, "False")],
+    ids=["string", "nan-string", "null", "all-boolean", "true-among-numbers",
+         "false-among-numbers"],
 )
 def test_system_entries_must_be_json_numbers(tmp_path, sigma2, entry, shown):
     data = fileio.system_to_dict(sigma2)
-    if entry is True:  # numpy reads a boolean among numbers as 0 or 1; a stack of them is refused
+    if entry == "all":
         data["A"] = [[[True, False], [False, True]]] * sigma2.D
-    else:
+    else:  # numpy alone would read a boolean among numbers as 0 or 1
         data["A"][0][0][0] = entry
     path = tmp_path / "sys.json"
     path.write_text(json.dumps(data))
@@ -421,6 +423,18 @@ def test_table_entries_must_be_json_numbers(tmp_path, sigma_star):
     path = tmp_path / "table.json"
     path.write_text(fileio.dumps_json(data))
     with pytest.raises(ValueError, match="malformed Markov table: expected JSON numbers, got '1'$"):
+        fileio.load_table(path)
+    out = tmp_path / "hankel.csv"
+    assert cli.run(["hankel", "--from-table", str(path), "--L", "0", "--M", "1", "-o", str(out)]) == 2
+    assert not out.exists()
+
+
+def test_a_boolean_among_a_tables_numbers_is_refused(tmp_path, sigma_star):
+    data = table_to_dict(markov_table(sigma_star, 3))
+    data["entries"][-1]["S"] = [[False]]  # numpy alone would read it as 0 among the other entries
+    path = tmp_path / "table.json"
+    path.write_text(fileio.dumps_json(data))
+    with pytest.raises(ValueError, match="^malformed Markov table: expected JSON numbers, got False$"):
         fileio.load_table(path)
     out = tmp_path / "hankel.csv"
     assert cli.run(["hankel", "--from-table", str(path), "--L", "0", "--M", "1", "-o", str(out)]) == 2

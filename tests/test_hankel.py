@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -9,14 +11,17 @@ from alpvreal import (
     InvalidAlphabet,
     IOOracle,
     NonFiniteEntry,
+    analyze,
     build_hankel,
     factored_hankel_rank,
+    find_isomorphism,
     hankel_rank,
     hankel_singular_values,
     kalman_ho,
     kernel_coeff,
     markov_block,
     markov_table,
+    minimize,
     numerical_rank,
     observability_root,
     reachability_root,
@@ -25,9 +30,12 @@ from alpvreal import (
     words_up_to,
 )
 
-from alpvreal import fileio
+from alpvreal import cli, fileio
 
-from helpers import observability_factor, random_minimal_system, random_system, reachability_factor
+from helpers import (
+    observability_factor, pad_unobservable, pad_unreachable, random_minimal_system, random_system,
+    reachability_factor,
+)
 
 
 def test_fixture_hankel_block_values(sigma_star):
@@ -247,3 +255,63 @@ def test_large_factors_with_a_finite_window_do_not_raise():
     # |Of| |Rf| bounds the window by 1e400, but Of and Rf meet only in zeros
     sys = ALPVSystem(A=[np.zeros((2, 2))], B=[[[0.0], [1e200]]], C=[[[1e200, 0.0]]])
     assert np.array_equal(build_hankel(sys, 1, 1).data, np.zeros((2, 2)))
+
+
+def test_a_system_window_is_assembled_once_from_its_factors_when_read(sigma2):
+    H = build_hankel(sigma2, 1, 2)
+    assert "data" not in vars(H)  # built from the factors alone
+    assert H.shape == (6, 14)
+    Of, Rf = H.factors
+    data = H.data
+    assert data is H.data and not data.flags.writeable
+    assert np.array_equal(data, Of @ Rf)
+    reference = observability_factor(sigma2, 1) @ reachability_factor(sigma2, 2)
+    assert np.allclose(data, reference, rtol=1e-14, atol=1e-14)
+    with pytest.raises(ValueError, match="read-only"):
+        data[0, 0] = 1.0
+    given = HankelBlockMatrix(L=1, M=2, D=2, m=1, p=1, data=H.data)
+    assert given.factors is None and given.shape == H.shape
+    assert np.array_equal(given.data, data) and not np.shares_memory(given.data, data)
+    assert "data" not in repr(H) and "factors" not in repr(H)
+    with pytest.raises(AttributeError, match="has no attribute 'nothing'"):
+        H.nothing
+
+
+def test_realizing_from_a_system_never_assembles_its_window(monkeypatch, tmp_path):
+    """`kalman_ho`, `analyze`, `minimize`, `find_isomorphism` and the CLI read factors and roots."""
+
+    def refuse(self, name):
+        if name == "data":
+            raise AssertionError("a system window was assembled")
+        raise AttributeError(name)
+
+    rng = np.random.default_rng(8)
+    core = random_minimal_system(rng, n=3, D=2, m=1, p=2)
+    padded = pad_unobservable(pad_unreachable(core, 1, rng), 1, rng)
+    path, out = tmp_path / "sys.json", tmp_path / "realized.json"
+    fileio.save_system(path, padded)
+    monkeypatch.setattr(HankelBlockMatrix, "__getattr__", refuse)
+    with pytest.raises(AssertionError, match="assembled"):
+        build_hankel(padded, 1, 2).data
+    report = analyze(padded)
+    assert (report.reach_rank, report.obs_rank) == (4, 4)
+    small = minimize(padded)
+    realized = kalman_ho(build_hankel(padded, 2, 3))
+    assert small.n == realized.n == 3
+    find_isomorphism(small, realized)
+    assert cli.run(["realize", "--from-system", str(path), "--L", "2", "-o", str(out)]) == 0
+    assert fileio.load_system(out).n == 3
+
+
+def test_realizing_a_large_system_window_never_allocates_it():
+    """H_{6,7} of an n=7, D=3 system is 3279 x 9840, 258 MB of float64; its factors are 0.7 MB."""
+    sys = random_minimal_system(np.random.default_rng(7), n=7, D=3, m=1, p=1, sv_gap=1e-2)
+    tracemalloc.start()
+    try:
+        H = build_hankel(sys, 6, 7)
+        realized = kalman_ho(H)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert H.shape == (3279, 9840) and realized.n == 7
+    assert peak < 20e6

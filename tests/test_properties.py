@@ -22,7 +22,11 @@ rank, reduced order and realized order against those references.  Low-rank
 matrices whose shorter side reaches 64 take the range-sketch route of the SVD
 helper and are checked against the dense rank rule.  Kalman-Ho from a system
 window's factors is checked against the same window given as data, which
-takes the sketch or the dense SVD.
+takes the sketch or the dense SVD.  A system window's data, assembled on
+first read, is its factors' product bit for bit.  A family given as one 3-d
+array and as a list of matrices builds the same stacks, and fails with the
+same error and message when a matrix is misshapen, not finite, missing, or
+has no inputs or outputs.
 """
 
 import math
@@ -30,7 +34,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from alpvreal import (
@@ -39,7 +43,9 @@ from alpvreal import (
     DimensionMismatch,
     HankelBlockMatrix,
     InputSequence,
+    InvalidAlphabet,
     MarkovTable,
+    NonFiniteEntry,
     SwitchedInput,
     analyze,
     build_hankel,
@@ -125,6 +131,66 @@ def test_constructor_names_the_first_misshapen_matrix(sys, name, index, extra):
     family[name][q] = np.ones(grown)
     with pytest.raises(DimensionMismatch, match=rf"^{name}\[{q + 1}\]: expected shape"):
         ALPVSystem(**family)
+
+
+def _outcome(**family):
+    """The stacks a family builds, or the type and message of the error it raises."""
+    try:
+        sys = ALPVSystem(**family)
+    except (DimensionMismatch, InvalidAlphabet, NonFiniteEntry) as exc:
+        return type(exc), str(exc)
+    return sys.A, sys.B, sys.C
+
+
+@SEEDED
+@given(systems(), st.sampled_from("ABC"), st.integers(0, 2),
+       st.sampled_from(["grow one", "grow all", "nan", "inf", "drop", "m=0", "p=0"]))
+def test_stacked_and_listed_families_fail_alike(sys, name, index, fault):
+    """A family as one 3-d array or as a list of matrices raises the same error, word for word.
+
+    The 3-d array is tested in one pass and, when it fails, taken apart by
+    the same per-matrix loop that checks a list, which names the culprit.
+    A family whose matrices no longer share a shape exists only as a list.
+    """
+    family = {k: [np.array(M) for M in getattr(sys, k)] for k in "ABC"}
+    q = index % sys.D
+    M = family[name][q]
+    if fault in ("grow one", "grow all"):
+        # growing the side that n, m and p are not read from makes the matrix misfit
+        rows, cols = (1, 0) if name == "B" else (0, 1)
+        family[name] = [
+            np.ones((M.shape[0] + rows, M.shape[1] + cols)) if fault == "grow all" or i == q else M
+            for i, M in enumerate(family[name])
+        ]
+    elif fault in ("nan", "inf"):
+        assume(M.size)
+        M.flat[index % M.size] = np.nan if fault == "nan" else -np.inf
+    elif fault == "drop":
+        family[name] = family[name][:-1]
+    else:
+        k, axis = ("B", 1) if fault == "m=0" else ("C", 0)
+        family[k] = [np.take(M, [], axis=axis) for M in family[k]]
+    listed = _outcome(**family)
+    assert isinstance(listed[0], type) and issubclass(listed[0], Exception)
+    if all(len({M.shape for M in f}) <= 1 for f in family.values()):
+        shapes = {k: f[0].shape if f else (0, 0) for k, f in family.items()}
+        stacked = {k: np.array(f).reshape(len(f), *shapes[k]) for k, f in family.items()}
+        assert _outcome(**stacked) == listed
+
+
+@SEEDED
+@given(systems(), st.integers(0, 2**32 - 1))
+def test_stacked_and_listed_families_build_the_same_stacks(sys, seed):
+    stacked = {k: np.array(getattr(sys, k)) for k in "ABC"}
+    listed = {k: list(v) for k, v in stacked.items()}
+    built = [_outcome(**stacked), _outcome(**listed), _outcome(**{"A": stacked["A"], **listed})]
+    for stacks in built:
+        for X, Y in zip(stacks, built[0]):
+            assert np.array_equal(X, Y) and not X.flags.writeable
+    rng = np.random.default_rng(seed)
+    for X in stacked.values():  # a later write to the caller's array does not reach the system
+        X[...] = rng.uniform(-1, 1, X.shape)
+    assert all(np.array_equal(X, Y) for X, Y in zip(built[0], (sys.A, sys.B, sys.C)))
 
 
 @SEEDED
@@ -344,6 +410,21 @@ def test_hankel_routes_agree_on_random_systems(sys, L, M):
     if L + M <= 3:
         from_oracle = build_hankel(system_oracle(sys), L, M).data
         assert np.allclose(from_oracle, per_cell, rtol=1e-10, atol=1e-10)
+
+
+@SEEDED
+@given(systems(), st.integers(0, 2), st.integers(0, 3))
+def test_a_system_window_is_its_factors_product(sys, L, M):
+    """The data of a system window is Of @ Rf bit for bit, assembled once and read-only."""
+    H = build_hankel(sys, L, M)
+    Of, Rf = H.factors
+    data = H.data
+    assert data.shape == H.shape and data is H.data and not data.flags.writeable
+    assert np.array_equal(data, Of @ Rf)
+    reference = observability_factor(sys, L) @ reachability_factor(sys, M)
+    assert np.allclose(data, reference, rtol=1e-12, atol=1e-12)
+    given_data = HankelBlockMatrix(L=L, M=M, D=sys.D, m=sys.m, p=sys.p, data=data)
+    assert given_data.factors is None and np.array_equal(given_data.data, data)
 
 
 @SEEDED
