@@ -179,7 +179,7 @@ def build_hankel(source, L: int, M: int) -> HankelBlockMatrix:
     D = _alphabet(source)
     sizes = dict(L=L, M=M, D=D, m=source.m, p=source.p)
     if not isinstance(source, ALPVSystem):
-        data = word_blocks(source, _w.words_up_to(L, D), _w.words_up_to(M, D), L + M + 2)
+        data = word_blocks(source, _w.words_up_to(L, D), _w.words_up_to(M, D))
         return HankelBlockMatrix._adopt(data, **sizes)
     n, pD, mD = source.n, source.p * D, source.m * D
     rows, cols = _w.word_count(L, D), _w.word_count(M, D)

@@ -25,6 +25,7 @@ import numpy as np
 from .errors import (
     DimensionMismatch,
     MissingVariable,
+    NonFiniteEntry,
     OutputDimNotScalar,
     TrajectoryTooShort,
     ZeroLeadingCoefficient,
@@ -53,7 +54,8 @@ class SchedulingPoly:
 
     `order` bounds the time shift i (0..order) and `D` bounds the
     coordinate j (1..D).  Monomials map a canonical exponent tuple to a
-    nonzero real coefficient.
+    nonzero finite coefficient; a NaN or Inf coefficient, or a sum of
+    coefficients of one monomial that overflows, raises NonFiniteEntry.
     """
 
     order: int
@@ -72,6 +74,8 @@ class SchedulingPoly:
             c = float(coeff)
             if c != 0.0:
                 cleaned[key] = cleaned.get(key, 0.0) + c
+        if not np.isfinite(list(cleaned.values())).all():
+            raise NonFiniteEntry("a polynomial coefficient is NaN or Inf")
         object.__setattr__(self, "monomials", {k: c for k, c in cleaned.items() if c})
 
     @classmethod
@@ -101,8 +105,10 @@ class SchedulingPoly:
     def evaluate(self, values) -> float:
         """Sum of coefficient * product of powered variable values.
 
-        `values` maps (i, j) pairs to reals and must cover every variable
-        that occurs in the polynomial.
+        `values` maps (i, j) pairs to reals, or to 1-d arrays for many points,
+        and must cover every variable that occurs in the polynomial.  Arrays
+        are powered entry by entry, as reals are, so each point's value is bit
+        for bit its value alone (numpy's array power may differ in the last bit).
         """
         total = 0.0
         for key, coeff in self.monomials.items():
@@ -110,7 +116,9 @@ class SchedulingPoly:
             for var, e in key:
                 if var not in values:
                     raise MissingVariable(f"no value for P[{var[0]},{var[1]}]")
-                term *= values[var] ** e
+                x = values[var]
+                term *= (x ** e if e == 1 or not isinstance(x, np.ndarray)
+                         else np.array([v ** e for v in x.tolist()]))
             total += term
         return total
 
@@ -155,13 +163,35 @@ class EquationCheckReport:
     max_residual: float
 
 
+def _residual(eq: AffineIOEquation, sched, inputs, y):
+    """The left-hand side at the last time t of one run, or of R runs stacked on axis 1.
+
+    Takes sched (t+1, D) or (t+1, R, D), inputs (t+1, m) or (t+1, R, m) and
+    outputs y (t+1,) or (t+1, R); adds Q_0..Q_n, then L_{i,l} row by row.
+    Only the result is checked: a value that is not finite raises NonFiniteEntry.
+    """
+    t = len(y) - 1
+    values = {(i, j): sched[t - i].T[j - 1]
+              for i in range(eq.order + 1) for j in range(1, eq.D + 1)}
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = 0.0
+        for i, poly in enumerate(eq.output_coeffs):
+            total += poly.evaluate(values) * y[t - i]
+        for i, row in enumerate(eq.input_coeffs, start=1):
+            for l, poly in enumerate(row):
+                total += poly.evaluate(values) * inputs[t - i].T[l]
+    if not np.isfinite(total).all():
+        raise NonFiniteEntry("the equation's left-hand side is not finite")
+    return total
+
+
 def equation_residual(eq: AffineIOEquation, w: InputSequence, outputs) -> float:
     """Evaluate the equation at the final time of a run.
 
     `outputs` are the scalar outputs y(0)..y(t) matching w (for instance
     from `simulate`); the run must be strictly longer than the equation
     order.  Returns the left-hand-side value, zero iff the equation holds
-    at this sample.
+    at this sample; one that is not finite raises NonFiniteEntry.
     """
     y = np.asarray(outputs, dtype=float)
     if y.ndim == 2:
@@ -170,40 +200,18 @@ def equation_residual(eq: AffineIOEquation, w: InputSequence, outputs) -> float:
         y = y[:, 0]
     if y.ndim != 1:
         raise OutputDimNotScalar("outputs must be a vector of scalar outputs")
-    t = w.length - 1
     if y.shape[0] != w.length:
-        raise DimensionMismatch(
-            f"outputs cover {y.shape[0]} steps but the run has {w.length}"
-        )
+        raise DimensionMismatch(f"outputs cover {y.shape[0]} steps but the run has {w.length}")
     if w.D != eq.D or w.m != eq.m:
         raise DimensionMismatch(
-            f"run has (D={w.D}, m={w.m}) but equation has (D={eq.D}, m={eq.m})"
-        )
-    if t <= eq.order:
-        raise TrajectoryTooShort(
-            f"need t > {eq.order}, got a run ending at t={t}"
-        )
-    values = {
-        (i, j): w.scheduling[t - i, j - 1]
-        for i in range(eq.order + 1)
-        for j in range(1, eq.D + 1)
-    }
-    total = 0.0
-    for i, poly in enumerate(eq.output_coeffs):
-        total += poly.evaluate(values) * y[t - i]
-    for i in range(1, eq.order + 1):
-        for l in range(1, eq.m + 1):
-            total += eq.input_coeffs[i - 1][l - 1].evaluate(values) * w.inputs[t - i, l - 1]
-    return total
+            f"run has (D={w.D}, m={w.m}) but equation has (D={eq.D}, m={eq.m})")
+    if w.length - 1 <= eq.order:
+        raise TrajectoryTooShort(f"need t > {eq.order}, got a run ending at t={w.length - 1}")
+    return float(_residual(eq, w.scheduling, w.inputs, y))
 
 
-def check_equation(
-    eq: AffineIOEquation,
-    sys: ALPVSystem,
-    trials: int = 100,
-    seed: int = 42,
-    tol: float = 1e-10,
-) -> EquationCheckReport:
+def check_equation(eq: AffineIOEquation, sys: ALPVSystem, trials: int = 100, seed: int = 42,
+                   tol: float = 1e-10) -> EquationCheckReport:
     """Decide satisfaction by randomized trajectory sampling.
 
     Simulates `trials` runs with lengths drawn from order+2 .. order+6 and
@@ -214,11 +222,12 @@ def check_equation(
     verdict is scale-invariant.  At least one trial and a finite tol >= 0
     are required.
 
-    Every trial is drawn first, from one rng stream in the order length,
-    scheduling, inputs, trial by trial; the trials of each length are then
-    stacked and run from the zero state side by side, as one call of the
-    trajectory routine that `simulate` runs.  A state up to the last one of a
-    run, or an output, that is not finite raises NonFiniteEntry.
+    The trials are drawn from one rng stream (length, scheduling, inputs,
+    trial by trial) and kept by length.  Those of one length run side by side
+    from the zero state in one call of `simulate`'s trajectory routine, and
+    get their residuals from one call of `equation_residual`'s routine.  A
+    state up to the last one of a run, an output or a residual that is not
+    finite raises NonFiniteEntry.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
@@ -228,35 +237,24 @@ def check_equation(
         raise OutputDimNotScalar(f"equation checking needs p=1, got p={sys.p}")
     if sys.D != eq.D or sys.m != eq.m:
         raise DimensionMismatch(
-            f"system has (D={sys.D}, m={sys.m}) but equation has (D={eq.D}, m={eq.m})"
-        )
+            f"system has (D={sys.D}, m={sys.m}) but equation has (D={eq.D}, m={eq.m})")
     if eq.output_coeffs[0].is_zero:
         raise ZeroLeadingCoefficient("the coefficient of Y_0 is the zero polynomial")
     rng = np.random.default_rng(seed)
-    runs = []
+    runs = {}  # length -> (scheduling, inputs) arrays of its trials, in draw order
     for _ in range(trials):
         length = int(rng.integers(eq.order + 2, eq.order + 7))
-        runs.append(InputSequence(
-            scheduling=rng.uniform(-1.0, 1.0, (length, sys.D)),
-            inputs=rng.uniform(-1.0, 1.0, (length, sys.m)),
-        ))
-    max_res = 0.0
-    max_y = 0.0
-    for length in sorted({w.length for w in runs}):
-        group = [w for w in runs if w.length == length]
-        outputs = _trajectory(
-            sys,
-            np.zeros((length + 1, len(group), sys.n)),
-            np.stack([w.scheduling for w in group], axis=1),
-            np.stack([w.inputs for w in group], axis=1),
-        )[:, :, 0]
-        for r, w in enumerate(group):
-            max_res = max(max_res, abs(float(equation_residual(eq, w, outputs[:, r]))))
-        max_y = max(max_y, float(np.max(np.abs(outputs))))
+        sched, inputs = runs.setdefault(length, ([], []))
+        sched.append(rng.uniform(-1.0, 1.0, (length, sys.D)))
+        inputs.append(rng.uniform(-1.0, 1.0, (length, sys.m)))
+    max_res = max_y = 0.0
+    for length in sorted(runs):
+        sched, inputs = (np.stack(arrays, axis=1) for arrays in runs[length])
+        y = _trajectory(sys, np.zeros((length + 1, sched.shape[1], sys.n)), sched, inputs)[:, :, 0]
+        max_res = max(max_res, float(np.max(np.abs(_residual(eq, sched, inputs, y)))))
+        max_y = max(max_y, float(np.max(np.abs(y))))
     max_res /= eq.max_abs_coeff()  # positive: Q_0 is not the zero polynomial
-    return EquationCheckReport(
-        satisfied=bool(max_res <= tol * (1.0 + max_y)), max_residual=max_res
-    )
+    return EquationCheckReport(satisfied=bool(max_res <= tol * (1.0 + max_y)), max_residual=max_res)
 
 
 def io_span_dimension(source, bound: int, tol: ToleranceConfig = DEFAULT_TOL) -> int:

@@ -211,19 +211,20 @@ def markov_block(source, v) -> np.ndarray:
         words = [(j,) + v + (i,) for i in range(1, D + 1) for j in range(1, D + 1)]
         _check_finite(M.reshape(D, source.p, D, source.m).swapaxes(1, 2), words.__getitem__, D)
         return M
-    return word_blocks(source, [()], [v], len(v) + 2)
+    return word_blocks(source, [()], [v])
 
 
-def word_blocks(source, row_words, col_words, longest: int) -> np.ndarray:
+def word_blocks(source, row_words, col_words) -> np.ndarray:
     """The matrix with block (r, c) = M(col_words[c] + row_words[r]) from a table or an oracle.
 
-    A table must cover words of length `longest`.  The S(j v_c v_r i) fill one
+    A table must cover the longest word j v_c v_r i.  The S(j v_c v_r i) fill one
     (rows*D, cols*D, p, m) array, i and j fastest, which one transpose lays out.
     An oracle's probes are checked once, as a whole: the first S(v) that is not
     finite raises NonFiniteEntry.
     """
     letters = range(1, source.D + 1)
     if isinstance(source, MarkovTable):
+        longest = max(map(len, row_words)) + max(map(len, col_words)) + 2
         if longest > source.horizon:
             raise HorizonExceeded(f"needs words of length {longest}, table has {source.horizon}")
         # 0-based enumeration positions compose: pos(u w) = pos(u) D^|w| + pos(w)

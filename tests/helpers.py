@@ -12,7 +12,6 @@ from alpvreal import (
     SchedulingPoly,
     SimulationResult,
     analyze,
-    equation_residual,
     hankel_singular_values,
     simulate,
 )
@@ -92,11 +91,41 @@ def unit_schedule(modes, D: int) -> np.ndarray:
     return sched
 
 
+def reference_residual(eq, w: InputSequence, y) -> float:
+    """The equation's left-hand side at the last time t of the run w with outputs y (t+1,).
+
+    Kept as the test reference for `ioeq._residual`: one scalar at a time,
+    the terms added in the order Q_0..Q_n, then L_{i,l} row by row; it checks
+    nothing.
+    """
+    t = w.length - 1
+    values = {(i, j): w.scheduling[t - i, j - 1]
+              for i in range(eq.order + 1) for j in range(1, eq.D + 1)}
+
+    def evaluate(poly):
+        total = 0.0
+        for key, coeff in poly.monomials.items():
+            term = coeff
+            for var, e in key:
+                term *= values[var] ** e
+            total += term
+        return total
+
+    total = 0.0
+    for i, poly in enumerate(eq.output_coeffs):
+        total += evaluate(poly) * y[t - i]
+    for i in range(1, eq.order + 1):
+        for l in range(1, eq.m + 1):
+            total += evaluate(eq.input_coeffs[i - 1][l - 1]) * w.inputs[t - i, l - 1]
+    return total
+
+
 def reference_check_equation(eq, sys: ALPVSystem, trials=100, seed=42, tol=1e-10):
     """`check_equation` one trial at a time: draw a run, simulate it, take its residual.
 
     The trials come from the same rng stream in the same order (length,
-    scheduling, inputs); it checks none of the arguments.
+    scheduling, inputs); the residual is `reference_residual`'s.  It checks
+    none of the arguments.
     """
     rng = np.random.default_rng(seed)
     max_res = max_y = 0.0
@@ -107,7 +136,7 @@ def reference_check_equation(eq, sys: ALPVSystem, trials=100, seed=42, tol=1e-10
             inputs=rng.uniform(-1.0, 1.0, (length, sys.m)),
         )
         out = simulate(sys, np.zeros(sys.n), w).outputs[:, 0]
-        max_res = max(max_res, abs(float(equation_residual(eq, w, out))))
+        max_res = max(max_res, abs(float(reference_residual(eq, w, out))))
         max_y = max(max_y, float(np.max(np.abs(out))))
     max_res /= eq.max_abs_coeff()
     return EquationCheckReport(satisfied=bool(max_res <= tol * (1.0 + max_y)), max_residual=max_res)

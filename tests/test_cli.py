@@ -96,6 +96,35 @@ def test_overflow_prints_one_error_line(tmp_path, cmd, warning_flags):
     assert len(lines) == 1 and lines[0].startswith(f"error: {cmd}: NonFiniteEntry: ")
 
 
+def _overflowing_terms(eq):
+    """Q_1 = 1e308 P_0_1 - 1e308 P_1_1 and L_11 = 1e308 P_0_1 P_1_1: finite, but they overflow."""
+    eq["Q"][1] = [{"coeff": 1e308, "exps": {"P_0_1": 1}}, {"coeff": -1e308, "exps": {"P_1_1": 1}}]
+    eq["L"][0][0] = [{"coeff": 1e308, "exps": {"P_0_1": 1, "P_1_1": 1}}]
+
+
+NON_FINITE_EQUATIONS = {
+    "nan-coefficient": lambda eq: eq["Q"][1][0].update(coeff=float("nan")),
+    "inf-coefficient": lambda eq: eq["Q"][1][0].update(coeff=float("inf")),
+    "overflowing-terms": _overflowing_terms,
+}
+
+
+@pytest.mark.parametrize("warning_flags", [[], ["-W", "error"]])
+@pytest.mark.parametrize("case", sorted(NON_FINITE_EQUATIONS))
+def test_a_non_finite_equation_prints_one_error_line(tmp_path, sigma1, case, warning_flags):
+    system = tmp_path / "sigma1.json"
+    fileio.save_system(system, sigma1)
+    eq = fileio.equation_to_dict(make_eq1())
+    NON_FINITE_EQUATIONS[case](eq)
+    out = tmp_path / "report.json"
+    proc = run_module("ioeq-check", _write_json(tmp_path / "eq.json", eq), str(system),
+                      "-o", str(out), interpreter_flags=warning_flags)
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert not out.exists()
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ioeq-check: NonFiniteEntry: ")
+
+
 def test_analyze_stdout_json(sigma_star_path, capsys):
     assert run(["analyze", sigma_star_path]) == 0
     report = json.loads(capsys.readouterr().out)

@@ -371,6 +371,20 @@ def test_atomic_write_leaves_no_temp_files(tmp_path):
     assert [f.name for f in tmp_path.iterdir()] == ["out.json"]
 
 
+def test_a_failed_rename_leaves_the_target_and_no_temp_file(tmp_path, monkeypatch):
+    path = tmp_path / "out.json"
+    path.write_text("old\n")
+
+    def refuse(src, dst):
+        raise OSError("rename refused")
+
+    monkeypatch.setattr(fileio.os, "replace", refuse)
+    with pytest.raises(OSError, match="rename refused"):
+        fileio.write_text(path, "new\n")
+    assert [f.name for f in tmp_path.iterdir()] == ["out.json"]
+    assert path.read_text() == "old\n"
+
+
 def test_system_arrays_must_nest_as_their_declared_sizes():
     data = {"schema": "alpv-1", "D": 1, "n": 2, "m": 3, "p": 1, "A": [[[1, 0], [0, 1]]],
             "B": [[[1, 2], [3, 4], [5, 6]]], "C": [[[1, 1]]]}  # B_1 transposed

@@ -7,6 +7,7 @@ from alpvreal import (
     DimensionMismatch,
     InputSequence,
     MissingVariable,
+    NonFiniteEntry,
     OutputDimNotScalar,
     SchedulingPoly,
     TrajectoryTooShort,
@@ -18,8 +19,12 @@ from alpvreal import (
     simulate,
 )
 
+from alpvreal import ioeq
+
 from conftest import make_eq1
-from helpers import random_run, random_system, reference_check_equation, scaled_poly
+from helpers import (
+    random_run, random_system, reference_check_equation, reference_residual, scaled_poly,
+)
 
 
 def test_poly_evaluate_examples():
@@ -53,6 +58,40 @@ def test_equation_requires_consistent_shapes(eq1):
             output_coeffs=(SchedulingPoly.constant(1.0, 1, 1),),
             input_coeffs=((SchedulingPoly.zero(1, 1),),),
         )
+
+
+@pytest.mark.parametrize(
+    "exps, message",
+    [({(2, 1): 1}, r"^shift 2 outside 0\.\.1$"), ({(0, 2): 1}, r"^coordinate 2 outside 1\.\.1$")],
+    ids=["shift", "coordinate"],
+)
+def test_poly_rejects_variables_out_of_range(exps, message):
+    with pytest.raises(ValueError, match=message):
+        SchedulingPoly.from_terms([(1.0, exps)], 1, 1)
+
+
+def test_equation_needs_one_input_row_per_shift_and_m_entries_a_row(eq1):
+    zero = SchedulingPoly.zero(1, 1)
+    for rows, message in (((), r"^need 1 input coefficient rows, got 0$"),
+                          (((zero, zero),), r"^each input coefficient row needs 1 entries$")):
+        with pytest.raises(ValueError, match=message):
+            AffineIOEquation(order=1, m=1, D=1, output_coeffs=eq1.output_coeffs,
+                             input_coeffs=rows)
+
+
+def test_residual_rejects_outputs_of_another_shape_or_length(eq1):
+    w = InputSequence(scheduling=[[1.0]] * 3, inputs=[[0.0]] * 3)
+    with pytest.raises(OutputDimNotScalar, match="must be a vector of scalar outputs"):
+        equation_residual(eq1, w, np.zeros((3, 1, 1)))
+    with pytest.raises(DimensionMismatch, match=r"^outputs cover 4 steps but the run has 3$"):
+        equation_residual(eq1, w, np.zeros(4))
+
+
+def test_residual_rejects_a_run_of_other_dimensions(eq1):
+    for D, m in ((2, 1), (1, 2)):
+        w = InputSequence(scheduling=np.ones((3, D)), inputs=np.zeros((3, m)))
+        with pytest.raises(DimensionMismatch, match=rf"run has \(D={D}, m={m}\)"):
+            equation_residual(eq1, w, np.zeros(3))
 
 
 def test_residual_fixture_trajectory(sigma1, eq1, eq1_perturbed):
@@ -259,3 +298,71 @@ def test_batched_check_equation_matches_the_per_trial_reference_on_a_wider_state
         ref = reference_check_equation(eq, sys, trials=trials, seed=trials)
         assert not got.satisfied and not ref.satisfied
         assert got.max_residual == pytest.approx(ref.max_residual, rel=1e-12, abs=0.0)
+
+
+def test_check_equation_builds_no_input_sequence(monkeypatch, sigma1, eq1):
+    def refuse(self):
+        raise AssertionError("check_equation built an InputSequence")
+
+    monkeypatch.setattr(InputSequence, "__post_init__", refuse)
+    assert check_equation(eq1, sigma1).satisfied
+
+
+def test_check_equation_takes_one_residual_call_per_run_length(monkeypatch, sigma1, eq1):
+    lengths = []
+
+    def counted(eq, sched, inputs, y):
+        lengths.append(len(y))
+        assert sched.shape[:2] == inputs.shape[:2] == y.shape
+        return residual(eq, sched, inputs, y)
+
+    residual = ioeq._residual
+    monkeypatch.setattr(ioeq, "_residual", counted)
+    assert check_equation(eq1, sigma1, trials=100, seed=5).satisfied
+    assert lengths == [3, 4, 5, 6, 7]
+
+
+def test_stacked_residuals_are_each_runs_own_bit_for_bit():
+    """Squares and cubes of 20,000 drawn values, where numpy's array power may round otherwise."""
+    rng = np.random.default_rng(17)
+    poly = lambda: SchedulingPoly.from_terms(
+        [(rng.uniform(-1, 1), {(i, j): int(rng.integers(1, 4)) for j in (1, 2)})
+         for i in range(3)], 2, 2)
+    eq = AffineIOEquation(order=2, m=2, D=2, output_coeffs=(poly(), poly(), poly()),
+                          input_coeffs=((poly(), poly()), (poly(), poly())))
+    runs = 20_000
+    sched = rng.uniform(-3, 3, (4, runs, 2))
+    inputs = rng.uniform(-1, 1, (4, runs, 2))
+    y = rng.uniform(-1, 1, (4, runs))
+    ref = [reference_residual(eq, InputSequence(sched[:, r], inputs[:, r]), y[:, r])
+           for r in range(runs)]
+    assert ioeq._residual(eq, sched, inputs, y).tobytes() == np.array(ref).tobytes()
+
+
+@pytest.mark.parametrize("coeff", [float("nan"), float("inf"), -float("inf")])
+def test_poly_refuses_a_coefficient_that_is_not_finite(coeff):
+    with pytest.raises(NonFiniteEntry, match="polynomial coefficient is NaN or Inf"):
+        make_eq1(coeff)
+
+
+def test_poly_refuses_coefficients_whose_sum_overflows():
+    with pytest.raises(NonFiniteEntry):
+        SchedulingPoly.from_terms([(1e308, {(0, 1): 1}), (1e308, {(0, 1): 1})], 1, 1)
+
+
+def _overflowing_equation():
+    """Y_0 + (1e308 P_0_1 - 1e308 P_1_1) Y_1 + 1e308 P_0_1 P_1_1 U_11: finite, terms overflow."""
+    q1 = SchedulingPoly.from_terms([(1e308, {(0, 1): 1}), (-1e308, {(1, 1): 1})], 1, 1)
+    l11 = SchedulingPoly.from_terms([(1e308, {(0, 1): 1, (1, 1): 1})], 1, 1)
+    return AffineIOEquation(order=1, m=1, D=1, input_coeffs=((l11,),),
+                            output_coeffs=(SchedulingPoly.constant(1.0, 1, 1), q1))
+
+
+def test_an_overflowing_residual_raises_and_warns_nothing(sigma1):
+    # warnings are errors in this suite: a RuntimeWarning from the overflow would fail here
+    eq = _overflowing_equation()
+    with pytest.raises(NonFiniteEntry, match="left-hand side is not finite"):
+        check_equation(eq, sigma1)
+    w = InputSequence(scheduling=[[1.0], [-1.0], [1.0]], inputs=[[0.0]] * 3)
+    with pytest.raises(NonFiniteEntry):
+        equation_residual(eq, w, [0.0, 1.0, 1.0])

@@ -49,6 +49,15 @@ def test_validate_nonfinite():
         ALPVSystem(A=[[[np.nan]]], B=[[[1.0]]], C=[[[1.0]]])
 
 
+def test_a_family_of_scalars_builds_the_nested_stacks():
+    flat = ALPVSystem(A=[0.5, -0.25], B=[1.0, 3.0], C=[1.0, 2.0])
+    nested = ALPVSystem(A=[[[0.5]], [[-0.25]]], B=[[[1.0]], [[3.0]]], C=[[[1.0]], [[2.0]]])
+    for name in "ABC":
+        got, expected = getattr(flat, name), getattr(nested, name)
+        assert got.shape == expected.shape == (2, 1, 1) and np.array_equal(got, expected)
+        assert not got.flags.writeable
+
+
 def test_caller_arrays_do_not_reach_a_built_system():
     A = np.array([[0.5]])
     sys = ALPVSystem(A=[A], B=[[[1.0]]], C=[[[1.0]]])

@@ -26,7 +26,9 @@ takes the sketch or the dense SVD.  A system window's data, assembled on
 first read, is its factors' product bit for bit.  A family given as one 3-d
 array and as a list of matrices builds the same stacks, and fails with the
 same error and message when a matrix is misshapen, not finite, missing, or
-has no inputs or outputs.
+has no inputs or outputs.  The residual of a random equation (D <= 3, m <= 2,
+order <= 2, exponents <= 2) at the last time of 1 to 5 stacked runs is each
+run's scalar reference residual bit for bit, and so is that of each run alone.
 """
 
 import math
@@ -39,6 +41,7 @@ from hypothesis import strategies as st
 
 from alpvreal import (
     DEFAULT_TOL,
+    AffineIOEquation,
     ALPVSystem,
     DimensionMismatch,
     HankelBlockMatrix,
@@ -46,6 +49,7 @@ from alpvreal import (
     InvalidAlphabet,
     MarkovTable,
     NonFiniteEntry,
+    SchedulingPoly,
     SwitchedInput,
     analyze,
     build_hankel,
@@ -78,10 +82,11 @@ from alpvreal import (
     words_up_to,
 )
 
-from alpvreal import hankel, linalg, markov, model, realize
+from alpvreal import hankel, ioeq, linalg, markov, model, realize
 from helpers import (
     contractive, observability_factor, pad_unobservable, pad_unreachable, random_minimal_system,
-    random_run, random_system, reachability_factor, reference_simulate, unit_schedule,
+    random_run, random_system, reachability_factor, reference_residual, reference_simulate,
+    unit_schedule,
 )
 
 SEEDED = settings(derandomize=True, database=None, deadline=None, max_examples=30)
@@ -383,6 +388,40 @@ def test_final_output_routes_of_an_empty_state_space(steps):
     assert np.array_equal(switched_output(sys, sw), [0.0])
     for runs in range(1, 6):
         assert_batch_matches_simulate(sys, np.random.default_rng(runs), runs, steps)
+
+
+@st.composite
+def equations(draw):
+    """A random equation: D <= 3, m <= 2, order <= 2, up to 3 monomials a coefficient."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    D, m, order = draw(st.integers(1, 3)), draw(st.integers(1, 2)), draw(st.integers(0, 2))
+
+    def poly():
+        terms = [(rng.uniform(-2, 2), {(int(rng.integers(order + 1)), int(rng.integers(1, D + 1))):
+                                       int(rng.integers(0, 3)) for _ in range(rng.integers(0, 4))})
+                 for _ in range(rng.integers(0, 4))]
+        return SchedulingPoly.from_terms(terms, order, D)
+
+    return AffineIOEquation(order=order, m=m, D=D,
+                            output_coeffs=[poly() for _ in range(order + 1)],
+                            input_coeffs=[[poly() for _ in range(m)] for _ in range(order)])
+
+
+@SEEDED
+@given(equations(), st.integers(0, 2**32 - 1), st.integers(1, 5), st.integers(1, 5))
+def test_stacked_residuals_match_the_scalar_reference(eq, seed, runs, extra):
+    rng = np.random.default_rng(seed)
+    length = eq.order + extra
+    sched = rng.uniform(-2, 2, (length, runs, eq.D))
+    inputs = rng.uniform(-2, 2, (length, runs, eq.m))
+    y = rng.uniform(-2, 2, (length, runs))
+    got = ioeq._residual(eq, sched, inputs, y)
+    assert got.shape == (runs,)
+    for r in range(runs):
+        ref = reference_residual(eq, InputSequence(sched[:, r], inputs[:, r]), y[:, r])
+        alone = ioeq._residual(eq, sched[:, r], inputs[:, r], y[:, r])
+        bits = [np.float64(x).tobytes() for x in (got[r], alone, ref)]
+        assert bits[0] == bits[1] == bits[2]
 
 
 @SEEDED
