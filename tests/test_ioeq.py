@@ -58,6 +58,12 @@ def test_equation_requires_consistent_shapes(eq1):
             output_coeffs=(SchedulingPoly.constant(1.0, 1, 1),),
             input_coeffs=((SchedulingPoly.zero(1, 1),),),
         )
+    zero = SchedulingPoly.zero(1, 1)
+    for rows, message in (((), r"^need 1 input coefficient rows, got 0$"),
+                          (((zero, zero),), r"^each input coefficient row needs 1 entries$")):
+        with pytest.raises(ValueError, match=message):
+            AffineIOEquation(order=1, m=1, D=1, output_coeffs=eq1.output_coeffs,
+                             input_coeffs=rows)
 
 
 @pytest.mark.parametrize(
@@ -70,24 +76,10 @@ def test_poly_rejects_variables_out_of_range(exps, message):
         SchedulingPoly.from_terms([(1.0, exps)], 1, 1)
 
 
-def test_equation_needs_one_input_row_per_shift_and_m_entries_a_row(eq1):
-    zero = SchedulingPoly.zero(1, 1)
-    for rows, message in (((), r"^need 1 input coefficient rows, got 0$"),
-                          (((zero, zero),), r"^each input coefficient row needs 1 entries$")):
-        with pytest.raises(ValueError, match=message):
-            AffineIOEquation(order=1, m=1, D=1, output_coeffs=eq1.output_coeffs,
-                             input_coeffs=rows)
-
-
-def test_residual_rejects_outputs_of_another_shape_or_length(eq1):
+def test_residual_rejects_a_run_of_other_length_or_dimensions(eq1):
     w = InputSequence(scheduling=[[1.0]] * 3, inputs=[[0.0]] * 3)
-    with pytest.raises(OutputDimNotScalar, match="must be a vector of scalar outputs"):
-        equation_residual(eq1, w, np.zeros((3, 1, 1)))
     with pytest.raises(DimensionMismatch, match=r"^outputs cover 4 steps but the run has 3$"):
         equation_residual(eq1, w, np.zeros(4))
-
-
-def test_residual_rejects_a_run_of_other_dimensions(eq1):
     for D, m in ((2, 1), (1, 2)):
         w = InputSequence(scheduling=np.ones((3, D)), inputs=np.zeros((3, m)))
         with pytest.raises(DimensionMismatch, match=rf"run has \(D={D}, m={m}\)"):
@@ -113,6 +105,8 @@ def test_residual_rejects_vector_outputs(eq1):
     w = InputSequence(scheduling=[[1.0]] * 3, inputs=[[0.0]] * 3)
     with pytest.raises(OutputDimNotScalar):
         equation_residual(eq1, w, np.zeros((3, 2)))
+    with pytest.raises(OutputDimNotScalar, match="must be a vector of scalar outputs"):
+        equation_residual(eq1, w, np.zeros((3, 1, 1)))
 
 
 def test_residual_stable_under_longer_history(sigma1, eq1):
