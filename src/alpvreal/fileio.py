@@ -344,7 +344,7 @@ def load_hankel(path) -> HankelBlockMatrix:
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed Hankel sidecar: {exc}") from exc
     try:
-        return HankelBlockMatrix._adopt(data, L=L, M=M, D=D, m=m, p=p)
+        return HankelBlockMatrix(L=L, M=M, D=D, m=m, p=p, data=data)
     except DimensionMismatch as exc:
         raise ValueError(str(exc)) from exc
 

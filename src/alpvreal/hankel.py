@@ -58,15 +58,14 @@ class HankelBlockMatrix:
     D, m, p must be at least 1 as in `ALPVSystem`, and L, M at least 0
     (ValueError).  `data` must be the N(L)*pD x N(M)*mD matrix that L, M, D,
     m, p (a saved matrix's sidecar) imply, else DimensionMismatch; `shape`
-    is read from the sizes.  The constructor keeps its own read-only copy,
-    so neither a write through it nor a later write to the caller's array
-    can change a checked window; `load_hankel` and the table and oracle
-    routes of `build_hankel` hand over the arrays they build, uncopied,
-    through `_adopt`.  A window from `build_hankel(system)` holds only its
-    read-only `factors` (Of, Rf): its `data` is Of @ Rf, assembled on the
-    first read, read-only, and the same array on every later read.  Every
-    other window has `factors` None and no factors that could disagree with
-    its data.
+    is read from the sizes.  Every window given as data (by a caller,
+    `load_hankel`, or the table and oracle routes of `build_hankel`) keeps a
+    read-only copy made by this constructor, so neither a write through it
+    nor a later write to the caller's array can change a checked window.  A
+    window from `build_hankel(system)` holds only its read-only `factors`
+    (Of, Rf): its `data` is Of @ Rf, assembled on the first read, read-only,
+    and the same array on every later read.  Every other window has
+    `factors` None and no factors that could disagree with its data.
     """
 
     L: int
@@ -78,20 +77,21 @@ class HankelBlockMatrix:
     factors: tuple | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "data", np.array(self.data))
-        self._check()
+        data = np.array(self.data)
+        _check_sizes(self.D, self.m, self.p)
+        _check_bounds(self.L, self.M)
+        if data.shape != self.shape:
+            raise DimensionMismatch(
+                f"Hankel data is {data.shape} but the sidecar implies {self.shape}"
+            )
+        data.flags.writeable = False
+        object.__setattr__(self, "data", data)
 
     @classmethod
-    def _adopt(cls, data=None, factors=None, **sizes) -> "HankelBlockMatrix":
-        """The window over an array the package has just built, kept without a copy.
-
-        Given `factors` and no `data`, the window is left unassembled.
-        """
+    def _factored(cls, Of: np.ndarray, Rf: np.ndarray, **sizes) -> "HankelBlockMatrix":
+        """The unassembled window of `build_hankel(system)`, over its checked sizes."""
         H = object.__new__(cls)
-        H.__dict__.update(sizes, factors=factors)
-        if data is not None:
-            H.__dict__["data"] = data
-        H._check()
+        H.__dict__.update(sizes, factors=(Of, Rf))
         return H
 
     def __getattr__(self, name):
@@ -104,18 +104,6 @@ class HankelBlockMatrix:
         data.flags.writeable = False
         self.__dict__["data"] = data
         return data
-
-    def _check(self) -> None:
-        _check_sizes(self.D, self.m, self.p)
-        _check_bounds(self.L, self.M)
-        data = self.__dict__.get("data")
-        if data is None:
-            return
-        if data.shape != self.shape:
-            raise DimensionMismatch(
-                f"Hankel data is {data.shape} but the sidecar implies {self.shape}"
-            )
-        data.flags.writeable = False
 
     @property
     def shape(self):
@@ -180,7 +168,7 @@ def build_hankel(source, L: int, M: int) -> HankelBlockMatrix:
     sizes = dict(L=L, M=M, D=D, m=source.m, p=source.p)
     if not isinstance(source, ALPVSystem):
         data = word_blocks(source, _w.words_up_to(L, D), _w.words_up_to(M, D))
-        return HankelBlockMatrix._adopt(data, **sizes)
+        return HankelBlockMatrix(data=data, **sizes)
     n, pD, mD = source.n, source.p * D, source.m * D
     rows, cols = _w.word_count(L, D), _w.word_count(M, D)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -191,7 +179,7 @@ def build_hankel(source, L: int, M: int) -> HankelBlockMatrix:
         Rf = Rf.reshape(cols, n, mD).transpose(1, 0, 2).reshape(n, cols * mD)
         bound = n * np.abs(Of).max(initial=0.0) * np.abs(Rf).max(initial=0.0)
     Of.flags.writeable = Rf.flags.writeable = False
-    H = HankelBlockMatrix._adopt(factors=(Of, Rf), **sizes)
+    H = HankelBlockMatrix._factored(Of, Rf, **sizes)
     if not bound < 1e300:
         # |H_ij| <= n max|Of| max|Rf|; only a window this bound leaves open pays a pass
         # over its entries (errstate(over="raise") misses overflows in threaded BLAS)

@@ -17,13 +17,14 @@ physical parameters is modelled by pinning one scheduling coordinate to 1,
 and every multilinear identity used here extends uniquely from any spanning
 set to the whole space.
 
-Every `ALPVSystem` is checked once, when it is built: an ill-formed family
-raises there, so no function that takes a system checks it again.  It keeps
-one read-only copy of the family, the stacks A (D,n,n), B (D,n,m), C (D,p,n),
-which neither the caller's arrays nor an in-place write can change.  The
-check is one copy and one shape and finiteness test per family; the
-matrix-by-matrix loop runs only to name what is wrong with a family that
-fails it.
+Every `ALPVSystem` and `InputSequence` is checked once, when it is built:
+an ill-formed family or run raises there, so no function that takes one
+checks it again.  Each keeps read-only copies made by its constructor (a
+system the stacks A (D,n,n), B (D,n,m), C (D,p,n), a run its scheduling and
+inputs), which neither the caller's arrays nor an in-place write can change.
+A system's check is one copy and one shape and finiteness test per family;
+the matrix-by-matrix loop runs only to name what is wrong with a family
+that fails it.
 """
 
 from __future__ import annotations
@@ -149,8 +150,8 @@ class InputSequence:
     inputs: np.ndarray  # (T+1, m)
 
     def __post_init__(self):
-        sched = np.asarray(self.scheduling, dtype=float)
-        u = np.asarray(self.inputs, dtype=float)
+        sched = np.array(self.scheduling, dtype=float)
+        u = np.array(self.inputs, dtype=float)
         if sched.ndim != 2 or u.ndim != 2:
             raise DimensionMismatch(
                 f"scheduling and inputs must be 2-d (steps x dim); got "
@@ -164,6 +165,7 @@ class InputSequence:
             raise DimensionMismatch("an input sequence must have at least one step")
         if not (np.isfinite(sched).all() and np.isfinite(u).all()):
             raise NonFiniteEntry("input sequence contains NaN or Inf entries")
+        sched.flags.writeable = u.flags.writeable = False
         object.__setattr__(self, "scheduling", sched)
         object.__setattr__(self, "inputs", u)
 
@@ -393,7 +395,8 @@ def convolution_output(table, w: InputSequence) -> np.ndarray:
     the flattened outer product p(k) x ... x p(t), so each lag is one
     contraction with `table.level(t-k+1)`.  This brute-force word sum is the
     route the realization tests are checked against.  For a length-1 run the
-    sum is empty and the result is the zero vector.
+    sum is empty and the result is the zero vector.  An output that
+    overflows raises NonFiniteEntry.
     """
     D, m, p = table.D, table.m, table.p
     if w.D != D:
@@ -408,7 +411,10 @@ def convolution_output(table, w: InputSequence) -> np.ndarray:
     t = w.length - 1
     y = np.zeros(p)
     pbar = sched[t]
-    for k in range(t - 1, -1, -1):
-        pbar = np.outer(sched[k], pbar).reshape(-1)
-        y += np.tensordot(pbar, table.level(t - k + 1), axes=1) @ w.inputs[k]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(t - 1, -1, -1):
+            pbar = np.outer(sched[k], pbar).reshape(-1)
+            y += np.tensordot(pbar, table.level(t - k + 1), axes=1) @ w.inputs[k]
+    if not np.isfinite(y).all():
+        raise NonFiniteEntry("convolution output is not finite (overflow)")
     return y

@@ -41,11 +41,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import words as _w
-from .errors import DimensionMismatch, NotIsomorphic, ShapeMismatch
+from .errors import DimensionMismatch, NonFiniteEntry, NotIsomorphic, ShapeMismatch
 from .hankel import HankelBlockMatrix, factor_root, observability_root, reachability_root
 from .linalg import (
     DEFAULT_TOL,
     ToleranceConfig,
+    as_matrix,
     factored_rank_factorize,
     numerical_rank,
     pseudoinverse,
@@ -178,15 +179,29 @@ def minimize(sys: ALPVSystem, tol: ToleranceConfig = DEFAULT_TOL) -> ALPVSystem:
 
 
 def isomorphism_residual(sys1: ALPVSystem, sys2: ALPVSystem, T) -> float:
-    """Worst relative defect of the relations A2_q T = T A1_q, B2_q = T B1_q, C2_q T = C1_q."""
+    """Worst relative defect of the relations A2_q T = T A1_q, B2_q = T B1_q, C2_q T = C1_q.
+
+    Each defect ||lhs - rhs|| / (1 + ||lhs|| + ||rhs||) (Frobenius, per q) is taken
+    with both sides divided by max(1, their largest entry), so no norm overflows.
+    A non-finite T, or a relation whose products overflow, raises NonFiniteEntry.
+    """
     if sys1.dims != sys2.dims:
         raise DimensionMismatch(f"systems have different dimensions: {sys1.dims} vs {sys2.dims}")
     T, n = np.asarray(T, dtype=float), sys1.n
     if T.shape != (n, n):
         raise DimensionMismatch(f"T must be {n} x {n} for state dimension n={n}, got {T.shape}")
+    as_matrix(T)
     norm = lambda X: np.linalg.norm(X, axis=(1, 2))
-    pairs = ((sys2.A @ T, T @ sys1.A), (sys2.B, T @ sys1.B), (sys2.C @ T, sys1.C))
-    return max(float(np.max(norm(lhs - rhs) / (1.0 + norm(lhs) + norm(rhs)))) for lhs, rhs in pairs)
+    with np.errstate(over="ignore", invalid="ignore"):
+        pairs = ((sys2.A @ T, T @ sys1.A), (sys2.B, T @ sys1.B), (sys2.C @ T, sys1.C))
+    worst = 0.0
+    for lhs, rhs in pairs:
+        scale = np.abs([lhs, rhs]).max(axis=(0, 2, 3), initial=1.0)
+        if not np.isfinite(scale).all():
+            raise NonFiniteEntry("an isomorphism relation overflows")
+        lhs, rhs = lhs / scale[:, None, None], rhs / scale[:, None, None]
+        worst = max(worst, float(np.max(norm(lhs - rhs) / (1.0 / scale + norm(lhs) + norm(rhs)))))
+    return worst
 
 
 def find_isomorphism(

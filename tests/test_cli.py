@@ -150,6 +150,16 @@ def test_iso_identity(sigma_star_path, capsys):
     assert float(capsys.readouterr().out.strip()) == pytest.approx(1.0)
 
 
+@pytest.mark.parametrize("warning_flags", [[], ["-W", "error"]])
+def test_iso_of_a_finite_system_with_huge_relations(tmp_path, warning_flags):
+    # the Frobenius norm of B = 1e200 overflows, though T = 1 relates the system to itself
+    system = tmp_path / "big.json"
+    fileio.save_system(system, ALPVSystem(A=[[[0.5]]], B=[[[1e200]]], C=[[[1e-200]]]))
+    proc = run_module("iso", str(system), str(system), interpreter_flags=warning_flags)
+    assert proc.returncode == 0 and proc.stderr == ""
+    assert float(proc.stdout) == pytest.approx(1.0, rel=1e-12)
+
+
 def test_markov_hankel_realize_analyze_pipeline(tmp_path, sigma_star_path):
     table = tmp_path / "table.json"
     hankel = tmp_path / "H.csv"

@@ -1,4 +1,6 @@
+import ast
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -30,7 +32,7 @@ from alpvreal import (
     words_up_to,
 )
 
-from alpvreal import cli, fileio
+from alpvreal import cli, fileio, hankel
 
 from helpers import (
     observability_factor, pad_unobservable, pad_unreachable, random_minimal_system, random_system,
@@ -172,7 +174,7 @@ def test_hankel_block_matrix_checks_its_shape():
         HankelBlockMatrix(L=0, M=1, D=2, m=1, p=1, data=np.ones(12))
 
 
-def test_hankel_data_is_a_read_only_copy(sigma2):
+def test_hankel_data_is_a_read_only_copy(tmp_path, monkeypatch, sigma2):
     data = build_hankel(sigma2, 1, 2).data.copy()
     H = HankelBlockMatrix(L=1, M=2, D=2, m=1, p=1, data=data)
     assert not np.shares_memory(H.data, data) and data.flags.writeable
@@ -184,6 +186,41 @@ def test_hankel_data_is_a_read_only_copy(sigma2):
         H.data[0, 0] = 1.0
     with pytest.raises(ValueError, match="read-only"):
         build_hankel(sigma2, 1, 2).data[0, 0] = 1.0
+    # a window loaded, or built from a table or an oracle, is a copy made by the same constructor
+    built = []
+    keep = lambda make: lambda *args: built.append(make(*args)) or built[-1]
+    monkeypatch.setattr(fileio, "load_matrix_csv", keep(fileio.load_matrix_csv))
+    monkeypatch.setattr(hankel, "word_blocks", keep(hankel.word_blocks))
+    fileio.save_hankel(tmp_path / "H.csv", H)
+    windows = [
+        fileio.load_hankel(tmp_path / "H.csv"),
+        build_hankel(markov_table(sigma2, 5), 1, 2),
+        build_hankel(system_oracle(sigma2), 1, 2),
+    ]
+    assert len(built) == len(windows)
+    for W, array in zip(windows, built):
+        assert not np.shares_memory(W.data, array)
+        array[0, 0] = 5.0
+        assert np.allclose(W.data, H.data, rtol=1e-12, atol=1e-12)
+        with pytest.raises(ValueError, match="read-only"):
+            W.data[0, 0] = 1.0
+
+
+def test_only_build_hankel_skips_the_constructor():
+    """Every data window goes through `HankelBlockMatrix(...)`; only a system's factored one does not."""
+    private = []
+    for path in sorted(Path(hankel.__file__).parent.glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            for node in ast.walk(top):
+                names = []
+                if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                    if node.value.id in ("HankelBlockMatrix", "hankel"):
+                        names = [node.attr]
+                elif isinstance(node, ast.ImportFrom) and node.module == "hankel":
+                    names = [alias.name for alias in node.names]
+                private += [f"{path.name}:{getattr(top, 'name', '')}:{name}"
+                            for name in names if name.startswith("_")]
+    assert private == ["hankel.py:build_hankel:_factored"]
 
 
 def test_only_system_windows_carry_their_factors(tmp_path, sigma2):

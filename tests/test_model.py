@@ -11,12 +11,15 @@ from alpvreal import (
     HorizonExceeded,
     InputSequence,
     InvalidAlphabet,
+    MarkovTable,
     NonFiniteEntry,
+    SwitchedInput,
     convolution_output,
     kernel_coeff,
     markov_block,
     markov_table,
     simulate,
+    switched_output,
 )
 from alpvreal import model
 
@@ -65,6 +68,14 @@ def test_caller_arrays_do_not_reach_a_built_system():
     assert A.flags.writeable
     assert kernel_coeff(sys, (1, 1, 1))[0, 0] == 0.5
     assert markov_table(sys, 3).level(3)[0, 0, 0] == 0.5
+    # nor do they reach a built run: y(2) = S(111) u(0) = 0.5 on every route
+    sched, u = np.ones((3, 1)), np.array([[1.0], [0.0], [0.0]])
+    runs = [InputSequence(scheduling=sched, inputs=u), SwitchedInput(D=1, modes=[1, 1, 1], inputs=u)]
+    sched[0, 0], u[0, 0] = np.nan, 2.0
+    for w in runs:
+        assert convolution_output(markov_table(sys, 3), w)[0] == 0.5
+        assert simulate(sys, [0.0], w).final_output[0] == 0.5
+    assert switched_output(sys, runs[1])[0] == 0.5
 
 
 @pytest.mark.parametrize("name", "ABC")
@@ -80,6 +91,13 @@ def test_family_is_read_only(name):
     assert kernel_coeff(sys, (2, 2, 2))[0, 0] == 1.5
     assert markov_block(sys, (2,))[1, 1] == 1.5
     assert markov_table(sys, 3).entries[(2, 2, 2)][0, 0] == 1.5
+    # a run keeps read-only arrays too, so the switched run stays the run of its modes
+    sw = SwitchedInput(D=2, modes=[2, 2, 2], inputs=w.inputs)
+    for run in (w, sw):
+        for array in (run.scheduling, run.inputs):
+            with pytest.raises(ValueError, match="read-only"):
+                array[1] = 0.5
+    assert switched_output(sys, sw)[0] == 1.5
 
 
 def test_simulate_hand_recursion(sigma_star):
@@ -131,6 +149,16 @@ def test_simulate_overflow_raises_only_nonfinite_entry(gain, schedule):
         warnings.simplefilter("error")
         with pytest.raises(NonFiniteEntry):
             simulate(sys, [0.0], w)
+
+
+def test_convolution_output_overflow_raises_without_a_warning():
+    # S(11) = S(111) = 1e300 are finite, but the output sums terms near 1e320
+    table = MarkovTable(D=1, m=1, p=1, horizon=3, coeffs=[[[1e300]], [[1e300]]])
+    w = InputSequence(scheduling=[[1e10]] * 3, inputs=[[1.0]] * 3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteEntry, match="convolution output is not finite"):
+            convolution_output(table, w)
 
 
 def test_a_batch_raises_when_one_run_overflows():

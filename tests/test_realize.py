@@ -289,6 +289,27 @@ def test_isomorphism_residual_rejects_families_of_different_sizes(sigma1, sigma_
             isomorphism_residual(sys1, sys2, T)
 
 
+def test_isomorphism_residual_of_a_huge_or_non_finite_T():
+    sys = ALPVSystem(A=[[[0.5]]], B=[[[1.0]]], C=[[[1.0]]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert isomorphism_residual(sys, sys, [[2.0]]) == 0.25
+        # B = T B fails by about 1 whether or not the norms of T B would overflow
+        for T in (1e100, 1e200):
+            assert isomorphism_residual(sys, sys, [[T]]) == pytest.approx(1.0)
+        # T = 1e200 maps (0.5, 1e-200, 1e200) onto (0.5, 1, 1) exactly
+        scaled = ALPVSystem(A=[[[0.5]]], B=[[[1e-200]]], C=[[[1e200]]])
+        assert isomorphism_residual(scaled, sys, [[1e200]]) == 0.0
+        for T in (np.nan, np.inf):
+            with pytest.raises(NonFiniteEntry, match="NaN or Inf"):
+                isomorphism_residual(sys, sys, [[T]])
+        fast = ALPVSystem(A=[[[1e200]]], B=[[[1.0]]], C=[[[1.0]]])
+        with pytest.raises(NonFiniteEntry, match="relation overflows"):
+            isomorphism_residual(fast, fast, [[1e200]])
+        big = ALPVSystem(A=[[[0.5]]], B=[[[1e200]]], C=[[[1e-200]]])
+        assert np.allclose(find_isomorphism(big, big), [[1.0]], rtol=1e-12, atol=0)
+
+
 def test_find_isomorphism_rejects_nonequivalent(sigma_star):
     other = ALPVSystem(A=sigma_star.A, B=[[[1.0]], [[4.0]]], C=sigma_star.C)
     with pytest.raises(NotIsomorphic):
