@@ -18,7 +18,9 @@ sides and keeps only (Of, Rf), the window's `factors`, in O((a + b) n)
 memory for an a x b window: its `data` is the product Of @ Rf, assembled on
 first read and cached.  `kalman_ho` rank-factorizes such a window from its
 factors, so realizing a system's window never assembles it; only reading
-`.data` (saving the window, for one) does.
+`.data` (saving the window, for one) does.  An oracle source is kept the
+same way, unprobed: its `data` probes every cell on first read, while
+`kalman_ho` probes only the block columns of a column-word search.
 Every rank decision on a system reads `factor_root` instead: an at most
 n x n triangular K with K^T K equal to the Gram matrix Rf Rf^T (or Of^T Of,
 from the transposed family), grown one word length at a time in
@@ -41,8 +43,8 @@ from . import words as _w
 from .errors import DimensionMismatch
 from .linalg import DEFAULT_TOL, ToleranceConfig, as_matrix, numerical_rank, singular_values
 from .markov import (
-    ALPVSystem, _alphabet, _check_sizes, stacked_input_matrix, stacked_output_matrix, word_blocks,
-    word_products,
+    ALPVSystem, IOOracle, _alphabet, _check_sizes, stacked_input_matrix, stacked_output_matrix,
+    word_blocks, word_products,
 )
 
 
@@ -59,13 +61,18 @@ class HankelBlockMatrix:
     (ValueError).  `data` must be the N(L)*pD x N(M)*mD matrix that L, M, D,
     m, p (a saved matrix's sidecar) imply, else DimensionMismatch; `shape`
     is read from the sizes.  Every window given as data (by a caller,
-    `load_hankel`, or the table and oracle routes of `build_hankel`) keeps a
-    read-only copy made by this constructor, so neither a write through it
-    nor a later write to the caller's array can change a checked window.  A
-    window from `build_hankel(system)` holds only its read-only `factors`
-    (Of, Rf): its `data` is Of @ Rf, assembled on the first read, read-only,
-    and the same array on every later read.  Every other window has
-    `factors` None and no factors that could disagree with its data.
+    `load_hankel`, or the table route of `build_hankel`) keeps a read-only
+    copy made by this constructor, so neither a write through it nor a later
+    write to the caller's array can change a checked window.  The two
+    windows of `build_hankel` that hold a source instead are unassembled:
+    one from a system holds only its read-only `factors` (Of, Rf), and its
+    `data` is Of @ Rf; one from an oracle holds only its `oracle`, and its
+    `data` is probed through `word_blocks` (every cell, repeats included,
+    in that routine's order and with its NonFiniteEntry and
+    DimensionMismatch).  Either is assembled on the first read of `data`,
+    read-only, and the same array on every later read.  Every other window
+    has `factors` and `oracle` None and no source that could disagree with
+    its data.
     """
 
     L: int
@@ -75,6 +82,7 @@ class HankelBlockMatrix:
     p: int
     data: np.ndarray = field(repr=False)
     factors: tuple | None = field(default=None, init=False, repr=False)
+    oracle: IOOracle | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         data = np.array(self.data)
@@ -88,19 +96,24 @@ class HankelBlockMatrix:
         object.__setattr__(self, "data", data)
 
     @classmethod
-    def _factored(cls, Of: np.ndarray, Rf: np.ndarray, **sizes) -> "HankelBlockMatrix":
-        """The unassembled window of `build_hankel(system)`, over its checked sizes."""
+    def _lazy(cls, factors=None, oracle=None, **sizes) -> "HankelBlockMatrix":
+        """The unassembled window of a system or an oracle, over its checked sizes."""
         H = object.__new__(cls)
-        H.__dict__.update(sizes, factors=(Of, Rf))
+        H.__dict__.update(sizes, factors=factors, oracle=oracle)
         return H
 
     def __getattr__(self, name):
-        # reached only for an attribute not in __dict__: the data of a factored window
-        if name != "data" or self.factors is None:
+        # reached only for an attribute not in __dict__: the data of an unassembled window
+        if name != "data" or (self.factors is None and self.oracle is None):
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        Of, Rf = self.factors
-        with np.errstate(over="ignore", invalid="ignore"):  # build_hankel has checked the product
-            data = Of @ Rf
+        if self.factors is not None:
+            Of, Rf = self.factors
+            with np.errstate(over="ignore", invalid="ignore"):  # build_hankel checked the product
+                data = Of @ Rf
+        else:
+            rows, cols = _w.words_up_to(self.L, self.D), _w.words_up_to(self.M, self.D)
+            # a copy, as the constructor keeps: the window shares its data with no one
+            data = np.array(word_blocks(self.oracle, rows, cols))
         data.flags.writeable = False
         self.__dict__["data"] = data
         return data
@@ -159,13 +172,19 @@ def build_hankel(source, L: int, M: int) -> HankelBlockMatrix:
     NonFiniteEntry here: its entries are bounded by n max|Of| max|Rf|, and
     only a window this bound leaves open is assembled (once, and kept) and
     checked.  A table source must cover words up to length L + M + 2.  An
-    oracle source is probed once per coefficient and is only sensible at
-    small bounds; a probe that returns a non-finite S(v) raises
-    NonFiniteEntry.  Any other source raises TypeError.
+    oracle source is kept as the window's `oracle` and not probed here.
+    Reading `data` probes every cell once, N(L) N(M) D^2 m calls, so it is
+    only sensible at small bounds; a probe that returns a non-finite S(v)
+    raises NonFiniteEntry, and one of the wrong length DimensionMismatch, at
+    that read.  `kalman_ho` probes only the block columns its column-word
+    search needs, and raises the same errors there.  Any other source
+    raises TypeError.
     """
     _check_bounds(L, M)
     D = _alphabet(source)
     sizes = dict(L=L, M=M, D=D, m=source.m, p=source.p)
+    if isinstance(source, IOOracle):
+        return HankelBlockMatrix._lazy(oracle=source, **sizes)
     if not isinstance(source, ALPVSystem):
         data = word_blocks(source, _w.words_up_to(L, D), _w.words_up_to(M, D))
         return HankelBlockMatrix(data=data, **sizes)
@@ -179,7 +198,7 @@ def build_hankel(source, L: int, M: int) -> HankelBlockMatrix:
         Rf = Rf.reshape(cols, n, mD).transpose(1, 0, 2).reshape(n, cols * mD)
         bound = n * np.abs(Of).max(initial=0.0) * np.abs(Rf).max(initial=0.0)
     Of.flags.writeable = Rf.flags.writeable = False
-    H = HankelBlockMatrix._factored(Of, Rf, **sizes)
+    H = HankelBlockMatrix._lazy(factors=(Of, Rf), **sizes)
     if not bound < 1e300:
         # |H_ij| <= n max|Of| max|Rf|; only a window this bound leaves open pays a pass
         # over its entries (errstate(over="raise") misses overflows in threaded BLAS)

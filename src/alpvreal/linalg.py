@@ -18,7 +18,9 @@ instead of a dense SVD.  Every other matrix, and every sketch that the
 residual does not certify, takes the dense SVD.  A window whose factors
 Of @ Rf are known (a system's, from `hankel.build_hankel`) skips both:
 `factored_rank_factorize` takes the SVD of the at most n x b core of the
-factors and still decides the rank under the window's a x b cutoff.
+factors and still decides the rank under the window's a x b cutoff, and
+`rank_factorize` and `numerical_rank` rank the probed block columns of an
+oracle window under the whole window's cutoff when given its `shape`.
 `numerical_rank` and `singular_values` share the dense values-only SVD.
 Every route checks its matrices with `as_matrix` (NonFiniteEntry); no other
 module calls the SVD.
@@ -131,11 +133,12 @@ def _residual_norm(T, Q, B) -> float:
     return total**0.5
 
 
-def _svd(M, tol: ToleranceConfig):
+def _svd(M, tol: ToleranceConfig, shape=None):
     """Thin SVD ``(U, s, Vt)`` of M and its rank ``r`` under the shared cutoff.
 
-    The factors are exact only up to the rank: a matrix whose shorter side
-    has at least 64 entries goes through `_sketched_svd` first, whose
+    The cutoff is that of M's own shape, or of `shape` when given.  The
+    factors are exact only up to the rank: a matrix whose shorter side has
+    at least 64 entries goes through `_sketched_svd` first, whose
     factors have as few columns as its certified sketch width and whose
     trailing singular values are those of the sketch.  Callers read the
     leading ``r`` columns, values and rows only.  The dense thin SVD is
@@ -144,11 +147,12 @@ def _svd(M, tol: ToleranceConfig):
     A = as_matrix(M)
     wide = A.shape[0] < A.shape[1]
     T = A.T if wide else A
-    sketched = _sketched_svd(T, A.shape, tol) if T.shape[1] >= 64 else None  # else no k has 8k <= b
+    shape = A.shape if shape is None else shape
+    sketched = _sketched_svd(T, shape, tol) if T.shape[1] >= 64 else None  # else no k has 8k <= b
     U, s, Vt = sketched or np.linalg.svd(T, full_matrices=False)
     if wide:
         U, Vt = Vt.T, U.T
-    return U, s, Vt, tol.rank(s, A.shape)
+    return U, s, Vt, tol.rank(s, shape)
 
 
 def singular_values(M) -> np.ndarray:
@@ -157,9 +161,9 @@ def singular_values(M) -> np.ndarray:
     return np.linalg.svd(A.T if A.shape[0] < A.shape[1] else A, compute_uv=False)
 
 
-def numerical_rank(M, tol: ToleranceConfig = DEFAULT_TOL) -> int:
-    """Number of singular values above the shared cutoff."""
-    return tol.rank(singular_values(M), np.shape(M))
+def numerical_rank(M, tol: ToleranceConfig = DEFAULT_TOL, shape=None) -> int:
+    """Number of singular values above the shared cutoff of M's shape, or of `shape` when given."""
+    return tol.rank(singular_values(M), np.shape(M) if shape is None else shape)
 
 
 def pseudoinverse(M, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
@@ -168,7 +172,7 @@ def pseudoinverse(M, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     return (Vt[:r].T / s[:r]) @ U[:, :r].T
 
 
-def rank_factorize(M, tol: ToleranceConfig = DEFAULT_TOL):
+def rank_factorize(M, tol: ToleranceConfig = DEFAULT_TOL, shape=None):
     """Full-rank factorization ``M = O @ R`` with balanced SVD factors.
 
     Returns ``(O, R, r)`` where ``r`` is the numerical rank, ``O`` is
@@ -177,9 +181,11 @@ def rank_factorize(M, tol: ToleranceConfig = DEFAULT_TOL):
     A low-rank matrix whose shorter side has at least 64 entries is factored
     through the certified range sketch of `_svd` in O(rows * cols * r) time;
     its rank equals that of the dense SVD unless a singular value lies
-    within 10% of the cutoff.
+    within 10% of the cutoff.  The rank is decided under the cutoff of M's
+    own shape, or of `shape` when M is part of a larger matrix of that shape
+    (the probed block columns of a Hankel window, in `kalman_ho`).
     """
-    U, s, Vt, r = _svd(M, tol)
+    U, s, Vt, r = _svd(M, tol, shape)
     root = np.sqrt(s[:r])
     return U[:, :r] * root, root[:, None] * Vt[:r, :], r
 

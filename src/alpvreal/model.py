@@ -217,14 +217,22 @@ class SimulationResult:
         return self.outputs[-1]
 
 
-def _scan(A_steps, X, Y_steps):
+def _scan(A_steps, X, Y_steps, column=None):
     """The step kernel: advance R runs side by side through consecutive steps.
 
     Each step pairs the runs' matrices A with their next states Y, which hold
     the step's input terms on entry: Y += A @ X, and Y is the X of the next
     step.  A run's state is a vector, an n x 1 column or an n x (n+1) block;
-    a single run takes 2-d matrices and 1-d rows.  Returns the last X.
+    a single run takes 2-d matrices and 1-d rows.  With `column` given, the
+    states are blocks whose input term enters that column alone, and Y holds
+    only the term: the next X is A @ X, with Y added into its columns from
+    `column` on.  Returns the last X.
     """
+    if column is not None:
+        for A, Y in zip(A_steps, Y_steps):
+            X = A @ X
+            X[..., column:] += Y
+        return X
     for A, Y in zip(A_steps, Y_steps):
         Y += A @ X
         X = Y
@@ -247,7 +255,7 @@ def _advance_in_segments(At: np.ndarray, rows: np.ndarray, seg: int) -> None:
     steps, advanced by `_scan` in three passes over the segment grid:
 
     1. the transfers [Phi_c | r_c] of segments 0..R-2 from [I | 0], as one
-       batch (the input term enters the last column only);
+       batch (the input term is added into the last column only);
     2. the stitch x_{c+1} = Phi_c x_c + r_c of the segment starts, as a batch
        of one;
     3. every segment's states from its stitched start, as one batch; the
@@ -264,11 +272,9 @@ def _advance_in_segments(At: np.ndarray, rows: np.ndarray, seg: int) -> None:
     S = rows[:, :, None]
     A_grid = At.reshape(R, seg, n, n).swapaxes(0, 1)  # A_grid[j, c]: step j of segment c
     Y_grid = S[1:].reshape(R, seg, n, 1).swapaxes(0, 1)
-    last = np.zeros(n + 1)
-    last[n] = 1.0
     M = np.zeros((R - 1, n, n + 1))
     M[:, :, :n] = np.eye(n)
-    M = _scan(A_grid[:, :-1], M, (b * last for b in Y_grid[:, :-1]))
+    M = _scan(A_grid[:, :-1], M, Y_grid[:, :-1], column=n)
     starts = np.empty((R, n, 1))
     starts[0] = S[0]
     starts[1:] = M[:, :, n:]

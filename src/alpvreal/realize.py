@@ -20,10 +20,18 @@ columns of R and [C_1;..;C_D] off the first pD rows of O, and solve for
 each A_q from the column shift v |-> v q of the word enumeration.  A
 window built from a system holds only its factors H = Of Rf (inner
 dimension the system's n), and is factored from them in O((a + b) n^2)
-without ever being assembled; any other a x b window of rank r (from data, a
-file, a table or an oracle) goes through the certified range sketch of
-`linalg` in O(ab r), or a dense SVD when its shorter side is below 64.
-Both decide the rank under the window's own a x b cutoff.  When
+without ever being assembled.  A window built from an oracle holds only
+the oracle, and is realized from a column-word search without being
+assembled: the block column of the empty word, then the extensions v q of
+each word |v| <= L whose block column raised the rank, level by level
+until a level raises nothing.  The raising columns span the Krylov closure
+of Btilde's, so for a map of order n it probes at most 1 + nD of the
+N(L+1) block columns and gets the window's rank whenever that is the
+map's; the shift solve then runs on the raising words and their
+extensions only.  Any other a x b window of rank r (from data, a file or
+a table) goes through the certified range sketch of `linalg` in O(ab r),
+or a dense SVD when its shorter side is below 64.  All three decide the
+rank under the window's own a x b cutoff.  When
 rank H_{L,L} already equals the rank of the full Hankel matrix (guaranteed
 as soon as some realization of dimension <= L+1 exists), the result is a
 minimal realization of the underlying map.
@@ -54,7 +62,7 @@ from .linalg import (
     rank_factorize,
     row_basis,
 )
-from .markov import stacked_output_matrix
+from .markov import stacked_output_matrix, word_blocks
 from .model import ALPVSystem, dual
 
 
@@ -106,37 +114,97 @@ def analyze(sys: ALPVSystem, tol: ToleranceConfig = DEFAULT_TOL) -> AnalysisRepo
     )
 
 
+def _block_columns(H: HankelBlockMatrix, words) -> np.ndarray:
+    """The block columns of an oracle window H for the column words `words`, side by side.
+
+    They are read off `data` once it is assembled and probed through
+    `word_blocks` otherwise, with the same values either way.
+    """
+    data = vars(H).get("data")
+    if data is None:
+        return word_blocks(H.oracle, _w.words_up_to(H.L, H.D), words)
+    at = [_w.word_to_index(v, H.D) - 1 for v in words]
+    return data.reshape(len(data), -1, H.m * H.D)[:, at].reshape(len(data), -1)
+
+
+def _column_search(H: HankelBlockMatrix, tol: ToleranceConfig):
+    """Rank-factorize the block columns of an oracle window that a column-word search reaches.
+
+    Level 0 is the empty word; level k+1 is the extensions v q, q = 1..D, of
+    the words v of level k with |v| <= L whose block column raised the rank
+    of the columns before it, and the search ends at the first level that
+    raises nothing.  Every rank is decided under the cutoff of H's own
+    a x b shape.  Returns (O, R, n, base, shift): the rank factorization
+    O R of the probed columns in probe order (the empty word first), the
+    positions `base` of the raising words with |v| <= L among them, and the
+    (D, len(base)) positions `shift` of their extensions.  The raising
+    columns span the Krylov closure of the empty word's, so the order is
+    the window's rank whenever that equals the Hankel rank of the map, and
+    at most (1 + n D) block columns of N(L) D^2 m probes each are probed.
+    """
+    D, mD = H.D, H.m * H.D
+    P, rank, probed = np.empty((H.shape[0], 0)), 0, 0
+    base, shift, level = [], [np.empty((0, D), np.intp)], [_w.EPSILON]
+    while level:
+        columns, grown = _block_columns(H, level), []
+        for k, v in enumerate(level):
+            P = np.hstack([P, columns[:, k * mD : (k + 1) * mD]])
+            r = numerical_rank(P, tol, shape=H.shape)
+            if r > rank and len(v) <= H.L:
+                base.append(probed + k)
+                grown.append(v)
+            rank = r
+        probed += len(level)
+        shift.append(probed + np.arange(len(grown) * D).reshape(-1, D))
+        level = [v + (q,) for v in grown for q in range(1, D + 1)]
+    O, R, n = rank_factorize(P, tol, shape=H.shape)
+    return O, R, n, np.array(base, np.intp), np.concatenate(shift).T
+
+
 def kalman_ho(H: HankelBlockMatrix, tol: ToleranceConfig = DEFAULT_TOL) -> ALPVSystem:
     """Recover a system of dimension rank(H) from H_{L,L+1}.
 
     The column bound must be exactly L + 1: block column j of the shifted
     factor R_q is the block column of R at the position of the word v_j q,
     which must itself lie within the column enumeration.  The rank
-    factorization H = O R takes one of two routes, both under the cutoff of
-    H's own a x b shape.  A window from `build_hankel(system)` keeps its
+    factorization H = O R takes one of three routes, all under the cutoff
+    of H's own a x b shape.  A window from `build_hankel(system)` keeps its
     factors (Of, Rf), and `linalg.factored_rank_factorize` reads O and R off
     the QR of Of and the SVD of the at most n_sys x b core, in
     O((a + b) n_sys^2) for a system of dimension n_sys, never touching H.
-    Every other window (`factors` None) goes through `rank_factorize`: a
+    A window from `build_hankel(oracle)` is never assembled here: a
+    column-word search (`_column_search`) probes at most 1 + n D of its
+    N(L+1) block columns, the empty word's and the extensions v q of the
+    words |v| <= L whose columns raised the rank, and factors those alone
+    (from `data` instead, unprobed, once that has been read).  It gives the
+    dense window's order whenever rank H equals the Hankel rank of the map;
+    a probe that is not finite raises NonFiniteEntry here.  Every other
+    window (`factors` and `oracle` None) goes through `rank_factorize`: a
     certified range sketch once its shorter side reaches 64 entries, in
     O(ab n), whose rank is the dense SVD's unless a singular value of H lies
     within 10% of the cutoff, and a dense SVD below that.  The shift solve
-    pseudo-inverts the n x N(L)mD block of R.
+    pseudo-inverts the block columns of R for the words |v| <= L (the
+    raising ones, on the searched route) and maps them to those of v q.
     """
     if H.M != H.L + 1:
         raise ShapeMismatch(
             f"Hankel column bound must be L+1: got L={H.L}, M={H.M}"
         )
     D, m, p, L = H.D, H.m, H.p, H.L
-    if H.factors is None:
-        O, R, n = rank_factorize(H.data, tol)
+    mD = m * D
+    if H.oracle is not None:
+        O, R, n, base, shift = _column_search(H, tol)
     else:
-        O, R, n = factored_rank_factorize(*H.factors, tol)
-    n_rows, mD = _w.word_count(L, D), m * D
-    Rbar_pinv = pseudoinverse(R[:, : n_rows * mD], tol)
-    R3 = R.reshape(n, _w.word_count(L + 1, D), mD)
-    shifted = R3[:, _w.shift_positions(L, D)]  # n x D x N(L) x mD: block (q, j) is v_j q
-    A = shifted.transpose(1, 0, 2, 3).reshape(D, n, n_rows * mD) @ Rbar_pinv
+        if H.factors is None:
+            O, R, n = rank_factorize(H.data, tol)
+        else:
+            O, R, n = factored_rank_factorize(*H.factors, tol)
+        base, shift = slice(0, _w.word_count(L, D)), _w.shift_positions(L, D)
+    k = shift.shape[1]  # words v whose block column is pseudo-inverted
+    R3 = R.reshape(n, R.shape[1] // mD, mD)
+    Rbar_pinv = pseudoinverse(R3[:, base].reshape(n, k * mD), tol)
+    shifted = R3[:, shift]  # n x D x k x mD: block (q, j) is v_j q
+    A = shifted.transpose(1, 0, 2, 3).reshape(D, n, k * mD) @ Rbar_pinv
     B = R[:, :mD].reshape(n, D, m).transpose(1, 0, 2)
     C = O[: p * D].reshape(D, p, n)
     return ALPVSystem(A=A, B=B, C=C)

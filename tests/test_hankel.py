@@ -197,6 +197,7 @@ def test_hankel_data_is_a_read_only_copy(tmp_path, monkeypatch, sigma2):
         build_hankel(markov_table(sigma2, 5), 1, 2),
         build_hankel(system_oracle(sigma2), 1, 2),
     ]
+    windows[-1].data  # an oracle window is probed at its first read
     assert len(built) == len(windows)
     for W, array in zip(windows, built):
         assert not np.shares_memory(W.data, array)
@@ -207,7 +208,7 @@ def test_hankel_data_is_a_read_only_copy(tmp_path, monkeypatch, sigma2):
 
 
 def test_only_build_hankel_skips_the_constructor():
-    """Every data window goes through `HankelBlockMatrix(...)`; only a system's factored one does not."""
+    """Every data window goes through `HankelBlockMatrix(...)`; only unassembled ones do not."""
     private = []
     for path in sorted(Path(hankel.__file__).parent.glob("*.py")):
         for top in ast.parse(path.read_text()).body:
@@ -220,7 +221,7 @@ def test_only_build_hankel_skips_the_constructor():
                     names = [alias.name for alias in node.names]
                 private += [f"{path.name}:{getattr(top, 'name', '')}:{name}"
                             for name in names if name.startswith("_")]
-    assert private == ["hankel.py:build_hankel:_factored"]
+    assert private == ["hankel.py:build_hankel:_lazy"] * 2
 
 
 def test_only_system_windows_carry_their_factors(tmp_path, sigma2):
@@ -276,8 +277,10 @@ def test_oracle_window_names_the_first_non_finite_coefficient(bad, m, call, word
         return [bad if len(calls) >= call else 1.0]
 
     oracle = IOOracle(fn=fn, D=2, m=m, p=1)
+    H = build_hankel(oracle, 1, 1)
+    assert not calls  # probed at the first read of its data
     with pytest.raises(NonFiniteEntry, match=rf"^S\({word}\) is not finite$"):
-        build_hankel(oracle, 1, 1)
+        H.data
     assert len(calls) == 36 * m  # one check after the whole window
 
 

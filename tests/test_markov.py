@@ -137,7 +137,7 @@ def test_oracle_output_length_must_equal_p(outputs):
     with pytest.raises(DimensionMismatch, match="oracle returned .* expected p=2"):
         probe_kernel_coeff(oracle, (1, 2))
     with pytest.raises(DimensionMismatch):
-        build_hankel(oracle, 0, 1)
+        build_hankel(oracle, 0, 1).data
 
 
 def test_table_rejects_coefficients_of_the_wrong_shape(sigma2):
@@ -277,14 +277,16 @@ def test_oracle_windows_probe_in_word_then_column_order():
     # column word vc in eps, 1, 2 and each first letter j, probe j vc vr i on
     # input column 0, then 1.  Every probe runs once per cell, repeats included.
     oracle, calls = _recording_oracle(D=2, m=2)
-    build_hankel(oracle, 0, 1)
+    H = build_hankel(oracle, 0, 1)
+    assert not calls  # probed at the first read of its data
+    H.data
     words = "11 21 111 211 121 221 12 22 112 212 122 222".split()
     assert calls == [(v, l) for v in words for l in (0, 1)]
 
 
 def test_oracle_window_repeats_probes_of_equal_concatenations():
     oracle, calls = _recording_oracle(D=2, m=1)
-    build_hankel(oracle, 1, 1)
+    build_hankel(oracle, 1, 1).data
     assert len(calls) == (word_count(1, 2) * 2) ** 2 == 36
     # 9 cells of 4 probes; the middles vc vr = 1 and 2 each come from two cells
     assert len(set(calls)) == 7 * 4
@@ -304,7 +306,8 @@ def test_oracle_markov_block_probes_in_word_then_column_order():
 def test_probe_runs_are_read_only():
     seen = []
     oracle = IOOracle(fn=lambda w: seen.append(w) or [0.0], D=2, m=1, p=1)
-    build_hankel(oracle, 0, 1)
+    build_hankel(oracle, 0, 1).data
+    assert len(seen) == 12
     for w in seen:
         with pytest.raises(ValueError, match="read-only"):
             w.inputs[0, 0] = 2.0

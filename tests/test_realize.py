@@ -10,6 +10,7 @@ from alpvreal import (
     AnalysisReport,
     DimensionMismatch,
     HankelBlockMatrix,
+    IOOracle,
     NonFiniteEntry,
     NotIsomorphic,
     ShapeMismatch,
@@ -24,11 +25,14 @@ from alpvreal import (
     isomorphism_residual,
     kalman_ho,
     markov_block,
+    markov_table,
     minimize,
     numerical_rank,
     obs_reduce,
     reach_reduce,
     simulate,
+    system_oracle,
+    word_count,
     words_up_to,
 )
 from alpvreal import linalg, realize
@@ -386,6 +390,95 @@ def test_system_windows_are_realized_from_their_factors(monkeypatch, n, D, m, p,
     assert isomorphism_residual(core, realized, T) < 1e-7
     with pytest.raises(AssertionError, match="factored whole"):
         kalman_ho(HankelBlockMatrix(L=n - 1, M=n, D=D, m=m, p=p, data=H.data))
+
+
+def recording_oracle(sys):
+    """`system_oracle(sys)` behind a callback that records every probe run."""
+    inner, calls = system_oracle(sys), []
+    oracle = IOOracle(fn=lambda w: calls.append(w) or inner(w), D=sys.D, m=sys.m, p=sys.p)
+    return oracle, calls
+
+
+@pytest.mark.parametrize("kind", ["minimal", "padded"])
+@pytest.mark.parametrize("seed", range(6))
+def test_searched_and_dense_oracle_realizations_agree(kind, seed):
+    """The column search on an oracle window against the dense route on the same map's window.
+
+    The dense route realizes the window given as data (from a Markov table,
+    equal to the probed one up to round-off).  Both give the map's order and
+    the same Markov parameters up to length 2L + 2 at L = n - 1 and n.
+    """
+    rng = np.random.default_rng(1000 + seed)
+    D, n, m, p = (int(rng.integers(1, hi)) for hi in (4, 5, 3, 3))
+    core = random_minimal_system(rng, n=n, D=D, m=m, p=p)
+    sys = core if kind == "minimal" else pad_unobservable(pad_unreachable(core, 1, rng), 1, rng)
+    for L in (n - 1, n):
+        searched = kalman_ho(build_hankel(system_oracle(sys), L, L + 1))
+        dense = kalman_ho(build_hankel(markov_table(sys, 2 * L + 3), L, L + 1))
+        assert searched.n == dense.n == n
+        dev, top = markov_deviation(dense, searched, L + 1)
+        assert dev <= 1e-9 * max(1.0, top)
+
+
+@pytest.mark.parametrize(
+    "n, D, m, p, L, seed",
+    [(3, 3, 2, 2, 2, 5), (2, 2, 1, 1, 1, 7), (3, 2, 1, 2, 3, 9), (4, 3, 1, 1, 3, 11),
+     (2, 1, 1, 1, 2, 13)],
+)
+def test_oracle_windows_are_realized_from_searched_columns(monkeypatch, n, D, m, p, L, seed):
+    """`kalman_ho(build_hankel(oracle))` never assembles the window and probes at most
+    1 + n D of its block columns, N(L) D^2 m probes each: 2,340 instead of the
+    window's 9,360 at D = 3, n = 3, m = p = 2, L = 2."""
+
+    def refuse(self, name):
+        if name == "data":
+            raise AssertionError("an oracle window was assembled")
+        raise AttributeError(name)
+
+    sys = random_minimal_system(np.random.default_rng(seed), n=n, D=D, m=m, p=p)
+    oracle, calls = recording_oracle(sys)
+    monkeypatch.setattr(HankelBlockMatrix, "__getattr__", refuse)
+    H = build_hankel(oracle, L, L + 1)
+    with pytest.raises(AssertionError, match="assembled"):
+        H.data
+    realized = kalman_ho(H)
+    assert realized.n == n and "data" not in vars(H)
+    assert len(calls) <= (1 + n * D) * word_count(L, D) * D**2 * m
+    assert len(calls) < word_count(L, D) * word_count(L + 1, D) * D**2 * m
+    dev, top = markov_deviation(sys, realized, n)
+    assert dev <= 1e-8 * max(1.0, top)
+
+
+def test_an_assembled_oracle_window_is_realized_from_its_data():
+    """Reading `data` first gives the same system bit for bit and no further probes."""
+    sys = random_minimal_system(np.random.default_rng(17), n=3, D=2, m=2, p=1)
+    oracle, calls = recording_oracle(sys)
+    searched = kalman_ho(build_hankel(oracle, 2, 3))
+    H = build_hankel(oracle, 2, 3)
+    H.data
+    probed = len(calls)
+    read = kalman_ho(H)
+    assert len(calls) == probed
+    for family in ("A", "B", "C"):
+        assert np.array_equal(getattr(read, family), getattr(searched, family))
+
+
+def test_an_oracle_window_below_the_plateau_gets_the_dense_order(sigma2):
+    """At L = 0 neither route reaches sigma2's plateau, and both give the same order.
+
+    Both return 2 states whose Markov parameters are off by 1.0: the
+    below-plateau failure that a realization certificate is to catch.
+    """
+    oracle = system_oracle(sigma2)
+    data = build_hankel(oracle, 0, 1).data
+    dense = kalman_ho(HankelBlockMatrix(L=0, M=1, D=2, m=1, p=1, data=data))
+    assert kalman_ho(build_hankel(oracle, 0, 1)).n == dense.n
+
+
+def test_a_non_finite_probe_raises_during_the_search():
+    oracle = IOOracle(fn=lambda w: [np.nan if len(w.scheduling) > 3 else 1.0], D=2, m=1, p=1)
+    with pytest.raises(NonFiniteEntry, match="is not finite"):
+        kalman_ho(build_hankel(oracle, 1, 2))
 
 
 def test_factors_whose_core_overflows_raise():
