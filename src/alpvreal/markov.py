@@ -109,7 +109,10 @@ class IOOracle:
 
     `fn` maps an InputSequence over R^D x R^m to a length-p output vector;
     a call that returns any other number of values raises DimensionMismatch.
-    D, m and p must be at least 1, as in `ALPVSystem`.
+    D, m and p must be at least 1, as in `ALPVSystem`.  `fn` should be
+    deterministic: `kalman_ho` and `hankel_rank` probe each distinct run
+    once and reuse its response, while the `.data` of an oracle window
+    probes every cell, repeats included.
     """
 
     fn: Callable
@@ -174,13 +177,16 @@ def word_products(A3: np.ndarray, P0: np.ndarray, depth: int) -> np.ndarray:
 def markov_table(sys: ALPVSystem, horizon: int) -> MarkovTable:
     """All kernel coefficients of a system up to the given word length.
 
-    `word_products` runs from the stacked B_q; its products are closed with the C_q.
+    `word_products` runs from the stacked B_q; its W products are laid side by
+    side as one n x Wm matrix and closed with one product by Ctilde.
     A coefficient that overflows raises NonFiniteEntry, and no warning.
     """
+    D, n, m, p = sys.dims
     with np.errstate(over="ignore", invalid="ignore"):
         P = word_products(sys.A, sys.B, horizon - 2) if horizon >= 2 else sys.B[:0]
-        coeffs = (sys.C[None] @ P[:, None]).reshape(-1, sys.p, sys.m)
-    return MarkovTable(D=sys.D, m=sys.m, p=sys.p, horizon=horizon, coeffs=coeffs)
+        CP = stacked_output_matrix(sys) @ P.transpose(1, 0, 2).reshape(n, len(P) * m)
+        coeffs = CP.reshape(D, p, len(P), m).transpose(2, 0, 1, 3).reshape(-1, p, m)
+    return MarkovTable(D=D, m=m, p=p, horizon=horizon, coeffs=coeffs)
 
 
 def stacked_input_matrix(sys: ALPVSystem) -> np.ndarray:
@@ -214,13 +220,15 @@ def markov_block(source, v) -> np.ndarray:
     return word_blocks(source, [()], [v])
 
 
-def word_blocks(source, row_words, col_words) -> np.ndarray:
+def word_blocks(source, row_words, col_words, memo: dict | None = None) -> np.ndarray:
     """The matrix with block (r, c) = M(col_words[c] + row_words[r]) from a table or an oracle.
 
     A table must cover the longest word j v_c v_r i.  The S(j v_c v_r i) fill one
     (rows*D, cols*D, p, m) array, i and j fastest, which one transpose lays out.
-    An oracle's probes are checked once, as a whole: the first S(v) that is not
-    finite raises NonFiniteEntry.
+    An oracle is probed at every cell, repeats included, unless a `memo` (word
+    -> S block) is given: then only the distinct words not yet in it are probed,
+    in first-occurrence order, and added to it.  The probes are checked once, as
+    a whole: the first S(v) that is not finite raises NonFiniteEntry.
     """
     letters = range(1, source.D + 1)
     if isinstance(source, MarkovTable):
@@ -236,7 +244,13 @@ def word_blocks(source, row_words, col_words) -> np.ndarray:
     else:
         words = [(j,) + vc + vr + (i,)  # probe order
                  for vr in row_words for i in letters for vc in col_words for j in letters]
-        S = _check_finite(_probe(source, words), words.__getitem__, source.D)
+        if memo is None:
+            S = _probe(source, words)
+        else:
+            new = [v for v in dict.fromkeys(words) if v not in memo]
+            memo.update(zip(new, _probe(source, new)))
+            S = np.array([memo[v] for v in words])
+        S = _check_finite(S, words.__getitem__, source.D)
         S = S.reshape(len(row_words) * source.D, -1, source.p, source.m)
     return S.transpose(0, 2, 1, 3).reshape(len(S) * source.p, -1)
 

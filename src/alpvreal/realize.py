@@ -25,11 +25,14 @@ the oracle, and is realized from a column-word search without being
 assembled: the block column of the empty word, then the extensions v q of
 each word |v| <= L whose block column raised the rank, level by level
 until a level raises nothing.  The raising columns span the Krylov closure
-of Btilde's, so for a map of order n it probes at most 1 + nD of the
+of Btilde's, so for a map of order n it reaches at most 1 + nD of the
 N(L+1) block columns and gets the window's rank whenever that is the
 map's; the shift solve then runs on the raising words and their
-extensions only.  Any other a x b window of rank r (from data, a file or
-a table) goes through the certified range sketch of `linalg` in O(ab r),
+extensions only.  Block (v_r, v_c) is M(v_c v_r), so column v q repeats
+column v at row q v_r whenever |q v_r| <= L; the search probes each
+distinct run once (720 probes where its columns hold 936 at D=3, n=3,
+m=p=2, L=2).  Any other a x b window of rank r (from data, a file or a
+table) goes through the certified range sketch of `linalg` in O(ab r),
 or a dense SVD when its shorter side is below 64.  All three decide the
 rank under the window's own a x b cutoff.  When
 rank H_{L,L} already equals the rank of the full Hankel matrix (guaranteed
@@ -114,15 +117,16 @@ def analyze(sys: ALPVSystem, tol: ToleranceConfig = DEFAULT_TOL) -> AnalysisRepo
     )
 
 
-def _block_columns(H: HankelBlockMatrix, words) -> np.ndarray:
+def _block_columns(H: HankelBlockMatrix, words, memo: dict) -> np.ndarray:
     """The block columns of an oracle window H for the column words `words`, side by side.
 
     They are read off `data` once it is assembled and probed through
-    `word_blocks` otherwise, with the same values either way.
+    `word_blocks` otherwise, each word not yet in `memo` once, with the same
+    values either way.
     """
     data = vars(H).get("data")
     if data is None:
-        return word_blocks(H.oracle, _w.words_up_to(H.L, H.D), words)
+        return word_blocks(H.oracle, _w.words_up_to(H.L, H.D), words, memo)
     at = [_w.word_to_index(v, H.D) - 1 for v in words]
     return data.reshape(len(data), -1, H.m * H.D)[:, at].reshape(len(data), -1)
 
@@ -140,13 +144,15 @@ def _column_search(H: HankelBlockMatrix, tol: ToleranceConfig):
     (D, len(base)) positions `shift` of their extensions.  The raising
     columns span the Krylov closure of the empty word's, so the order is
     the window's rank whenever that equals the Hankel rank of the map, and
-    at most (1 + n D) block columns of N(L) D^2 m probes each are probed.
+    at most (1 + n D) block columns of N(L) D^2 m cells each are searched.
+    One memo (word -> S block) serves all levels, so each distinct run
+    j v_c v_r i is probed once, in first-occurrence order.
     """
     D, mD = H.D, H.m * H.D
     P, rank, probed = np.empty((H.shape[0], 0)), 0, 0
-    base, shift, level = [], [np.empty((0, D), np.intp)], [_w.EPSILON]
+    base, shift, level, memo = [], [np.empty((0, D), np.intp)], [_w.EPSILON], {}
     while level:
-        columns, grown = _block_columns(H, level), []
+        columns, grown = _block_columns(H, level, memo), []
         for k, v in enumerate(level):
             P = np.hstack([P, columns[:, k * mD : (k + 1) * mD]])
             r = numerical_rank(P, tol, shape=H.shape)
@@ -173,11 +179,12 @@ def kalman_ho(H: HankelBlockMatrix, tol: ToleranceConfig = DEFAULT_TOL) -> ALPVS
     the QR of Of and the SVD of the at most n_sys x b core, in
     O((a + b) n_sys^2) for a system of dimension n_sys, never touching H.
     A window from `build_hankel(oracle)` is never assembled here: a
-    column-word search (`_column_search`) probes at most 1 + n D of its
+    column-word search (`_column_search`) reads at most 1 + n D of its
     N(L+1) block columns, the empty word's and the extensions v q of the
-    words |v| <= L whose columns raised the rank, and factors those alone
-    (from `data` instead, unprobed, once that has been read).  It gives the
-    dense window's order whenever rank H equals the Hankel rank of the map;
+    words |v| <= L whose columns raised the rank, probing each distinct run
+    once, and factors those alone (from `data` instead, unprobed, once that
+    has been read).  It gives the dense window's order whenever rank H
+    equals the Hankel rank of the map;
     a probe that is not finite raises NonFiniteEntry here.  Every other
     window (`factors` and `oracle` None) goes through `rank_factorize`: a
     certified range sketch once its shorter side reaches 64 entries, in

@@ -393,10 +393,14 @@ def test_system_windows_are_realized_from_their_factors(monkeypatch, n, D, m, p,
 
 
 def recording_oracle(sys):
-    """`system_oracle(sys)` behind a callback that records every probe run."""
+    """`system_oracle(sys)` behind a callback that records every probe run as a bytes key."""
     inner, calls = system_oracle(sys), []
-    oracle = IOOracle(fn=lambda w: calls.append(w) or inner(w), D=sys.D, m=sys.m, p=sys.p)
-    return oracle, calls
+
+    def fn(w):
+        calls.append((w.scheduling.tobytes(), w.inputs.tobytes()))
+        return inner(w)
+
+    return IOOracle(fn=fn, D=sys.D, m=sys.m, p=sys.p), calls
 
 
 @pytest.mark.parametrize("kind", ["minimal", "padded"])
@@ -426,9 +430,10 @@ def test_searched_and_dense_oracle_realizations_agree(kind, seed):
      (2, 1, 1, 1, 2, 13)],
 )
 def test_oracle_windows_are_realized_from_searched_columns(monkeypatch, n, D, m, p, L, seed):
-    """`kalman_ho(build_hankel(oracle))` never assembles the window and probes at most
-    1 + n D of its block columns, N(L) D^2 m probes each: 2,340 instead of the
-    window's 9,360 at D = 3, n = 3, m = p = 2, L = 2."""
+    """`kalman_ho(build_hankel(oracle))` never assembles the window, searches at most
+    1 + n D of its block columns of N(L) D^2 m cells each, and probes each
+    distinct run once: 720 probes at D = 3, n = 3, m = p = 2, L = 2, against
+    that bound's 2,340 and the window's 9,360."""
 
     def refuse(self, name):
         if name == "data":
@@ -445,8 +450,30 @@ def test_oracle_windows_are_realized_from_searched_columns(monkeypatch, n, D, m,
     assert realized.n == n and "data" not in vars(H)
     assert len(calls) <= (1 + n * D) * word_count(L, D) * D**2 * m
     assert len(calls) < word_count(L, D) * word_count(L + 1, D) * D**2 * m
+    assert len(set(calls)) == len(calls)
     dev, top = markov_deviation(sys, realized, n)
     assert dev <= 1e-8 * max(1.0, top)
+
+
+@pytest.mark.parametrize(
+    "n, D, m, p, L, seed",
+    [(3, 3, 2, 2, 2, 21), (2, 2, 1, 1, 1, 22), (3, 2, 2, 1, 3, 23), (4, 1, 1, 2, 3, 24)],
+)
+def test_the_search_probes_each_distinct_run_once(n, D, m, p, L, seed):
+    """The search gives bit for bit the system realized from the same window's `data`,
+    with fewer probes than its 1 + k D block columns of N(L) D^2 m cells, for the
+    k raising words |v| <= L: column v q at row r repeats column v at row q r."""
+    sys = random_minimal_system(np.random.default_rng(seed), n=n, D=D, m=m, p=p)
+    oracle, calls = recording_oracle(sys)
+    searched = kalman_ho(build_hankel(oracle, L, L + 1))
+    H = build_hankel(system_oracle(sys), L, L + 1)
+    H.data
+    read = kalman_ho(H)
+    for family in ("A", "B", "C"):
+        assert np.array_equal(getattr(read, family), getattr(searched, family))
+    k = len(realize._column_search(build_hankel(system_oracle(sys), L, L + 1), DEFAULT_TOL)[3])
+    assert k >= 1 and len(set(calls)) == len(calls)
+    assert len(calls) < (1 + k * D) * word_count(L, D) * D**2 * m
 
 
 def test_an_assembled_oracle_window_is_realized_from_its_data():
@@ -473,6 +500,15 @@ def test_an_oracle_window_below_the_plateau_gets_the_dense_order(sigma2):
     data = build_hankel(oracle, 0, 1).data
     dense = kalman_ho(HankelBlockMatrix(L=0, M=1, D=2, m=1, p=1, data=data))
     assert kalman_ho(build_hankel(oracle, 0, 1)).n == dense.n
+
+
+def test_the_hankel_rank_of_an_oracle_probes_each_distinct_run_once():
+    """H_{2,3} has N(5) D^2 m distinct runs j v_c v_r i among its N(2) N(3) D^2 m cells."""
+    sys = random_minimal_system(np.random.default_rng(5), n=3, D=3, m=2, p=2)
+    oracle, calls = recording_oracle(sys)
+    rank = hankel_rank(oracle, 2, 3)
+    assert rank == hankel_rank(markov_table(sys, 7), 2, 3) == 3
+    assert len(set(calls)) == len(calls) == word_count(5, 3) * 3**2 * 2 == 6552
 
 
 def test_a_non_finite_probe_raises_during_the_search():

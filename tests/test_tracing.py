@@ -82,9 +82,10 @@ def test_traced_blackbox_ops_probe_through_the_callback():
     """One `Identify` and one `Equation` op of the benchmark pass their checks when traced.
 
     The tracer counts every probe that reaches the benchmark's callback and
-    every distinct run among them, so a window whose probes repeat must show
-    more calls than distinct runs: a library that memoized probes, or that
-    bypassed the callback, would fail here.
+    every distinct run among them.  Its cell count reads the traced window's
+    `.data`, which probes every cell, repeats included, so the op must show
+    more calls than distinct runs: a `.data` read that memoized probes, or a
+    library that bypassed the callback, would fail here.
     """
     code = "; ".join([
         'import sys; sys.path[:0] = ["src", "perfbench"]; import tracing',
