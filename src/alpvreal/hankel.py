@@ -21,7 +21,7 @@ factors, so realizing a system's window never assembles it; only reading
 `.data` (saving the window, for one) does.  An oracle source is kept the
 same way, unprobed: its `data` probes every cell on first read, repeats
 included, while `kalman_ho` probes only the block columns of a column-word
-search and `hankel_rank` the whole window, each distinct run once.
+search, each distinct run once.
 Every rank decision on a system reads `factor_root` instead: an at most
 n x n triangular K with K^T K equal to the Gram matrix Rf Rf^T (or Of^T Of,
 from the transposed family), grown one word length at a time in
@@ -178,9 +178,8 @@ def build_hankel(source, L: int, M: int) -> HankelBlockMatrix:
     only sensible at small bounds; a probe that returns a non-finite S(v)
     raises NonFiniteEntry, and one of the wrong length DimensionMismatch, at
     that read.  `kalman_ho` probes only the block columns its column-word
-    search needs, and `hankel_rank` the whole window, both each distinct run
-    once (N(L+M) D^2 m calls at most), and raise the same errors there.  Any
-    other source raises TypeError.
+    search needs, each distinct run once, and raises the same errors there.
+    Any other source raises TypeError.
     """
     _check_bounds(L, M)
     D = _alphabet(source)
@@ -221,9 +220,7 @@ def hankel_rank(source, L: int, M: int, tol: ToleranceConfig = DEFAULT_TOL) -> i
     """Numerical rank of H_{L,M}, the one Hankel-rank entry point.
 
     A system source ranks the core of H's factors and never assembles H; a
-    table or oracle source ranks the assembled window, an oracle's probed
-    through one memo, so each of its N(L+M) D^2 m distinct runs once (6,552
-    calls instead of the 9,360 cells at D=3, m=2, (2, 3)).  Each takes the
+    table or oracle source ranks the assembled window.  Each takes the
     cutoff of the matrix it ranks.  The value certifies the rank of the
     full (infinite) Hankel matrix only together with the bounds used: it
     equals the full rank whenever some realization of dimension <= L + 1
@@ -231,10 +228,6 @@ def hankel_rank(source, L: int, M: int, tol: ToleranceConfig = DEFAULT_TOL) -> i
     """
     if isinstance(source, ALPVSystem):
         return numerical_rank(_core(source, L, M), tol)
-    if isinstance(source, IOOracle):
-        _check_bounds(L, M)
-        rows, cols = _w.words_up_to(L, source.D), _w.words_up_to(M, source.D)
-        return numerical_rank(word_blocks(source, rows, cols, memo={}), tol)
     return numerical_rank(build_hankel(source, L, M).data, tol)
 
 

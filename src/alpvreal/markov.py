@@ -110,9 +110,9 @@ class IOOracle:
     `fn` maps an InputSequence over R^D x R^m to a length-p output vector;
     a call that returns any other number of values raises DimensionMismatch.
     D, m and p must be at least 1, as in `ALPVSystem`.  `fn` should be
-    deterministic: `kalman_ho` and `hankel_rank` probe each distinct run
-    once and reuse its response, while the `.data` of an oracle window
-    probes every cell, repeats included.
+    deterministic: `kalman_ho` probes each distinct run once and reuses its
+    response, while the `.data` of an oracle window probes every cell,
+    repeats included.
     """
 
     fn: Callable
@@ -177,16 +177,13 @@ def word_products(A3: np.ndarray, P0: np.ndarray, depth: int) -> np.ndarray:
 def markov_table(sys: ALPVSystem, horizon: int) -> MarkovTable:
     """All kernel coefficients of a system up to the given word length.
 
-    `word_products` runs from the stacked B_q; its W products are laid side by
-    side as one n x Wm matrix and closed with one product by Ctilde.
+    `word_products` runs from the stacked B_q; its products are closed with the C_q.
     A coefficient that overflows raises NonFiniteEntry, and no warning.
     """
-    D, n, m, p = sys.dims
     with np.errstate(over="ignore", invalid="ignore"):
         P = word_products(sys.A, sys.B, horizon - 2) if horizon >= 2 else sys.B[:0]
-        CP = stacked_output_matrix(sys) @ P.transpose(1, 0, 2).reshape(n, len(P) * m)
-        coeffs = CP.reshape(D, p, len(P), m).transpose(2, 0, 1, 3).reshape(-1, p, m)
-    return MarkovTable(D=D, m=m, p=p, horizon=horizon, coeffs=coeffs)
+        coeffs = (sys.C[None] @ P[:, None]).reshape(-1, sys.p, sys.m)
+    return MarkovTable(D=sys.D, m=sys.m, p=sys.p, horizon=horizon, coeffs=coeffs)
 
 
 def stacked_input_matrix(sys: ALPVSystem) -> np.ndarray:

@@ -427,22 +427,31 @@ def test_searched_and_dense_oracle_realizations_agree(kind, seed):
 @pytest.mark.parametrize(
     "n, D, m, p, L, seed",
     [(3, 3, 2, 2, 2, 5), (2, 2, 1, 1, 1, 7), (3, 2, 1, 2, 3, 9), (4, 3, 1, 1, 3, 11),
-     (2, 1, 1, 1, 2, 13)],
+     (2, 1, 1, 1, 2, 13), (3, 3, 2, 2, 2, 21), (2, 2, 1, 1, 1, 22), (3, 2, 2, 1, 3, 23),
+     (4, 1, 1, 2, 3, 24)],
 )
 def test_oracle_windows_are_realized_from_searched_columns(monkeypatch, n, D, m, p, L, seed):
     """`kalman_ho(build_hankel(oracle))` never assembles the window, searches at most
     1 + n D of its block columns of N(L) D^2 m cells each, and probes each
     distinct run once: 720 probes at D = 3, n = 3, m = p = 2, L = 2, against
-    that bound's 2,340 and the window's 9,360."""
+    that bound's 2,340 and the window's 9,360.  For the k raising words
+    |v| <= L it probes fewer than the 1 + k D searched columns hold: column
+    v q at row r repeats column v at row q r."""
 
     def refuse(self, name):
         if name == "data":
             raise AssertionError("an oracle window was assembled")
         raise AttributeError(name)
 
+    def search(H, tol):
+        searches.append(column_search(H, tol))
+        return searches[-1]
+
     sys = random_minimal_system(np.random.default_rng(seed), n=n, D=D, m=m, p=p)
     oracle, calls = recording_oracle(sys)
+    searches, column_search = [], realize._column_search
     monkeypatch.setattr(HankelBlockMatrix, "__getattr__", refuse)
+    monkeypatch.setattr(realize, "_column_search", search)
     H = build_hankel(oracle, L, L + 1)
     with pytest.raises(AssertionError, match="assembled"):
         H.data
@@ -451,43 +460,26 @@ def test_oracle_windows_are_realized_from_searched_columns(monkeypatch, n, D, m,
     assert len(calls) <= (1 + n * D) * word_count(L, D) * D**2 * m
     assert len(calls) < word_count(L, D) * word_count(L + 1, D) * D**2 * m
     assert len(set(calls)) == len(calls)
+    k = len(searches[0][3])
+    assert k >= 1 and len(calls) < (1 + k * D) * word_count(L, D) * D**2 * m
     dev, top = markov_deviation(sys, realized, n)
     assert dev <= 1e-8 * max(1.0, top)
 
 
-@pytest.mark.parametrize(
-    "n, D, m, p, L, seed",
-    [(3, 3, 2, 2, 2, 21), (2, 2, 1, 1, 1, 22), (3, 2, 2, 1, 3, 23), (4, 1, 1, 2, 3, 24)],
-)
-def test_the_search_probes_each_distinct_run_once(n, D, m, p, L, seed):
-    """The search gives bit for bit the system realized from the same window's `data`,
-    with fewer probes than its 1 + k D block columns of N(L) D^2 m cells, for the
-    k raising words |v| <= L: column v q at row r repeats column v at row q r."""
-    sys = random_minimal_system(np.random.default_rng(seed), n=n, D=D, m=m, p=p)
-    oracle, calls = recording_oracle(sys)
-    searched = kalman_ho(build_hankel(oracle, L, L + 1))
-    H = build_hankel(system_oracle(sys), L, L + 1)
-    H.data
-    read = kalman_ho(H)
-    for family in ("A", "B", "C"):
-        assert np.array_equal(getattr(read, family), getattr(searched, family))
-    k = len(realize._column_search(build_hankel(system_oracle(sys), L, L + 1), DEFAULT_TOL)[3])
-    assert k >= 1 and len(set(calls)) == len(calls)
-    assert len(calls) < (1 + k * D) * word_count(L, D) * D**2 * m
-
-
 def test_an_assembled_oracle_window_is_realized_from_its_data():
     """Reading `data` first gives the same system bit for bit and no further probes."""
-    sys = random_minimal_system(np.random.default_rng(17), n=3, D=2, m=2, p=1)
-    oracle, calls = recording_oracle(sys)
-    searched = kalman_ho(build_hankel(oracle, 2, 3))
-    H = build_hankel(oracle, 2, 3)
-    H.data
-    probed = len(calls)
-    read = kalman_ho(H)
-    assert len(calls) == probed
-    for family in ("A", "B", "C"):
-        assert np.array_equal(getattr(read, family), getattr(searched, family))
+    for n, D, m, p, L, seed in [(3, 2, 2, 1, 2, 17), (3, 3, 2, 2, 2, 21), (2, 2, 1, 1, 1, 22),
+                                (3, 2, 2, 1, 3, 23), (4, 1, 1, 2, 3, 24)]:
+        sys = random_minimal_system(np.random.default_rng(seed), n=n, D=D, m=m, p=p)
+        oracle, calls = recording_oracle(sys)
+        searched = kalman_ho(build_hankel(oracle, L, L + 1))
+        H = build_hankel(oracle, L, L + 1)
+        H.data
+        probed = len(calls)
+        read = kalman_ho(H)
+        assert len(calls) == probed
+        for family in ("A", "B", "C"):
+            assert np.array_equal(getattr(read, family), getattr(searched, family))
 
 
 def test_an_oracle_window_below_the_plateau_gets_the_dense_order(sigma2):
@@ -500,15 +492,6 @@ def test_an_oracle_window_below_the_plateau_gets_the_dense_order(sigma2):
     data = build_hankel(oracle, 0, 1).data
     dense = kalman_ho(HankelBlockMatrix(L=0, M=1, D=2, m=1, p=1, data=data))
     assert kalman_ho(build_hankel(oracle, 0, 1)).n == dense.n
-
-
-def test_the_hankel_rank_of_an_oracle_probes_each_distinct_run_once():
-    """H_{2,3} has N(5) D^2 m distinct runs j v_c v_r i among its N(2) N(3) D^2 m cells."""
-    sys = random_minimal_system(np.random.default_rng(5), n=3, D=3, m=2, p=2)
-    oracle, calls = recording_oracle(sys)
-    rank = hankel_rank(oracle, 2, 3)
-    assert rank == hankel_rank(markov_table(sys, 7), 2, 3) == 3
-    assert len(set(calls)) == len(calls) == word_count(5, 3) * 3**2 * 2 == 6552
 
 
 def test_a_non_finite_probe_raises_during_the_search():
