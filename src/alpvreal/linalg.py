@@ -9,18 +9,13 @@ and `realize` pass the small roots of the Hankel factors here and are
 ranked as the at most n x n matrices they are.  Wide matrices are
 factored through their transpose, where the SVD is faster.
 
-The factorizations share one SVD helper.  A matrix whose shorter side has
-at least 64 entries, such as a Kalman-Ho Hankel window, is first factored
-through a seeded Gaussian range sketch (Halko, Martinsson & Tropp, "Finding
-structure with randomness", SIAM Review 2011), whose residual is checked
-against a tenth of the rank cutoff; a window of rank n then costs O(ab n)
-instead of a dense SVD.  Every other matrix, and every sketch that the
-residual does not certify, takes the dense SVD.  A window whose factors
-Of @ Rf are known (a system's, from `hankel.build_hankel`) skips both:
+The factorizations share one SVD helper, a dense thin SVD; nothing here
+draws random numbers.  A window whose factors Of @ Rf are known (a
+system's, from `hankel.build_hankel`) is not decomposed whole:
 `factored_rank_factorize` takes the SVD of the at most n x b core of the
-factors and still decides the rank under the window's a x b cutoff, and
-`rank_factorize` and `numerical_rank` rank the probed block columns of an
-oracle window under the whole window's cutoff when given its `shape`.
+factors and still decides the rank under the window's a x b cutoff.
+`rank_factorize` and `numerical_rank` rank the searched block columns of
+any other window under the whole window's cutoff when given its `shape`.
 `numerical_rank` and `singular_values` share the dense values-only SVD.
 Every route checks its matrices with `as_matrix` (NonFiniteEntry); no other
 module calls the SVD.
@@ -85,74 +80,18 @@ def as_matrix(M) -> np.ndarray:
     return A
 
 
-def _sketched_svd(T, shape, tol: ToleranceConfig):
-    """Truncated SVD of the tall a x b matrix T through a certified range sketch, or None.
-
-    For widths k = 8, 16, 32, ... with 8k <= b: Q = orth(T Omega) for a
-    Gaussian b x k Omega from a fixed seed, B = Q^T T, and the SVD
-    U_B S V^T of the small k x b matrix B.  The sketch is accepted when S
-    reaches the cutoff (taken from sigma_1(B) and the `shape` of the
-    original matrix) within its k values, so the rank ends inside the
-    width, and the residual E = T - Q B has ||E||_F <= cutoff / 10 (summed
-    slab by slab in `_residual_norm`, never held whole); then
-    T = (Q U_B) S V^T + E.  By Weyl's inequality every singular value of T
-    lies within ||E||_2 <= cutoff / 10 of the matching value of S (zero past
-    the k-th), so the rank equals the dense rule's unless a singular value
-    of T lies within 10% of the cutoff (sigma_1 moves by as little, which
-    shifts the cutoff itself by a relative rel_eps * max(shape) / 10 at
-    most).  Returns None when no width is certified.
-    """
-    b = T.shape[1]
-    rng = np.random.default_rng(0)  # a fixed seed keeps every result deterministic
-    k = 8
-    while 8 * k <= b:
-        Q, _ = np.linalg.qr(T @ rng.standard_normal((b, k)))
-        B = Q.T @ T
-        Ub, s, Vt = np.linalg.svd(B, full_matrices=False)
-        cutoff = tol.cutoff(s, shape)
-        if s[-1] <= cutoff and _residual_norm(T, Q, B) <= cutoff / 10:
-            return Q @ Ub, s, Vt
-        k *= 2
-    return None
-
-
-def _residual_norm(T, Q, B) -> float:
-    """||Q B - T||_F, summed over slabs of at most 2**20 entries along T's contiguous axis.
-
-    Only one slab of the residual exists at a time, so checking a sketch
-    costs no second copy of the window T.
-    """
-    if T.flags.f_contiguous and not T.flags.c_contiguous:
-        T, Q, B = T.T, B.T, Q.T  # the transposed residual has contiguous rows
-    step = max(1, 2**20 // T.shape[1])
-    total = 0.0
-    for i in range(0, T.shape[0], step):
-        E = Q[i : i + step] @ B
-        E -= T[i : i + step]
-        total += float(np.vdot(E, E))
-    return total**0.5
-
-
 def _svd(M, tol: ToleranceConfig, shape=None):
     """Thin SVD ``(U, s, Vt)`` of M and its rank ``r`` under the shared cutoff.
 
-    The cutoff is that of M's own shape, or of `shape` when given.  The
-    factors are exact only up to the rank: a matrix whose shorter side has
-    at least 64 entries goes through `_sketched_svd` first, whose
-    factors have as few columns as its certified sketch width and whose
-    trailing singular values are those of the sketch.  Callers read the
-    leading ``r`` columns, values and rows only.  The dense thin SVD is
-    the fallback and the reference.
+    One dense thin SVD of M's tall orientation, transposed back for a wide
+    M.  The cutoff is that of M's own shape, or of `shape` when given.
     """
     A = as_matrix(M)
     wide = A.shape[0] < A.shape[1]
-    T = A.T if wide else A
-    shape = A.shape if shape is None else shape
-    sketched = _sketched_svd(T, shape, tol) if T.shape[1] >= 64 else None  # else no k has 8k <= b
-    U, s, Vt = sketched or np.linalg.svd(T, full_matrices=False)
+    U, s, Vt = np.linalg.svd(A.T if wide else A, full_matrices=False)
     if wide:
         U, Vt = Vt.T, U.T
-    return U, s, Vt, tol.rank(s, shape)
+    return U, s, Vt, tol.rank(s, A.shape if shape is None else shape)
 
 
 def singular_values(M) -> np.ndarray:
@@ -177,13 +116,10 @@ def rank_factorize(M, tol: ToleranceConfig = DEFAULT_TOL, shape=None):
 
     Returns ``(O, R, r)`` where ``r`` is the numerical rank, ``O`` is
     rows x r and ``R`` is r x cols, both of full rank r, built as
-    ``O = U sqrt(S)`` and ``R = sqrt(S) V^T`` from the truncated SVD.
-    A low-rank matrix whose shorter side has at least 64 entries is factored
-    through the certified range sketch of `_svd` in O(rows * cols * r) time;
-    its rank equals that of the dense SVD unless a singular value lies
-    within 10% of the cutoff.  The rank is decided under the cutoff of M's
-    own shape, or of `shape` when M is part of a larger matrix of that shape
-    (the probed block columns of a Hankel window, in `kalman_ho`).
+    ``O = U sqrt(S)`` and ``R = sqrt(S) V^T`` from the truncated dense SVD.
+    The rank is decided under the cutoff of M's own shape, or of `shape`
+    when M is part of a larger matrix of that shape (the searched block
+    columns of a Hankel window, in `kalman_ho`).
     """
     U, s, Vt, r = _svd(M, tol, shape)
     root = np.sqrt(s[:r])
@@ -191,7 +127,7 @@ def rank_factorize(M, tol: ToleranceConfig = DEFAULT_TOL, shape=None):
 
 
 def factored_rank_factorize(Of, Rf, tol: ToleranceConfig = DEFAULT_TOL):
-    """`rank_factorize` of M = Of @ Rf from its factors, without forming or sketching M.
+    """`rank_factorize` of M = Of @ Rf from its factors, without forming M.
 
     With the QR decomposition Of = Q Rl (Q orthonormal columns) and the SVD
     U S V^T of the at most n x b core Rl @ Rf, M = (Q U) S V^T is an SVD of

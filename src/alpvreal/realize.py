@@ -17,24 +17,24 @@ every word; it is kept only as a test reference.
 `kalman_ho` recovers a state-space family from a finite Hankel sub-matrix
 H_{L,L+1}: rank-factorize H = O R, read [B_1..B_D] off the first mD
 columns of R and [C_1;..;C_D] off the first pD rows of O, and solve for
-each A_q from the column shift v |-> v q of the word enumeration.  A
-window built from a system holds only its factors H = Of Rf (inner
+each A_q from the column shift v |-> v q of the word enumeration.  The
+factorization takes one of two routes, chosen by what the window holds.
+A window built from a system holds only its factors H = Of Rf (inner
 dimension the system's n), and is factored from them in O((a + b) n^2)
-without ever being assembled.  A window built from an oracle holds only
-the oracle, and is realized from a column-word search without being
-assembled: the block column of the empty word, then the extensions v q of
+without ever being assembled.  Every other window (an oracle's, a table's,
+one given as data or loaded from a file) is realized from a column-word
+search: the block column of the empty word, then the extensions v q of
 each word |v| <= L whose block column raised the rank, level by level
 until a level raises nothing.  The raising columns span the Krylov closure
 of Btilde's, so for a map of order n it reaches at most 1 + nD of the
 N(L+1) block columns and gets the window's rank whenever that is the
 map's; the shift solve then runs on the raising words and their
-extensions only.  Block (v_r, v_c) is M(v_c v_r), so column v q repeats
-column v at row q v_r whenever |q v_r| <= L; the search probes each
-distinct run once (720 probes where its columns hold 936 at D=3, n=3,
-m=p=2, L=2).  Any other a x b window of rank r (from data, a file or a
-table) goes through the certified range sketch of `linalg` in O(ab r),
-or a dense SVD when its shorter side is below 64.  All three decide the
-rank under the window's own a x b cutoff.  When
+extensions only.  An oracle window is probed, never assembled: block
+(v_r, v_c) is M(v_c v_r), so column v q repeats column v at row q v_r
+whenever |q v_r| <= L, and the search probes each distinct run once (720
+probes where its columns hold 936 at D=3, n=3, m=p=2, L=2).  Any other
+window's block columns are read off its data.  Both routes decide the rank
+under the window's own a x b cutoff.  When
 rank H_{L,L} already equals the rank of the full Hankel matrix (guaranteed
 as soon as some realization of dimension <= L+1 exists), the result is a
 minimal realization of the underlying map.
@@ -118,11 +118,11 @@ def analyze(sys: ALPVSystem, tol: ToleranceConfig = DEFAULT_TOL) -> AnalysisRepo
 
 
 def _block_columns(H: HankelBlockMatrix, words, memo: dict) -> np.ndarray:
-    """The block columns of an oracle window H for the column words `words`, side by side.
+    """The block columns of a factor-less window H for the column words `words`, side by side.
 
-    They are read off `data` once it is assembled and probed through
-    `word_blocks` otherwise, each word not yet in `memo` once, with the same
-    values either way.
+    They are read off `data` when H holds it (given as data, or an oracle
+    window once assembled) and probed through `word_blocks` otherwise, each
+    word not yet in `memo` once, with the same values either way.
     """
     data = vars(H).get("data")
     if data is None:
@@ -132,21 +132,22 @@ def _block_columns(H: HankelBlockMatrix, words, memo: dict) -> np.ndarray:
 
 
 def _column_search(H: HankelBlockMatrix, tol: ToleranceConfig):
-    """Rank-factorize the block columns of an oracle window that a column-word search reaches.
+    """Rank-factorize the block columns of a factor-less window that a column-word search reaches.
 
     Level 0 is the empty word; level k+1 is the extensions v q, q = 1..D, of
     the words v of level k with |v| <= L whose block column raised the rank
     of the columns before it, and the search ends at the first level that
-    raises nothing.  Every rank is decided under the cutoff of H's own
-    a x b shape.  Returns (O, R, n, base, shift): the rank factorization
-    O R of the probed columns in probe order (the empty word first), the
-    positions `base` of the raising words with |v| <= L among them, and the
+    raises nothing.  Words of length L + 1 are never grown, so only the
+    final factorization ranks their columns.  Every rank is decided under
+    the cutoff of H's own a x b shape.  Returns (O, R, n, base, shift): the
+    rank factorization O R of the searched columns in search order (the
+    empty word first), the positions `base` of the raising words with |v| <= L among them, and the
     (D, len(base)) positions `shift` of their extensions.  The raising
     columns span the Krylov closure of the empty word's, so the order is
     the window's rank whenever that equals the Hankel rank of the map, and
     at most (1 + n D) block columns of N(L) D^2 m cells each are searched.
-    One memo (word -> S block) serves all levels, so each distinct run
-    j v_c v_r i is probed once, in first-occurrence order.
+    On an oracle window one memo (word -> S block) serves all levels, so
+    each distinct run j v_c v_r i is probed once, in first-occurrence order.
     """
     D, mD = H.D, H.m * H.D
     P, rank, probed = np.empty((H.shape[0], 0)), 0, 0
@@ -155,8 +156,10 @@ def _column_search(H: HankelBlockMatrix, tol: ToleranceConfig):
         columns, grown = _block_columns(H, level, memo), []
         for k, v in enumerate(level):
             P = np.hstack([P, columns[:, k * mD : (k + 1) * mD]])
+            if len(v) > H.L:
+                continue  # never grown: the final factorization ranks it
             r = numerical_rank(P, tol, shape=H.shape)
-            if r > rank and len(v) <= H.L:
+            if r > rank:
                 base.append(probed + k)
                 grown.append(v)
             rank = r
@@ -173,25 +176,23 @@ def kalman_ho(H: HankelBlockMatrix, tol: ToleranceConfig = DEFAULT_TOL) -> ALPVS
     The column bound must be exactly L + 1: block column j of the shifted
     factor R_q is the block column of R at the position of the word v_j q,
     which must itself lie within the column enumeration.  The rank
-    factorization H = O R takes one of three routes, all under the cutoff
-    of H's own a x b shape.  A window from `build_hankel(system)` keeps its
-    factors (Of, Rf), and `linalg.factored_rank_factorize` reads O and R off
-    the QR of Of and the SVD of the at most n_sys x b core, in
-    O((a + b) n_sys^2) for a system of dimension n_sys, never touching H.
-    A window from `build_hankel(oracle)` is never assembled here: a
-    column-word search (`_column_search`) reads at most 1 + n D of its
+    factorization H = O R takes one of two routes, chosen by what H holds,
+    both under the cutoff of H's own a x b shape.  A window from
+    `build_hankel(system)` keeps its factors (Of, Rf), and
+    `linalg.factored_rank_factorize` reads O and R off the QR of Of and the
+    SVD of the at most n_sys x b core, in O((a + b) n_sys^2) for a system of
+    dimension n_sys, never touching H.  Every other window (`factors` None:
+    an oracle's, a table's, or one given as data) goes through a column-word
+    search (`_column_search`): it reads at most 1 + n D of the window's
     N(L+1) block columns, the empty word's and the extensions v q of the
-    words |v| <= L whose columns raised the rank, probing each distinct run
-    once, and factors those alone (from `data` instead, unprobed, once that
-    has been read).  It gives the dense window's order whenever rank H
-    equals the Hankel rank of the map;
-    a probe that is not finite raises NonFiniteEntry here.  Every other
-    window (`factors` and `oracle` None) goes through `rank_factorize`: a
-    certified range sketch once its shorter side reaches 64 entries, in
-    O(ab n), whose rank is the dense SVD's unless a singular value of H lies
-    within 10% of the cutoff, and a dense SVD below that.  The shift solve
-    pseudo-inverts the block columns of R for the words |v| <= L (the
-    raising ones, on the searched route) and maps them to those of v q.
+    words |v| <= L whose columns raised the rank, and factors those alone.
+    An oracle window is probed there, each distinct run once, and never
+    assembled (its columns are read off `data` instead, unprobed, once that
+    has been read); a probe that is not finite raises NonFiniteEntry here.
+    The search gives the dense window's order whenever rank H equals the
+    Hankel rank of the map.  The shift solve pseudo-inverts the block
+    columns of R for the words |v| <= L (the raising ones, on the searched
+    route) and maps them to those of v q.
     """
     if H.M != H.L + 1:
         raise ShapeMismatch(
@@ -199,13 +200,10 @@ def kalman_ho(H: HankelBlockMatrix, tol: ToleranceConfig = DEFAULT_TOL) -> ALPVS
         )
     D, m, p, L = H.D, H.m, H.p, H.L
     mD = m * D
-    if H.oracle is not None:
+    if H.factors is None:
         O, R, n, base, shift = _column_search(H, tol)
     else:
-        if H.factors is None:
-            O, R, n = rank_factorize(H.data, tol)
-        else:
-            O, R, n = factored_rank_factorize(*H.factors, tol)
+        O, R, n = factored_rank_factorize(*H.factors, tol)
         base, shift = slice(0, _w.word_count(L, D)), _w.shift_positions(L, D)
     k = shift.shape[1]  # words v whose block column is pseudo-inverted
     R3 = R.reshape(n, R.shape[1] // mD, mD)

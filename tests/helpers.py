@@ -13,6 +13,8 @@ from alpvreal import (
     SimulationResult,
     analyze,
     hankel_singular_values,
+    pseudoinverse,
+    rank_factorize,
     simulate,
 )
 from alpvreal import words
@@ -279,3 +281,21 @@ def observability_factor(sys: ALPVSystem, depth: int) -> np.ndarray:
     P = word_products(sys.A.transpose(0, 2, 1), stacked_output_matrix(sys).T[None], depth)
     P = P[reversal_positions(depth, sys.D)].transpose(0, 2, 1)
     return P.reshape(P.shape[0] * P.shape[1], sys.n)
+
+
+def dense_kalman_ho(H) -> ALPVSystem:
+    """Kalman-Ho from the whole window H_{L,L+1}: the dense reference for `kalman_ho`.
+
+    Rank-factorizes all of `H.data` = O R with one dense SVD, reads B and C
+    off the first block column of R and block row of O, and solves each A_q
+    from the block columns of R for every word |v| <= L and those of v q.
+    """
+    D, m, p, mD = H.D, H.m, H.p, H.m * H.D
+    O, R, n = rank_factorize(H.data)
+    k = words.word_count(H.L, D)
+    R3 = R.reshape(n, R.shape[1] // mD, mD)
+    shifted = R3[:, words.shift_positions(H.L, D)]  # n x D x k x mD: block (q, j) is v_j q
+    Rbar = R3[:, :k].reshape(n, k * mD)
+    A = shifted.transpose(1, 0, 2, 3).reshape(D, n, k * mD) @ pseudoinverse(Rbar)
+    B = R[:, :mD].reshape(n, D, m).transpose(1, 0, 2)
+    return ALPVSystem(A=A, B=B, C=O[: p * D].reshape(D, p, n))

@@ -19,10 +19,11 @@ are checked against the extended matrices of the branching recursion on
 random systems with planted unreachable and unobservable states, and the
 roots' spectra against the dense factors and Hankel matrices; a seeded corpus of 500 such systems checks every
 rank, reduced order and realized order against those references.  Low-rank
-matrices whose shorter side reaches 64 take the range-sketch route of the SVD
-helper and are checked against the dense rank rule.  Kalman-Ho from a system
-window's factors is checked against the same window given as data, which
-takes the sketch or the dense SVD.  A system window's data, assembled on
+matrices whose shorter side is 64 to 560 are factored, and their bases
+taken, under the dense rank rule.  Kalman-Ho from a system window's factors
+is checked against the same window given as data, which is realized from a
+column-word search, and both against the dense full-window reference
+`helpers.dense_kalman_ho`.  A system window's data, assembled on
 first read, is its factors' product bit for bit.  A family given as one 3-d
 array and as a list of matrices builds the same stacks, and fails with the
 same error and message when a matrix is misshapen, not finite, missing, or
@@ -84,9 +85,9 @@ from alpvreal import (
 
 from alpvreal import hankel, ioeq, linalg, markov, model, realize
 from helpers import (
-    contractive, observability_factor, pad_unobservable, pad_unreachable, random_minimal_system,
-    random_run, random_system, reachability_factor, reference_residual, reference_simulate,
-    unit_schedule,
+    contractive, dense_kalman_ho, observability_factor, pad_unobservable, pad_unreachable,
+    random_minimal_system, random_run, random_system, reachability_factor, reference_residual,
+    reference_simulate, unit_schedule,
 )
 
 SEEDED = settings(derandomize=True, database=None, deadline=None, max_examples=30)
@@ -503,7 +504,7 @@ def test_linalg_shapes_and_products(seed, rows, cols, inner):
 
 @st.composite
 def low_rank_matrices(draw):
-    """Rank 0-40 products whose shorter side (64-560) admits a range sketch.
+    """Rank 0-40 products whose shorter side (64-560) is far above their rank.
 
     The sizes come from the drawn seed, so that they spread evenly over the
     ranges rather than crowding at their lower ends.  The planted singular
@@ -545,17 +546,6 @@ def test_bases_of_large_low_rank_matrices(M):
     assert np.array_equal(range_basis(M), V) and np.array_equal(row_basis(M), W)
 
 
-@SEEDED
-@given(low_rank_matrices())
-def test_sketch_certifies_when_a_width_above_the_rank_fits(M):
-    T = M.T if M.shape[0] < M.shape[1] else M
-    width = 8
-    while width <= numerical_rank(M):
-        width *= 2
-    certified = linalg._sketched_svd(T, M.shape, DEFAULT_TOL) is not None
-    assert certified == (8 * width <= T.shape[1])
-
-
 def realizable_window(kind, seed):
     """(system, L, minimal source) of one kind, for a window H_{L,L+1} built from the system.
 
@@ -588,26 +578,36 @@ def realizable_window(kind, seed):
 def test_factored_and_window_realizations_agree(kind, seed):
     """`kalman_ho` from a system window's factors against the same window given as data.
 
-    The data-only copy has no factors and is realized through `rank_factorize`
-    (its range sketch once the shorter side reaches 64, the dense SVD below).
-    Both routes give the rank of the window under the window's own cutoff and
-    the same Markov parameters within the C03 tolerance, and on a minimal
-    source the source's own, with realizations related by an isomorphism.
+    The data-only copy has no factors and is realized from a column-word
+    search; `helpers.dense_kalman_ho`, which factors the whole data, is the
+    reference for both.  All three give the rank of the window under the
+    window's own cutoff.  The factored route, which solves the shifts over
+    the same words as the reference, gives its Markov parameters within the
+    C03 tolerance at every L; the searched route does so once H_{L,L} has
+    the map's rank (below that both may return different wrong systems).
+    On a minimal source they are the source's own, with realizations
+    related by an isomorphism.
     """
     sys, L, minimal = realizable_window(kind, seed)
     H = build_hankel(sys, L, L + 1)
     given = HankelBlockMatrix(L=L, M=L + 1, D=sys.D, m=sys.m, p=sys.p, data=H.data.copy())
     assert H.factors is not None and given.factors is None
-    factored, sketched = kalman_ho(H), kalman_ho(given)
-    assert factored.n == sketched.n == numerical_rank(H.data)
+    dense = dense_kalman_ho(given)
+    assert dense.n == numerical_rank(H.data)
     scale = max(1.0, float(np.abs(H.data).max(initial=0.0)))
-    W = build_hankel(factored, L, L + 1).data
-    assert np.abs(W - build_hankel(sketched, L, L + 1).data).max(initial=0.0) <= 1e-8 * scale
-    if minimal:
-        assert factored.n == sys.n
-        assert np.abs(W - H.data).max(initial=0.0) <= 1e-8 * scale
-        T = find_isomorphism(factored, sketched)
-        assert isomorphism_residual(factored, sketched, T) < 1e-7
+    W = build_hankel(dense, L, L + 1).data
+    depth = max(sys.n - 1, 0)
+    plateau = hankel_rank(sys, L, L) == hankel_rank(sys, depth, depth)
+    for realized, exact in ((kalman_ho(H), True), (kalman_ho(given), plateau)):
+        assert realized.n == dense.n
+        if not exact:
+            continue
+        assert np.abs(W - build_hankel(realized, L, L + 1).data).max(initial=0.0) <= 1e-8 * scale
+        if minimal:
+            assert realized.n == sys.n
+            assert np.abs(W - H.data).max(initial=0.0) <= 1e-8 * scale
+            T = find_isomorphism(dense, realized)
+            assert isomorphism_residual(dense, realized, T) < 1e-7
 
 
 @SEEDED

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from alpvreal import (
-    DEFAULT_TOL,
     ALPVSystem,
     AnalysisReport,
     DimensionMismatch,
@@ -35,9 +34,10 @@ from alpvreal import (
     word_count,
     words_up_to,
 )
-from alpvreal import linalg, realize
+from alpvreal import fileio, realize
 
 from helpers import (
+    dense_kalman_ho,
     observability_factor,
     pad_unobservable,
     pad_unreachable,
@@ -345,14 +345,27 @@ def markov_deviation(sys1, sys2, depth):
     return dev, top
 
 
-@pytest.mark.parametrize("n, m, seed", [(5, 1, 51), (6, 1, 61), (4, 2, 42)])
-def test_kalman_ho_on_sketched_windows(n, m, seed):
-    """The window as data takes the range sketch; the system's window, its factors."""
+@pytest.mark.parametrize("n, m, seed, stored", [(5, 1, 51, True), (6, 1, 61, False), (4, 2, 42, True)])
+def test_given_windows_are_realized_through_the_search(monkeypatch, tmp_path, n, m, seed, stored):
+    """A window given as data, or loaded from a CSV file, is searched and never factored whole.
+
+    The 1092 x 3279 window of n = 6 is not stored: its CSV round trip alone takes seconds.
+    """
     sys = random_minimal_system(np.random.default_rng(seed), n=n, D=3, m=m, p=m)
     H = build_hankel(sys, n - 1, n)
-    assert linalg._sketched_svd(H.data.T, H.shape, DEFAULT_TOL) is not None
-    given = HankelBlockMatrix(L=n - 1, M=n, D=3, m=m, p=m, data=H.data.copy())
-    for realized in (kalman_ho(given), kalman_ho(H)):
+    windows = [HankelBlockMatrix(L=n - 1, M=n, D=3, m=m, p=m, data=H.data.copy())]
+    if stored:
+        fileio.save_hankel(tmp_path / "H.csv", H)
+        windows.append(fileio.load_hankel(tmp_path / "H.csv"))
+
+    def whole_refused(M, *args, **kwargs):
+        if np.shape(M) == H.shape:
+            raise AssertionError("the window was factored whole")
+        return rank_factorize(M, *args, **kwargs)
+
+    rank_factorize = realize.rank_factorize
+    monkeypatch.setattr(realize, "rank_factorize", whole_refused)
+    for realized in map(kalman_ho, windows):
         assert realized.n == n
         dev, top = markov_deviation(sys, realized, n)
         assert dev <= 1e-8 * max(1.0, top)
@@ -365,10 +378,10 @@ def test_kalman_ho_on_sketched_windows(n, m, seed):
     [(6, 3, 1, 1, 0, 61), (4, 3, 2, 2, 2, 42), (5, 2, 1, 2, 3, 52), (3, 1, 2, 1, 1, 31)],
 )
 def test_system_windows_are_realized_from_their_factors(monkeypatch, n, D, m, p, pad, seed):
-    """`kalman_ho(build_hankel(system))` never sketches or decomposes the window.
+    """`kalman_ho(build_hankel(system))` never searches or decomposes the window.
 
     Its order is the rank of the window under the window's own cutoff: the
-    dense values-only rank, computed before the sketch and the
+    dense values-only rank, computed before the column search and the
     full-window factorization are made to refuse.
     """
     rng = np.random.default_rng(seed)
@@ -378,9 +391,9 @@ def test_system_windows_are_realized_from_their_factors(monkeypatch, n, D, m, p,
     rank = numerical_rank(H.data)
 
     def refuse(*args):
-        raise AssertionError("the window was factored whole")
+        raise AssertionError("the window was not realized from its factors")
 
-    monkeypatch.setattr(linalg, "_sketched_svd", refuse)
+    monkeypatch.setattr(realize, "_column_search", refuse)
     monkeypatch.setattr(realize, "rank_factorize", refuse)
     realized = kalman_ho(H)
     assert realized.n == rank == n
@@ -388,7 +401,7 @@ def test_system_windows_are_realized_from_their_factors(monkeypatch, n, D, m, p,
     assert dev <= 1e-8 * max(1.0, top)
     T = find_isomorphism(core, realized)
     assert isomorphism_residual(core, realized, T) < 1e-7
-    with pytest.raises(AssertionError, match="factored whole"):
+    with pytest.raises(AssertionError, match="not realized from its factors"):
         kalman_ho(HankelBlockMatrix(L=n - 1, M=n, D=D, m=m, p=p, data=H.data))
 
 
@@ -406,22 +419,31 @@ def recording_oracle(sys):
 @pytest.mark.parametrize("kind", ["minimal", "padded"])
 @pytest.mark.parametrize("seed", range(6))
 def test_searched_and_dense_oracle_realizations_agree(kind, seed):
-    """The column search on an oracle window against the dense route on the same map's window.
+    """The column search on oracle and table windows against the dense full-window reference.
 
-    The dense route realizes the window given as data (from a Markov table,
-    equal to the probed one up to round-off).  Both give the map's order and
-    the same Markov parameters up to length 2L + 2 at L = n - 1 and n.
+    `helpers.dense_kalman_ho` factors the whole window given as data from a
+    Markov table, equal to the probed one up to round-off.  On the table
+    window at every L = 0..n, below the rank plateau too, the search gives
+    the window's rank.  At L = n - 1 and n, where H_{L,L} has the map's rank
+    n, the searched table and oracle windows give the map's order and the
+    reference's Markov parameters up to length 2L + 2 within 1e-9, a tenth
+    of the C03 tolerance.  Below that both routes return wrong systems, and
+    not always the same ones.
     """
     rng = np.random.default_rng(1000 + seed)
     D, n, m, p = (int(rng.integers(1, hi)) for hi in (4, 5, 3, 3))
     core = random_minimal_system(rng, n=n, D=D, m=m, p=p)
     sys = core if kind == "minimal" else pad_unobservable(pad_unreachable(core, 1, rng), 1, rng)
-    for L in (n - 1, n):
-        searched = kalman_ho(build_hankel(system_oracle(sys), L, L + 1))
-        dense = kalman_ho(build_hankel(markov_table(sys, 2 * L + 3), L, L + 1))
-        assert searched.n == dense.n == n
-        dev, top = markov_deviation(dense, searched, L + 1)
-        assert dev <= 1e-9 * max(1.0, top)
+    for L in range(n + 1):
+        table = build_hankel(markov_table(sys, 2 * L + 3), L, L + 1)
+        dense, searched = dense_kalman_ho(table), kalman_ho(table)
+        assert searched.n == dense.n == numerical_rank(table.data)
+        if L < n - 1:
+            continue
+        for realized in (searched, kalman_ho(build_hankel(system_oracle(sys), L, L + 1))):
+            assert realized.n == dense.n == n
+            dev, top = markov_deviation(dense, realized, L + 1)
+            assert dev <= 1e-9 * max(1.0, top)
 
 
 @pytest.mark.parametrize(
@@ -489,8 +511,7 @@ def test_an_oracle_window_below_the_plateau_gets_the_dense_order(sigma2):
     below-plateau failure that a realization certificate is to catch.
     """
     oracle = system_oracle(sigma2)
-    data = build_hankel(oracle, 0, 1).data
-    dense = kalman_ho(HankelBlockMatrix(L=0, M=1, D=2, m=1, p=1, data=data))
+    dense = dense_kalman_ho(build_hankel(oracle, 0, 1))
     assert kalman_ho(build_hankel(oracle, 0, 1)).n == dense.n
 
 
