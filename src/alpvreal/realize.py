@@ -28,16 +28,21 @@ each word |v| <= L whose block column raised the rank, level by level
 until a level raises nothing.  The raising columns span the Krylov closure
 of Btilde's, so for a map of order n it reaches at most 1 + nD of the
 N(L+1) block columns and gets the window's rank whenever that is the
-map's; the shift solve then runs on the raising words and their
-extensions only.  An oracle window is probed, never assembled: block
-(v_r, v_c) is M(v_c v_r), so column v q repeats column v at row q v_r
-whenever |q v_r| <= L, and the search probes each distinct run once (720
-probes where its columns hold 936 at D=3, n=3, m=p=2, L=2).  Any other
-window's block columns are read off its data.  Both routes decide the rank
-under the window's own a x b cutoff.  When
-rank H_{L,L} already equals the rank of the full Hankel matrix (guaranteed
-as soon as some realization of dimension <= L+1 exists), the result is a
-minimal realization of the underlying map.
+map's.  An oracle window is probed, never assembled: block (v_r, v_c) is
+M(v_c v_r), so column v q repeats column v at row q v_r whenever
+|q v_r| <= L, and the search probes each distinct run once (720 probes
+where its columns hold 936 at D=3, n=3, m=p=2, L=2); its shift solve runs
+on the raising words and their extensions only.  A window given as data
+has its block columns read off the data, and R = pinv(O) H over all of
+them, so its shift is solved over every word |v| <= L, as a system
+window's is.  Both routes decide the rank under the window's own a x b
+cutoff; on a window without factors that is the rank of the searched
+columns, which can differ from the whole window's either way when
+singular values lie within about a decade of the cutoff (as noisy or
+rounded data can have them).  When rank H_{L,L} already equals the rank
+of the full Hankel matrix (guaranteed as soon as some realization of
+dimension <= L+1 exists), the result is a minimal realization of the
+underlying map.
 
 Minimal realizations of the same map are unique up to a constant
 (scheduling-independent) state isomorphism, which `find_isomorphism`
@@ -141,8 +146,11 @@ def _column_search(H: HankelBlockMatrix, tol: ToleranceConfig):
     final factorization ranks their columns.  Every rank is decided under
     the cutoff of H's own a x b shape.  Returns (O, R, n, base, shift): the
     rank factorization O R of the searched columns in search order (the
-    empty word first), the positions `base` of the raising words with |v| <= L among them, and the
-    (D, len(base)) positions `shift` of their extensions.  The raising
+    empty word first), the positions `base` of the raising words with
+    |v| <= L among them, and the (D, len(base)) positions `shift` of their
+    extensions.  An oracle window keeps that R.  A window given as data
+    (its `oracle` None) gets R = pinv(O) H, every block column in word
+    order, with `base` and `shift` over every word |v| <= L.  The raising
     columns span the Krylov closure of the empty word's, so the order is
     the window's rank whenever that equals the Hankel rank of the map, and
     at most (1 + n D) block columns of N(L) D^2 m cells each are searched.
@@ -167,7 +175,10 @@ def _column_search(H: HankelBlockMatrix, tol: ToleranceConfig):
         shift.append(probed + np.arange(len(grown) * D).reshape(-1, D))
         level = [v + (q,) for v in grown for q in range(1, D + 1)]
     O, R, n = rank_factorize(P, tol, shape=H.shape)
-    return O, R, n, np.array(base, np.intp), np.concatenate(shift).T
+    if H.oracle is not None:
+        return O, R, n, np.array(base, np.intp), np.concatenate(shift).T
+    R = pseudoinverse(O, tol) @ H.data
+    return O, R, n, slice(0, _w.word_count(H.L, D)), _w.shift_positions(H.L, D)
 
 
 def kalman_ho(H: HankelBlockMatrix, tol: ToleranceConfig = DEFAULT_TOL) -> ALPVSystem:
@@ -190,9 +201,12 @@ def kalman_ho(H: HankelBlockMatrix, tol: ToleranceConfig = DEFAULT_TOL) -> ALPVS
     assembled (its columns are read off `data` instead, unprobed, once that
     has been read); a probe that is not finite raises NonFiniteEntry here.
     The search gives the dense window's order whenever rank H equals the
-    Hankel rank of the map.  The shift solve pseudo-inverts the block
-    columns of R for the words |v| <= L (the raising ones, on the searched
-    route) and maps them to those of v q.
+    Hankel rank of the map; its order is the rank of the searched columns,
+    which can differ from `numerical_rank(H.data)` either way when singular
+    values lie within about a decade of the cutoff.  The shift solve
+    pseudo-inverts the block columns of R for the words |v| <= L and maps
+    them to those of v q: on an oracle window the raising words only, on a
+    window given as data all of them, with R = pinv(O) H.
     """
     if H.M != H.L + 1:
         raise ShapeMismatch(

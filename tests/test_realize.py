@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from alpvreal import (
+    DEFAULT_TOL,
     ALPVSystem,
     AnalysisReport,
     DimensionMismatch,
@@ -35,6 +36,7 @@ from alpvreal import (
     words_up_to,
 )
 from alpvreal import fileio, realize
+from alpvreal.linalg import singular_values
 
 from helpers import (
     dense_kalman_ho,
@@ -358,13 +360,15 @@ def test_given_windows_are_realized_through_the_search(monkeypatch, tmp_path, n,
         fileio.save_hankel(tmp_path / "H.csv", H)
         windows.append(fileio.load_hankel(tmp_path / "H.csv"))
 
-    def whole_refused(M, *args, **kwargs):
-        if np.shape(M) == H.shape:
-            raise AssertionError("the window was factored whole")
-        return rank_factorize(M, *args, **kwargs)
+    def whole_refused(decompose):
+        def call(M, *args, **kwargs):
+            if np.shape(M) == H.shape:
+                raise AssertionError("the window was factored whole")
+            return decompose(M, *args, **kwargs)
+        return call
 
-    rank_factorize = realize.rank_factorize
-    monkeypatch.setattr(realize, "rank_factorize", whole_refused)
+    for name in ("rank_factorize", "numerical_rank", "pseudoinverse"):
+        monkeypatch.setattr(realize, name, whole_refused(getattr(realize, name)))
     for realized in map(kalman_ho, windows):
         assert realized.n == n
         dev, top = markov_deviation(sys, realized, n)
@@ -373,9 +377,31 @@ def test_given_windows_are_realized_through_the_search(monkeypatch, tmp_path, n,
         assert isomorphism_residual(sys, realized, T) < 1e-7
 
 
+@pytest.mark.parametrize("factor", [1e-3, 1e-1, 1e3])
+def test_given_windows_with_noise_off_the_cutoff_keep_the_dense_order(factor):
+    """Table windows plus Gaussian noise whose norm is `factor` times the window's cutoff.
+
+    The searched order equals `numerical_rank` of the noisy window at the
+    plateau, L = n - 1.  Within about a decade of the cutoff
+    the two can differ either way, since the search ranks its own columns
+    (for noise of 0.5 to 10 times the cutoff they differed on 80 of 320
+    such windows), so those factors are not asserted.
+    """
+    for seed in range(8):
+        rng = np.random.default_rng(7000 + seed)
+        D, n, m, p = (int(rng.integers(1, hi)) for hi in (4, 5, 3, 3))
+        sys = random_minimal_system(rng, n=n, D=D, m=m, p=p)
+        H = build_hankel(markov_table(sys, 2 * n + 1), n - 1, n).data
+        G = rng.standard_normal(H.shape)
+        G *= factor * DEFAULT_TOL.cutoff(singular_values(H), H.shape) / singular_values(G)[0]
+        noisy = HankelBlockMatrix(L=n - 1, M=n, D=D, m=m, p=p, data=H + G)
+        assert kalman_ho(noisy).n == numerical_rank(noisy.data)
+
+
 @pytest.mark.parametrize(
     "n, D, m, p, pad, seed",
-    [(6, 3, 1, 1, 0, 61), (4, 3, 2, 2, 2, 42), (5, 2, 1, 2, 3, 52), (3, 1, 2, 1, 1, 31)],
+    [(6, 3, 1, 1, 0, 61), (5, 3, 1, 1, 0, 51), (4, 3, 2, 2, 0, 42), (4, 3, 2, 2, 2, 42),
+     (5, 2, 1, 2, 3, 52), (3, 1, 2, 1, 1, 31)],
 )
 def test_system_windows_are_realized_from_their_factors(monkeypatch, n, D, m, p, pad, seed):
     """`kalman_ho(build_hankel(system))` never searches or decomposes the window.
@@ -424,11 +450,10 @@ def test_searched_and_dense_oracle_realizations_agree(kind, seed):
     `helpers.dense_kalman_ho` factors the whole window given as data from a
     Markov table, equal to the probed one up to round-off.  On the table
     window at every L = 0..n, below the rank plateau too, the search gives
-    the window's rank.  At L = n - 1 and n, where H_{L,L} has the map's rank
-    n, the searched table and oracle windows give the map's order and the
-    reference's Markov parameters up to length 2L + 2 within 1e-9, a tenth
-    of the C03 tolerance.  Below that both routes return wrong systems, and
-    not always the same ones.
+    the window's rank and the reference's Markov parameters up to length
+    2L + 2 within 1e-9, a tenth of the C03 tolerance.  At L = n - 1 and n,
+    where H_{L,L} has the map's rank n, the searched oracle window does the
+    same with the map's order.
     """
     rng = np.random.default_rng(1000 + seed)
     D, n, m, p = (int(rng.integers(1, hi)) for hi in (4, 5, 3, 3))
@@ -436,13 +461,14 @@ def test_searched_and_dense_oracle_realizations_agree(kind, seed):
     sys = core if kind == "minimal" else pad_unobservable(pad_unreachable(core, 1, rng), 1, rng)
     for L in range(n + 1):
         table = build_hankel(markov_table(sys, 2 * L + 3), L, L + 1)
-        dense, searched = dense_kalman_ho(table), kalman_ho(table)
-        assert searched.n == dense.n == numerical_rank(table.data)
-        if L < n - 1:
-            continue
-        for realized in (searched, kalman_ho(build_hankel(system_oracle(sys), L, L + 1))):
-            assert realized.n == dense.n == n
-            dev, top = markov_deviation(dense, realized, L + 1)
+        dense = dense_kalman_ho(table)
+        realized = [kalman_ho(table)]
+        if L >= n - 1:
+            realized.append(kalman_ho(build_hankel(system_oracle(sys), L, L + 1)))
+            assert dense.n == n
+        for searched in realized:
+            assert searched.n == dense.n == numerical_rank(table.data)
+            dev, top = markov_deviation(dense, searched, L + 1)
             assert dev <= 1e-9 * max(1.0, top)
 
 
