@@ -37,7 +37,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from alpvreal import (
@@ -575,6 +575,7 @@ def realizable_window(kind, seed):
 @pytest.mark.parametrize("kind", ["minimal", "padded", "tall", "empty", "large"])
 @settings(SEEDED, max_examples=10)
 @given(st.integers(0, 2**32 - 1))
+@example(42)  # "padded": D = 1, m = 2, p = 1 at L = 2, below the plateau
 def test_factored_and_window_realizations_agree(kind, seed):
     """`kalman_ho` from a system window's factors against the same window given as data.
 

@@ -443,7 +443,7 @@ def recording_oracle(sys):
 
 
 @pytest.mark.parametrize("kind", ["minimal", "padded"])
-@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("seed", [*range(6), 47, 53])
 def test_searched_and_dense_oracle_realizations_agree(kind, seed):
     """The column search on oracle and table windows against the dense full-window reference.
 
@@ -453,7 +453,9 @@ def test_searched_and_dense_oracle_realizations_agree(kind, seed):
     the window's rank and the reference's Markov parameters up to length
     2L + 2 within 1e-9, a tenth of the C03 tolerance.  At L = n - 1 and n,
     where H_{L,L} has the map's rank n, the searched oracle window does the
-    same with the map's order.
+    same with the map's order.  Seeds 47 and 53 draw D = 1, m = 2, p = 1
+    maps whose table windows below the plateau a shift solved on the
+    raising words alone realizes wrongly.
     """
     rng = np.random.default_rng(1000 + seed)
     D, n, m, p = (int(rng.integers(1, hi)) for hi in (4, 5, 3, 3))
